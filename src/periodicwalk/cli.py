@@ -58,6 +58,10 @@ EXIT_INVARIANT = 3
 
 _COMMANDS = ("simulate", "sweep-steps", "sweep-theta", "sweep-period", "check-q1")
 
+#: Largest step count and longest LO:HI range any command accepts.  A walk of
+#: N steps allocates a (2N + 1, 2) complex table (6.4 MB here) and does O(N^2) work.
+MAX_STEPS = 100_000
+
 
 class UsageError(Exception):
     """Bad command line; maps to exit status 1."""
@@ -85,13 +89,15 @@ class RunConfig:
     out: Path
 
 
-def _parse_int(text: str, flag: str, minimum: int) -> int:
+def _parse_int(text: str, flag: str, minimum: int, maximum: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise UsageError(f"{flag}: expected an integer, got {text!r}") from None
     if value < minimum:
         raise UsageError(f"{flag}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"{flag}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -105,20 +111,22 @@ def _parse_float(text: str, flag: str) -> float:
     return value
 
 
-def _parse_int_list(text: str, flag: str, minimum: int) -> tuple[int, ...]:
-    """Accept N, N1,N2,..., or LO:HI (inclusive integer range)."""
+def _parse_int_list(text: str, flag: str, minimum: int, maximum: int | None = None) -> tuple[int, ...]:
+    """Accept N, N1,N2,..., or LO:HI (inclusive integer range of at most MAX_STEPS values)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 2:
             raise UsageError(f"{flag}: ranges take the form LO:HI, got {text!r}")
-        lo = _parse_int(parts[0], flag, minimum)
-        hi = _parse_int(parts[1], flag, minimum)
+        lo = _parse_int(parts[0], flag, minimum, maximum)
+        hi = _parse_int(parts[1], flag, minimum, maximum)
         if hi < lo:
             raise UsageError(f"{flag}: range end {hi} is below start {lo}")
+        if hi - lo + 1 > MAX_STEPS:
+            raise UsageError(f"{flag}: range {lo}:{hi} holds more than {MAX_STEPS} values")
         return tuple(range(lo, hi + 1))
     if "," in text:
-        return tuple(_parse_int(part, flag, minimum) for part in text.split(","))
-    return (_parse_int(text, flag, minimum),)
+        return tuple(_parse_int(part, flag, minimum, maximum) for part in text.split(","))
+    return (_parse_int(text, flag, minimum, maximum),)
 
 
 def _parse_theta_grid(text: str, flag: str, scale: float) -> tuple[float, ...]:
@@ -247,7 +255,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             command=command,
             q=_parse_int(ns.q, "--q", 1),
             theta=_resolve_theta_scalar(ns),
-            steps=_parse_int(ns.steps, "--steps", 0),
+            steps=_parse_int(ns.steps, "--steps", 0, MAX_STEPS),
             out=out,
         )
     if command == "sweep-steps":
@@ -255,7 +263,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             command=command,
             q=_parse_int(ns.q, "--q", 1),
             theta=_resolve_theta_scalar(ns),
-            steps=_parse_int_list(ns.steps, "--steps", 1),
+            steps=_parse_int_list(ns.steps, "--steps", 1, MAX_STEPS),
             out=out,
         )
     if command == "sweep-theta":
@@ -263,7 +271,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             command=command,
             q=_parse_int(ns.q, "--q", 1),
             theta=_resolve_theta_values(ns, default=_full_circle_grid()),
-            steps=_parse_int(ns.steps, "--steps", 1),
+            steps=_parse_int(ns.steps, "--steps", 1, MAX_STEPS),
             out=out,
         )
     if command == "sweep-period":
@@ -271,7 +279,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             command=command,
             q=_parse_int_list(ns.q, "--q", 1),
             theta=_resolve_theta_scalar(ns),
-            steps=_parse_int(ns.steps, "--steps", 1),
+            steps=_parse_int(ns.steps, "--steps", 1, MAX_STEPS),
             out=out,
         )
     # check-q1
@@ -279,7 +287,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         command=command,
         q=1,
         theta=_resolve_theta_values(ns, default=_open_circle_grid()),
-        steps=_parse_int(ns.steps, "--steps", 100),
+        steps=_parse_int(ns.steps, "--steps", 100, MAX_STEPS),
         out=out,
     )
 

@@ -8,6 +8,10 @@ site the Hadamard coin.  ``q = 1`` makes every site a scatterer, and
 ``theta = pi/4`` makes the scattering coin coincide with Hadamard, so
 both limits reduce to familiar walks.
 
+Both coins are real matrices [[t, r], [r, -t]], so ``evolve`` keeps them
+as two real per-row coefficient arrays t(x) and r(x), built once per call;
+``step`` is ``evolve`` for one step.
+
 Amplitudes live in a dense complex table allocated once for the longest
 walk a state will host; a walk of N steps never leaves [-N, N], so the
 table never needs to grow.
@@ -217,50 +221,22 @@ def point_state(position: int, direction: CoinDirection, capacity_steps: int) ->
     return WalkState(amplitudes=amps, origin_offset=capacity, steps_taken=abs(position))
 
 
-def _site_coin_table(profile: PotentialProfile, origin_offset: int, n_rows: int) -> np.ndarray:
-    """Per-row coin matrices for the whole table, shape (n_rows, 2, 2)."""
-    positions = np.arange(n_rows) - origin_offset
-    table = np.empty((n_rows, 2, 2), dtype=np.complex128)
-    table[:] = hadamard_coin()
-    table[is_scattering_site(profile, positions)] = scattering_coin(profile.theta)
-    return table
-
-
-def _advance(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # Coin acts at the pre-shift position; then DOWN slides one row toward
-    # -x and UP one row toward +x.  Rows stay exact zeros outside the
-    # support because 0 * finite == 0 in IEEE754.
-    coined = np.einsum("xij,xj->xi", table, amps)
-    out = np.zeros_like(amps)
-    out[:-1, DOWN] = coined[1:, DOWN]
-    out[1:, UP] = coined[:-1, UP]
-    return out
-
-
 def step(state: WalkState, profile: PotentialProfile) -> WalkState:
-    """Advance the walk by one step.
+    """Advance the walk by one step; the same as ``evolve(state, profile, 1)``.
 
     Raises CapacityError when the table has no room left; amplitude is
     never silently truncated at the edges.
     """
-    if state.steps_taken >= state.capacity:
-        raise CapacityError(
-            f"state has taken {state.steps_taken} of {state.capacity} steps; table is full"
-        )
-    table = _site_coin_table(profile, state.origin_offset, state.amplitudes.shape[0])
-    return WalkState(
-        amplitudes=_advance(state.amplitudes, table),
-        origin_offset=state.origin_offset,
-        steps_taken=state.steps_taken + 1,
-    )
+    return evolve(state, profile, 1)
 
 
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Apply ``n_steps`` steps and return the final state.
 
-    The coin table is built once and reused, so this is the fast path for
-    long walks.  Identical inputs give bit-identical outputs: the kernel
-    is pure numpy with a fixed operation order and no randomness.
+    The real coin coefficients t(x) and r(x) are built once per call and
+    reused by every step.  Identical inputs give bit-identical outputs:
+    the kernel is pure numpy with a fixed operation order and no
+    randomness.
 
     Raises
     ------
@@ -278,10 +254,20 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         raise CapacityError(
             f"{n} more steps after {state.steps_taken} would exceed capacity {state.capacity}"
         )
-    table = _site_coin_table(profile, state.origin_offset, state.amplitudes.shape[0])
     amps = state.amplitudes
+    # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites, 1/sqrt 2 elsewhere.
+    scattering = is_scattering_site(profile, np.arange(amps.shape[0]) - state.origin_offset)
+    t = np.where(scattering, profile.transmission, _SQRT_HALF)
+    r = np.where(scattering, profile.reflection, _SQRT_HALF)
     for _ in range(n):
-        amps = _advance(amps, table)
+        # The coin acts at the pre-shift position; then DOWN slides one row
+        # toward -x and UP one row toward +x.  Rows stay exact zeros outside
+        # the support because 0 * finite == 0 in IEEE754.
+        d, u = amps[:, DOWN], amps[:, UP]
+        out = np.zeros_like(amps)
+        out[:-1, DOWN] = t[1:] * d[1:] + r[1:] * u[1:]
+        out[1:, UP] = r[:-1] * d[:-1] - t[:-1] * u[:-1]
+        amps = out
     return WalkState(
         amplitudes=amps,
         origin_offset=state.origin_offset,

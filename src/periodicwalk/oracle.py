@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOWN, UP, CoinDirection, PotentialProfile, WalkState, coin_at
+from .core import DOWN, UP, CoinDirection, PotentialProfile, WalkState
+from .core import hadamard_coin, is_scattering_site, scattering_coin
 
 __all__ = ["MAX_ORACLE_STEPS", "PathSumResult", "path_sum_evolve"]
 
@@ -75,12 +76,14 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
     if n > MAX_ORACLE_STEPS:
         raise ValueError(f"oracle is capped at {MAX_ORACLE_STEPS} steps, got {n}")
 
+    # Python-complex coin entries, indexed [is scattering site][row][column].
+    coins = (hadamard_coin().tolist(), scattering_coin(profile.theta).tolist())
     amps = _seed(initial)
     for _ in range(n):
         nxt: defaultdict[tuple[int, CoinDirection], complex] = defaultdict(complex)
         for (x, c), a in amps.items():
-            m = coin_at(profile, x)
-            nxt[(x - 1, DOWN)] += a * complex(m[DOWN, c])
-            nxt[(x + 1, UP)] += a * complex(m[UP, c])
+            m = coins[is_scattering_site(profile, x)]
+            nxt[(x - 1, DOWN)] += a * m[DOWN][c]
+            nxt[(x + 1, UP)] += a * m[UP][c]
         amps = dict(nxt)
     return PathSumResult(amplitudes=amps, n_steps=n)

@@ -14,6 +14,7 @@ from periodicwalk.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_STEPS,
     RunConfig,
     UsageError,
     main,
@@ -105,6 +106,27 @@ def test_parse_usage_errors(argv):
     with pytest.raises(UsageError):
         parse_args(argv)
     assert main(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--q", "1", "--theta", "1", "--steps", "1000000000000"],
+        ["simulate", "--q", "1", "--theta", "1", "--steps", str(MAX_STEPS + 1)],
+        ["sweep-steps", "--q", "1", "--theta", "1", "--steps", "1:1000000000000"],
+        ["sweep-steps", "--q", "1", "--theta", "1", "--steps", f"5,{MAX_STEPS + 1}"],
+        ["sweep-theta", "--q", "2", "--steps", str(MAX_STEPS + 1)],
+        ["sweep-period", "--theta", "1", "--q", "1:1000000000000"],
+        ["sweep-period", "--theta", "1", "--steps", str(MAX_STEPS + 1)],
+        ["check-q1", "--steps", str(MAX_STEPS + 1)],
+    ],
+)
+def test_oversized_inputs_are_usage_errors(argv, tmp_path, capsys):
+    # rejected while parsing: nothing is allocated and no file is written
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("periodicwalk: usage error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_simulate_outputs(tmp_path):

@@ -1,0 +1,29 @@
+"""Every command's CSV bytes against a committed golden file.
+
+The golden files were written by the seed's einsum kernel.  Any change to
+the kernel, the sweeps or the CSV writer that moves a single output byte
+fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from periodicwalk.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "simulate": ["simulate", "--q", "4", "--theta-pi", "0.16666666666666666", "--steps", "100"],
+    "sweep-steps": ["sweep-steps", "--q", "2", "--theta-pi", "0.3333333333333333", "--steps", "1:100"],
+    "sweep-theta": ["sweep-theta", "--q", "3", "--theta-pi=-2:2:33", "--steps", "100"],
+    "sweep-period": ["sweep-period", "--theta", "1.0472", "--q", "1:10", "--steps", "100"],
+    "check-q1": ["check-q1", "--steps", "100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_csv_bytes_match_golden(command, tmp_path):
+    out = tmp_path / f"{command}.csv"
+    assert main(CASES[command] + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()

@@ -1,0 +1,53 @@
+"""Kernel invariants over random periods, angles and walk lengths."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from periodicwalk import PotentialProfile, distribution, evolve, initial_state, step, symmetry_residual
+
+profiles = st.builds(
+    PotentialProfile,
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=-4 * math.pi, max_value=4 * math.pi),
+)
+#: (a, N) with 0 <= a <= N <= 300: a walk of N steps split after step a.
+splits = st.integers(min_value=0, max_value=300).flatmap(
+    lambda n: st.tuples(st.integers(min_value=0, max_value=n), st.just(n))
+)
+walks = settings(max_examples=50, deadline=None)
+
+
+@walks
+@given(profiles, splits)
+def test_evolve_composes_and_equals_repeated_step(profile, split):
+    a, n = split
+    start = initial_state(max(n, 1))
+    whole = evolve(start, profile, n)
+    halves = evolve(evolve(start, profile, a), profile, n - a)
+    assert np.array_equal(whole.amplitudes, halves.amplitudes)
+    stepped = start
+    for _ in range(n):
+        stepped = step(stepped, profile)
+    assert np.array_equal(whole.amplitudes, stepped.amplitudes)
+    assert whole.steps_taken == halves.steps_taken == stepped.steps_taken == n
+
+
+@walks
+@given(profiles, st.integers(min_value=1, max_value=300))
+def test_norm_and_symmetry_hold(profile, n):
+    state = evolve(initial_state(n), profile, n)
+    assert abs(state.norm() - 1.0) <= 1e-12
+    assert symmetry_residual(distribution(state)) <= 1e-12
+
+
+@walks
+@given(profiles, st.integers(min_value=1, max_value=300))
+def test_cells_outside_light_cone_or_of_wrong_parity_are_exact_zeros(profile, n):
+    state = evolve(initial_state(n), profile, n)
+    xs = np.arange(state.amplitudes.shape[0]) - state.origin_offset
+    dead = state.amplitudes[(np.abs(xs) > n) | ((xs - n) % 2 != 0)]
+    assert np.all(dead.real == 0.0)
+    assert np.all(dead.imag == 0.0)
