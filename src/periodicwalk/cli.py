@@ -58,8 +58,9 @@ EXIT_INVARIANT = 3
 
 _COMMANDS = ("simulate", "sweep-steps", "sweep-theta", "sweep-period", "check-q1")
 
-#: Largest step count and longest LO:HI range any command accepts.  A walk of
-#: N steps allocates a (2N + 1, 2) complex table (6.4 MB here) and does O(N^2) work.
+#: Largest step count, longest LO:HI range and largest theta-grid COUNT any
+#: command accepts.  A walk of N steps allocates a (2N + 1, 2) complex table
+#: (6.4 MB here) and does O(N^2) work; every grid angle or range value is a walk.
 MAX_STEPS = 100_000
 
 
@@ -130,13 +131,13 @@ def _parse_int_list(text: str, flag: str, minimum: int, maximum: int | None = No
 
 
 def _parse_theta_grid(text: str, flag: str, scale: float) -> tuple[float, ...]:
-    """START:STOP:COUNT, expanded to COUNT evenly spaced angles."""
+    """START:STOP:COUNT, expanded to COUNT (at most MAX_STEPS) evenly spaced angles."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{flag}: grids take the form START:STOP:COUNT, got {text!r}")
     start = _parse_float(parts[0], flag)
     stop = _parse_float(parts[1], flag)
-    count = _parse_int(parts[2], flag, 2)
+    count = _parse_int(parts[2], flag, 2, MAX_STEPS)
     return tuple(float(v) * scale for v in np.linspace(start, stop, count))
 
 

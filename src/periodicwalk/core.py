@@ -14,7 +14,10 @@ as two real per-row coefficient arrays t(x) and r(x), built once per call;
 
 Amplitudes live in a dense complex table allocated once for the longest
 walk a state will host; a walk of N steps never leaves [-N, N], so the
-table never needs to grow.
+table never needs to grow.  ``evolve`` only touches the light cone: the
+step from k to k + 1 steps reads the rows |x| <= k and writes |x| <= k + 1.
+It alternates between two tables of its own, so the caller's table is
+never written and a long walk allocates no memory per step.
 """
 
 from __future__ import annotations
@@ -156,6 +159,10 @@ class WalkState:
     is the number of steps that fit.  ``steps_taken`` doubles as the support
     bound: all amplitude lies within |x| <= steps_taken, on sites of the
     same parity as steps_taken reachable from the start.
+
+    ``evolve`` reads only the rows with |x| <= steps_taken, so a hand-built
+    state must keep that support bound: amplitude outside it is ignored.
+    States from ``initial_state``, ``point_state`` and ``evolve`` keep it.
     """
 
     amplitudes: np.ndarray
@@ -233,15 +240,23 @@ def step(state: WalkState, profile: PotentialProfile) -> WalkState:
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Apply ``n_steps`` steps and return the final state.
 
-    The real coin coefficients t(x) and r(x) are built once per call and
-    reused by every step.  Identical inputs give bit-identical outputs:
-    the kernel is pure numpy with a fixed operation order and no
-    randomness.
+    The real coin coefficients t(x) and r(x) are built once per call, over
+    the rows |x| <= steps_taken + n_steps - 1 that the steps read, and
+    reused by every step.  The step from k to k + 1 steps reads only the
+    window |x| <= k of its input (see ``WalkState``) and writes only
+    |x| <= k + 1.  Steps alternate between two fresh zeroed tables: a
+    table two steps old holds exact zeros outside the next window, because
+    the window grows by one row on each side per step.  The input table is
+    never written, and the returned table is never shared with the input or
+    with another call's result.
+
+    Identical inputs give bit-identical outputs: the kernel is pure numpy
+    with a fixed operation order and no randomness.
 
     Raises
     ------
     ValueError
-        If n_steps is negative.
+        If n_steps or the state's steps_taken is negative.
     CapacityError
         If steps_taken + n_steps would exceed the table capacity.
     """
@@ -250,23 +265,37 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
     if n == 0:
         return state
+    if state.steps_taken < 0:
+        raise ValueError(f"steps_taken must be >= 0, got {state.steps_taken}")
     if state.steps_taken + n > state.capacity:
         raise CapacityError(
             f"{n} more steps after {state.steps_taken} would exceed capacity {state.capacity}"
         )
     amps = state.amplitudes
-    # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites, 1/sqrt 2 elsewhere.
-    scattering = is_scattering_site(profile, np.arange(amps.shape[0]) - state.origin_offset)
+    origin = state.origin_offset
+    # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
+    # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read.
+    reach = state.steps_taken + n - 1
+    scattering = is_scattering_site(profile, np.arange(-reach, reach + 1))
     t = np.where(scattering, profile.transmission, _SQRT_HALF)
     r = np.where(scattering, profile.reflection, _SQRT_HALF)
-    for _ in range(n):
+    # Steps alternate between two tables of their own, and the products land
+    # in two scratch rows, so a step allocates nothing.
+    tables = [np.zeros_like(amps) for _ in range(min(n, 2))]
+    scratch = np.empty((2, 2 * reach + 1), dtype=amps.dtype)
+    for i in range(n):
         # The coin acts at the pre-shift position; then DOWN slides one row
-        # toward -x and UP one row toward +x.  Rows stay exact zeros outside
-        # the support because 0 * finite == 0 in IEEE754.
-        d, u = amps[:, DOWN], amps[:, UP]
-        out = np.zeros_like(amps)
-        out[:-1, DOWN] = t[1:] * d[1:] + r[1:] * u[1:]
-        out[1:, UP] = r[:-1] * d[:-1] - t[:-1] * u[:-1]
+        # toward -x and UP one row toward +x.  The live rows |x| <= k are
+        # read, and the rows written cover the new support |x| <= k + 1.
+        k = state.steps_taken + i
+        lo, hi = origin - k, origin + k + 1
+        tk, rk = t[reach - k : reach + k + 1], r[reach - k : reach + k + 1]
+        d, u = amps[lo:hi, DOWN], amps[lo:hi, UP]
+        a, b = scratch[:, : 2 * k + 1]
+        out = tables[i % 2]
+        # out[DOWN] = tk * d + rk * u and out[UP] = rk * d - tk * u.
+        np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=out[lo - 1 : hi - 1, DOWN])
+        np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1, UP])
         amps = out
     return WalkState(
         amplitudes=amps,

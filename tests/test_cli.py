@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,8 @@ def test_parse_usage_errors(argv):
         ["sweep-steps", "--q", "1", "--theta", "1", "--steps", "1:1000000000000"],
         ["sweep-steps", "--q", "1", "--theta", "1", "--steps", f"5,{MAX_STEPS + 1}"],
         ["sweep-theta", "--q", "2", "--steps", str(MAX_STEPS + 1)],
+        ["sweep-theta", "--q", "2", "--theta", "0:1:1000000000000"],
+        ["sweep-theta", "--q", "2", "--theta-pi", f"0:1:{MAX_STEPS + 1}"],
         ["sweep-period", "--theta", "1", "--q", "1:1000000000000"],
         ["sweep-period", "--theta", "1", "--steps", str(MAX_STEPS + 1)],
         ["check-q1", "--steps", str(MAX_STEPS + 1)],
@@ -236,11 +239,15 @@ def test_run_accepts_handmade_config(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child interpreter imports the same package as this one, installed or not
+    src = str(Path(core.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "m.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "periodicwalk", "simulate", "--q", "2", "--theta", "1.0", "--steps", "10", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
@@ -249,6 +256,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "periodicwalk", "simulate", "--q", "0", "--theta", "1.0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 1
     assert "usage error" in proc.stderr

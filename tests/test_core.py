@@ -200,6 +200,13 @@ def test_evolve_rejects_negative_steps():
         evolve(initial_state(3), PotentialProfile(1, 0.4), -1)
 
 
+def test_evolve_rejects_negative_steps_taken():
+    # the window |x| <= steps_taken is empty for a hand-built negative count
+    amps = initial_state(3).amplitudes
+    with pytest.raises(ValueError, match="steps_taken"):
+        evolve(WalkState(amplitudes=amps, origin_offset=3, steps_taken=-1), PotentialProfile(1, 0.4), 1)
+
+
 def test_evolve_zero_steps_is_identity():
     state = initial_state(3)
     assert evolve(state, PotentialProfile(1, 0.4), 0) is state
@@ -213,6 +220,21 @@ def test_evolve_matches_repeated_step_bitwise():
         slow = step(slow, profile)
     assert np.array_equal(fast.amplitudes, slow.amplitudes)
     assert fast.steps_taken == slow.steps_taken == 9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_evolve_never_writes_or_shares_its_input(n):
+    # evolve alternates between two tables of its own; neither may alias the
+    # caller's table or the table of another call's result
+    profile = PotentialProfile(3, 0.9)
+    start = random_walk_state(np.random.default_rng(5), capacity=12, support_steps=3)
+    before = start.amplitudes.tobytes()
+    first = evolve(start, profile, n)
+    second = evolve(start, profile, n)
+    assert start.amplitudes.tobytes() == before
+    assert not np.shares_memory(first.amplitudes, start.amplitudes)
+    assert not np.shares_memory(second.amplitudes, start.amplitudes)
+    assert not np.shares_memory(first.amplitudes, second.amplitudes)
 
 
 def test_evolve_deterministic_bit_identical():

@@ -6,7 +6,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodicwalk import PotentialProfile, distribution, evolve, initial_state, step, symmetry_residual
+from periodicwalk import (
+    DOWN,
+    UP,
+    PotentialProfile,
+    distribution,
+    evolve,
+    initial_state,
+    point_state,
+    step,
+    symmetry_residual,
+)
+from walkref import full_table_evolve
 
 profiles = st.builds(
     PotentialProfile,
@@ -33,6 +44,23 @@ def test_evolve_composes_and_equals_repeated_step(profile, split):
         stepped = step(stepped, profile)
     assert np.array_equal(whole.amplitudes, stepped.amplitudes)
     assert whole.steps_taken == halves.steps_taken == stepped.steps_taken == n
+
+
+@walks
+@given(profiles, splits, st.integers(min_value=-5, max_value=5), st.sampled_from([DOWN, UP]))
+def test_windowed_evolve_equals_full_table_kernel(profile, split, position, direction):
+    a, n = split
+    starts = (
+        initial_state(max(n, 1)),
+        point_state(position, direction, abs(position) + max(n, 1)),
+    )
+    for start in starts:
+        full = full_table_evolve(start, profile, n)
+        whole = evolve(start, profile, n)
+        halves = evolve(evolve(start, profile, a), profile, n - a)
+        assert np.array_equal(whole.amplitudes, full.amplitudes)
+        assert np.array_equal(halves.amplitudes, full.amplitudes)
+        assert whole.steps_taken == halves.steps_taken == full.steps_taken
 
 
 @walks

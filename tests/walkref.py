@@ -1,7 +1,9 @@
 """Shared reference implementations for the test suite.
 
-Everything here is written against plain dicts and scalars, without the
-package's array kernel, so agreement between the two is meaningful.
+Everything here except ``full_table_evolve`` is written against plain
+dicts and scalars, without the package's array kernel, so agreement
+between the two is meaningful.  ``full_table_evolve`` is the earlier
+full-table form of that kernel, kept to pin its windowed successor.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from periodicwalk import CoinDirection, WalkState
+from periodicwalk import DOWN, UP, CoinDirection, PotentialProfile, WalkState, is_scattering_site
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -60,3 +62,27 @@ def random_walk_state(rng: np.random.Generator, capacity: int, support_steps: in
     amps[rows] = block
     amps /= np.linalg.norm(amps)
     return WalkState(amplitudes=amps, origin_offset=capacity, steps_taken=support_steps)
+
+
+def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
+    """``evolve`` as a stencil over every row of the table, in a fresh table per step.
+
+    The same expressions in the same order as the windowed kernel, so the
+    two agree under ``np.array_equal``; only the signs of zero amplitudes
+    may differ.
+    """
+    amps = state.amplitudes
+    scattering = is_scattering_site(profile, np.arange(amps.shape[0]) - state.origin_offset)
+    t = np.where(scattering, profile.transmission, SQRT_HALF)
+    r = np.where(scattering, profile.reflection, SQRT_HALF)
+    for _ in range(n_steps):
+        d, u = amps[:, DOWN], amps[:, UP]
+        out = np.zeros_like(amps)
+        out[:-1, DOWN] = t[1:] * d[1:] + r[1:] * u[1:]
+        out[1:, UP] = r[:-1] * d[:-1] - t[:-1] * u[:-1]
+        amps = out
+    return WalkState(
+        amplitudes=amps,
+        origin_offset=state.origin_offset,
+        steps_taken=state.steps_taken + n_steps,
+    )
