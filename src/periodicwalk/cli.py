@@ -58,9 +58,11 @@ EXIT_INVARIANT = 3
 
 _COMMANDS = ("simulate", "sweep-steps", "sweep-theta", "sweep-period", "check-q1")
 
-#: Largest step count, longest LO:HI range and largest theta-grid COUNT any
-#: command accepts.  A walk of N steps allocates a (2N + 1, 2) complex table
-#: (6.4 MB here) and does O(N^2) work; every grid angle or range value is a walk.
+#: Largest step count, longest LO:HI range, largest theta-grid COUNT and
+#: largest period any command accepts.  A walk of N steps allocates a
+#: (2N + 1, 2) complex table (6.4 MB here) and does O(N^2) work; every grid
+#: angle or range value is a walk.  Any period q >= N gives the same N-step
+#: walk, so the period cap loses none.
 MAX_STEPS = 100_000
 
 
@@ -138,7 +140,17 @@ def _parse_theta_grid(text: str, flag: str, scale: float) -> tuple[float, ...]:
     start = _parse_float(parts[0], flag)
     stop = _parse_float(parts[1], flag)
     count = _parse_int(parts[2], flag, 2, MAX_STEPS)
-    return tuple(float(v) * scale for v in np.linspace(start, stop, count))
+    if not math.isfinite(stop - start):
+        raise UsageError(f"{flag}: grid {start!r}:{stop!r} spans more than a float can hold")
+    return tuple(_scaled_angle(float(v), scale, flag) for v in np.linspace(start, stop, count))
+
+
+def _scaled_angle(value: float, scale: float, flag: str) -> float:
+    # A finite value can overflow once scaled by pi; the coin needs a finite angle.
+    angle = value * scale
+    if not math.isfinite(angle):
+        raise UsageError(f"{flag}: angle {value!r} is not finite in radians")
+    return angle
 
 
 def _theta_text(ns: argparse.Namespace) -> tuple[str, float, str] | None:
@@ -156,7 +168,7 @@ def _resolve_theta_scalar(ns: argparse.Namespace) -> float:
     text, scale, flag = source
     if ":" in text:
         raise UsageError(f"{flag}: this command takes a single angle, not a grid")
-    return _parse_float(text, flag) * scale
+    return _scaled_angle(_parse_float(text, flag), scale, flag)
 
 
 def _resolve_theta_values(
@@ -168,7 +180,7 @@ def _resolve_theta_values(
     text, scale, flag = source
     if ":" in text:
         return _parse_theta_grid(text, flag, scale)
-    return (_parse_float(text, flag) * scale,)
+    return (_scaled_angle(_parse_float(text, flag), scale, flag),)
 
 
 def _full_circle_grid() -> tuple[float, ...]:
@@ -254,7 +266,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if command == "simulate":
         return RunConfig(
             command=command,
-            q=_parse_int(ns.q, "--q", 1),
+            q=_parse_int(ns.q, "--q", 1, MAX_STEPS),
             theta=_resolve_theta_scalar(ns),
             steps=_parse_int(ns.steps, "--steps", 0, MAX_STEPS),
             out=out,
@@ -262,7 +274,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if command == "sweep-steps":
         return RunConfig(
             command=command,
-            q=_parse_int(ns.q, "--q", 1),
+            q=_parse_int(ns.q, "--q", 1, MAX_STEPS),
             theta=_resolve_theta_scalar(ns),
             steps=_parse_int_list(ns.steps, "--steps", 1, MAX_STEPS),
             out=out,
@@ -270,7 +282,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if command == "sweep-theta":
         return RunConfig(
             command=command,
-            q=_parse_int(ns.q, "--q", 1),
+            q=_parse_int(ns.q, "--q", 1, MAX_STEPS),
             theta=_resolve_theta_values(ns, default=_full_circle_grid()),
             steps=_parse_int(ns.steps, "--steps", 1, MAX_STEPS),
             out=out,
@@ -278,7 +290,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if command == "sweep-period":
         return RunConfig(
             command=command,
-            q=_parse_int_list(ns.q, "--q", 1),
+            q=_parse_int_list(ns.q, "--q", 1, MAX_STEPS),
             theta=_resolve_theta_scalar(ns),
             steps=_parse_int(ns.steps, "--steps", 1, MAX_STEPS),
             out=out,

@@ -9,15 +9,18 @@ site the Hadamard coin.  ``q = 1`` makes every site a scatterer, and
 both limits reduce to familiar walks.
 
 Both coins are real matrices [[t, r], [r, -t]], so ``evolve`` keeps them
-as two real per-row coefficient arrays t(x) and r(x), built once per call;
-``step`` is ``evolve`` for one step.
+as two per-row coefficient arrays t(x) and r(x), real values held as
+complex numbers and built once per call; ``step`` is ``evolve`` for one
+step.
 
 Amplitudes live in a dense complex table allocated once for the longest
 walk a state will host; a walk of N steps never leaves [-N, N], so the
-table never needs to grow.  ``evolve`` only touches the light cone: the
-step from k to k + 1 steps reads the rows |x| <= k and writes |x| <= k + 1.
-It alternates between two tables of its own, so the caller's table is
-never written and a long walk allocates no memory per step.
+table never needs to grow.  ``evolve`` only touches the live rows: after
+k steps amplitude sits only on x = -k, -k + 2, ..., k, so the step from
+k to k + 1 steps reads those rows with stride 2 and writes the rows of
+the other parity within |x| <= k + 1.  It alternates between two tables
+of its own, each holding one parity, so the caller's table is never
+written and a long walk allocates no memory per step.
 """
 
 from __future__ import annotations
@@ -160,9 +163,10 @@ class WalkState:
     bound: all amplitude lies within |x| <= steps_taken, on sites of the
     same parity as steps_taken reachable from the start.
 
-    ``evolve`` reads only the rows with |x| <= steps_taken, so a hand-built
-    state must keep that support bound: amplitude outside it is ignored.
-    States from ``initial_state``, ``point_state`` and ``evolve`` keep it.
+    ``evolve`` reads only the rows with |x| <= steps_taken whose parity is
+    that of steps_taken, so a hand-built state must keep that support bound:
+    amplitude outside it, or of the other parity, is ignored.  States from
+    ``initial_state``, ``point_state`` and ``evolve`` keep it.
     """
 
     amplitudes: np.ndarray
@@ -184,7 +188,7 @@ class WalkState:
     def norm(self) -> float:
         """l2 norm of the full amplitude table."""
         a = self.amplitudes
-        return float(np.sqrt(np.sum(a.real * a.real + a.imag * a.imag)))
+        return math.sqrt(np.vdot(a, a).real)
 
 
 def _validated_capacity(capacity_steps: int) -> int:
@@ -240,13 +244,16 @@ def step(state: WalkState, profile: PotentialProfile) -> WalkState:
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Apply ``n_steps`` steps and return the final state.
 
-    The real coin coefficients t(x) and r(x) are built once per call, over
-    the rows |x| <= steps_taken + n_steps - 1 that the steps read, and
-    reused by every step.  The step from k to k + 1 steps reads only the
-    window |x| <= k of its input (see ``WalkState``) and writes only
-    |x| <= k + 1.  Steps alternate between two fresh zeroed tables: a
-    table two steps old holds exact zeros outside the next window, because
-    the window grows by one row on each side per step.  The input table is
+    The coin coefficients t(x) and r(x), real values held as complex128,
+    are built once per call, over the rows |x| <= steps_taken + n_steps - 1
+    that the steps read, and reused by every step.  The step from k to
+    k + 1 steps reads only the live rows x = -k, -k + 2, ..., k of its input
+    (see ``WalkState``), as stride-2 slices, and writes only the rows of
+    the other parity within |x| <= k + 1.  Steps alternate between two
+    fresh zeroed tables.  Each is written on every other step, so it only
+    ever holds one parity and its other rows keep their zeros; and a table
+    two steps old holds exact zeros outside the next window, because the
+    window grows by one row on each side per step.  The input table is
     never written, and the returned table is never shared with the input or
     with another call's result.
 
@@ -274,28 +281,32 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     amps = state.amplitudes
     origin = state.origin_offset
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
-    # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read.
+    # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read.  The
+    # coefficients are complex so that no multiply casts them to the
+    # amplitudes' type; the values, and so the products, are the same.
     reach = state.steps_taken + n - 1
     scattering = is_scattering_site(profile, np.arange(-reach, reach + 1))
-    t = np.where(scattering, profile.transmission, _SQRT_HALF)
-    r = np.where(scattering, profile.reflection, _SQRT_HALF)
+    t = np.where(scattering, complex(profile.transmission), complex(_SQRT_HALF))
+    r = np.where(scattering, complex(profile.reflection), complex(_SQRT_HALF))
     # Steps alternate between two tables of their own, and the products land
-    # in two scratch rows, so a step allocates nothing.
+    # in two scratch rows, so a step allocates nothing.  Each table is written
+    # on every other step only, so it holds one parity and its other rows
+    # keep the zeros they were made with.
     tables = [np.zeros_like(amps) for _ in range(min(n, 2))]
-    scratch = np.empty((2, 2 * reach + 1), dtype=amps.dtype)
+    scratch = np.empty((2, reach + 1), dtype=amps.dtype)
     for i in range(n):
         # The coin acts at the pre-shift position; then DOWN slides one row
-        # toward -x and UP one row toward +x.  The live rows |x| <= k are
-        # read, and the rows written cover the new support |x| <= k + 1.
+        # toward -x and UP one row toward +x.  The live rows x = -k, -k + 2,
+        # ..., k are read, and the rows written cover the new support.
         k = state.steps_taken + i
         lo, hi = origin - k, origin + k + 1
-        tk, rk = t[reach - k : reach + k + 1], r[reach - k : reach + k + 1]
-        d, u = amps[lo:hi, DOWN], amps[lo:hi, UP]
-        a, b = scratch[:, : 2 * k + 1]
+        tk, rk = t[reach - k : reach + k + 1 : 2], r[reach - k : reach + k + 1 : 2]
+        d, u = amps[lo:hi:2, DOWN], amps[lo:hi:2, UP]
+        a, b = scratch[:, : k + 1]
         out = tables[i % 2]
         # out[DOWN] = tk * d + rk * u and out[UP] = rk * d - tk * u.
-        np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=out[lo - 1 : hi - 1, DOWN])
-        np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1, UP])
+        np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=out[lo - 1 : hi - 1 : 2, DOWN])
+        np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1 : 2, UP])
         amps = out
     return WalkState(
         amplitudes=amps,

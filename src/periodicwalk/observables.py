@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WalkState
+from .core import DOWN, UP, WalkState
 
 __all__ = [
     "Distribution",
@@ -49,7 +49,8 @@ def distribution(state: WalkState) -> Distribution:
     lo = state.origin_offset - n
     hi = state.origin_offset + n + 1
     window = state.amplitudes[lo:hi]
-    probs = np.sum(window.real * window.real + window.imag * window.imag, axis=1)
+    sq = window.real * window.real + window.imag * window.imag
+    probs = sq[:, DOWN] + sq[:, UP]
     return Distribution(
         positions=np.arange(-n, n + 1, dtype=np.int64),
         probabilities=probs,

@@ -122,6 +122,18 @@ def test_parse_usage_errors(argv):
         ["sweep-period", "--theta", "1", "--q", "1:1000000000000"],
         ["sweep-period", "--theta", "1", "--steps", str(MAX_STEPS + 1)],
         ["check-q1", "--steps", str(MAX_STEPS + 1)],
+        ["simulate", "--q", "100000000000000000000000", "--theta-pi", "0.25", "--steps", "10"],
+        ["simulate", "--q", str(MAX_STEPS + 1), "--theta", "1"],
+        ["sweep-steps", "--q", str(MAX_STEPS + 1), "--theta", "1", "--steps", "5"],
+        ["sweep-theta", "--q", str(MAX_STEPS + 1), "--theta", "1"],
+        ["sweep-period", "--theta", "1", "--q", f"1,{MAX_STEPS + 1}"],
+        ["simulate", "--q", "2", "--theta-pi", "1e308"],
+        ["sweep-steps", "--q", "2", "--theta-pi", "1e308", "--steps", "5"],
+        ["sweep-theta", "--q", "2", "--theta-pi", "1e308"],
+        ["sweep-theta", "--q", "2", "--theta-pi", "0:1e308:3"],
+        ["sweep-theta", "--q", "2", "--theta=-1e308:1e308:3"],
+        ["sweep-period", "--theta-pi", "1e308", "--q", "1:3"],
+        ["check-q1", "--theta-pi", "1e308"],
     ],
 )
 def test_oversized_inputs_are_usage_errors(argv, tmp_path, capsys):

@@ -15,6 +15,7 @@ from periodicwalk import (
     q1_law,
     symmetry_residual,
 )
+from walkref import random_walk_state
 
 
 def test_distribution_of_fresh_state():
@@ -34,6 +35,14 @@ def test_distribution_window_and_parity_zeros():
     even = dist.positions % 2 == 0
     assert np.all(dist.probabilities[even] == 0.0)
     assert abs(dist.probabilities.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("support", [0, 1, 2, 7, 50])
+def test_distribution_bytes_equal_axis_sum_of_squares(support):
+    state = random_walk_state(np.random.default_rng(support), capacity=60, support_steps=support)
+    window = state.amplitudes[60 - support : 60 + support + 1]
+    expected = np.sum(window.real * window.real + window.imag * window.imag, axis=1)
+    assert distribution(state).probabilities.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.4), (2, math.pi / 3), (5, 2.2), (7, math.pi / 4)])

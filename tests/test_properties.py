@@ -17,7 +17,7 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
-from walkref import full_table_evolve
+from walkref import full_table_evolve, random_walk_state
 
 profiles = st.builds(
     PotentialProfile,
@@ -47,12 +47,22 @@ def test_evolve_composes_and_equals_repeated_step(profile, split):
 
 
 @walks
-@given(profiles, splits, st.integers(min_value=-5, max_value=5), st.sampled_from([DOWN, UP]))
-def test_windowed_evolve_equals_full_table_kernel(profile, split, position, direction):
+@given(
+    profiles,
+    splits,
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([DOWN, UP]),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_windowed_evolve_equals_full_table_kernel(profile, split, position, direction, support, seed):
+    # A random start fills every live row of its parity, for odd and even
+    # steps_taken, so the stride-2 reads must start on the right row.
     a, n = split
     starts = (
         initial_state(max(n, 1)),
         point_state(position, direction, abs(position) + max(n, 1)),
+        random_walk_state(np.random.default_rng(seed), support + max(n, 1), support),
     )
     for start in starts:
         full = full_table_evolve(start, profile, n)
