@@ -2,7 +2,8 @@
 
 Every command writes one CSV file (LF newlines, 17 significant digits,
 fixed column order, no timestamps) and a sidecar ``<out>.manifest.json``
-recording the resolved configuration, thresholds and wall-clock time.
+recording the resolved configuration, thresholds, wall-clock time, the
+numpy version and the sha256 of the CSV bytes.
 Identical invocations produce byte-identical CSV files.
 
 Exit status: 0 success, 1 usage error, 2 i/o failure, 3 numerical
@@ -311,7 +312,7 @@ def _execute(config: RunConfig) -> tuple[list[str], list[tuple], dict]:
         state = evolve(initial_state(max(config.steps, 1)), profile, config.steps)
         check_norm(state)
         dist = distribution(state)
-        rows = [(int(x), float(p)) for x, p in zip(dist.positions, dist.probabilities)]
+        rows = list(zip(dist.positions.tolist(), dist.probabilities.tolist()))
         details = {"kind": "simulate", "q": config.q, "theta": config.theta, "n_steps": config.steps}
         return ["position", "probability"], rows, details
 
@@ -345,17 +346,24 @@ def _execute(config: RunConfig) -> tuple[list[str], list[tuple], dict]:
     return ["theta", "sigma2_over_N2", "law", "residual"], rows, details
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # 17 significant digits reproduce any double exactly.
-    return format(float(value), ".17g")
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> str:
+    """Write the table as CSV and return the sha256 hex digest of the bytes written.
 
+    One %-format serves every row.  It is built from the first row's types:
+    integers print whole, and any other value with 17 significant digits,
+    which reproduce a double exactly.
+    """
+    # Imported here: hashlib's OpenSSL binding takes about 4 ms to load, and
+    # a plain ``import periodicwalk`` has no use for it.
+    import hashlib
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    if rows:
+        fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in rows[0])
+        lines.extend(fmt % row for row in rows)
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _jsonable(value):
@@ -368,7 +376,7 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: int) -> None:
+def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: int, csv_sha256: str) -> None:
     manifest = {
         "tool": {"name": "periodicwalk", "version": __version__},
         "command": config.command,
@@ -387,6 +395,8 @@ def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: in
             "q2_lazy_spread_ceiling": experiments.Q2_LAZY_SPREAD_CEILING,
         },
         "rows": n_rows,
+        "csv_sha256": csv_sha256,
+        "numpy_version": np.__version__,
         "elapsed_seconds": elapsed,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -403,8 +413,8 @@ def run(config: RunConfig) -> int:
         return EXIT_INVARIANT
     elapsed = time.perf_counter() - started
     try:
-        _write_csv(config.out, header, rows)
-        _write_manifest(config, details, elapsed, n_rows=len(rows))
+        csv_sha256 = _write_csv(config.out, header, rows)
+        _write_manifest(config, details, elapsed, n_rows=len(rows), csv_sha256=csv_sha256)
     except OSError as exc:
         print(f"periodicwalk: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

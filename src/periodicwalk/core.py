@@ -15,12 +15,15 @@ step.
 
 Amplitudes live in a dense complex table allocated once for the longest
 walk a state will host; a walk of N steps never leaves [-N, N], so the
-table never needs to grow.  ``evolve`` only touches the live rows: after
-k steps amplitude sits only on x = -k, -k + 2, ..., k, so the step from
-k to k + 1 steps reads those rows with stride 2 and writes the rows of
-the other parity within |x| <= k + 1.  It alternates between two tables
-of its own, each holding one parity, so the caller's table is never
-written and a long walk allocates no memory per step.
+table never needs to grow.  ``evolve`` only touches the live sites: after
+k steps amplitude sits only on x = -k, -k + 2, ..., k.  Between its first
+and last step it keeps those k + 1 sites packed, site j (x = -k + 2j) in
+column j of a contiguous DOWN row and UP row, alternating between two
+such buffers of its own, and reads t(x) and r(x) from contiguous arrays
+built per parity.  Only its first step reads the caller's table and only
+its last writes the returned one, each through stride-2 slices, so the
+caller's table is never written and a long walk allocates no memory per
+step.
 """
 
 from __future__ import annotations
@@ -246,16 +249,16 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
 
     The coin coefficients t(x) and r(x), real values held as complex128,
     are built once per call, over the rows |x| <= steps_taken + n_steps - 1
-    that the steps read, and reused by every step.  The step from k to
-    k + 1 steps reads only the live rows x = -k, -k + 2, ..., k of its input
-    (see ``WalkState``), as stride-2 slices, and writes only the rows of
-    the other parity within |x| <= k + 1.  Steps alternate between two
-    fresh zeroed tables.  Each is written on every other step, so it only
-    ever holds one parity and its other rows keep their zeros; and a table
-    two steps old holds exact zeros outside the next window, because the
-    window grows by one row on each side per step.  The input table is
-    never written, and the returned table is never shared with the input or
-    with another call's result.
+    that the steps read, as one contiguous array per parity of x (one
+    parity only when n_steps is 1).  The step from k to k + 1 steps reads
+    only the live sites x = -k, -k + 2, ..., k of its input (see
+    ``WalkState``).  Steps alternate between two zeroed buffers in which
+    live site j (x = -k + 2j) sits in column j of a DOWN row and an UP row;
+    the step from k writes DOWN to columns 0..k and UP to columns 1..k + 1,
+    so DOWN[k + 1] and UP[0] keep their zeros.  The first step reads the
+    input table and the last step writes a fresh zeroed table, both through
+    stride-2 slices.  The input table is never written, and the returned
+    table is never shared with the input or with another call's result.
 
     Identical inputs give bit-identical outputs: the kernel is pure numpy
     with a fixed operation order and no randomness.
@@ -280,36 +283,48 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         )
     amps = state.amplitudes
     origin = state.origin_offset
+    k = state.steps_taken
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
-    # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read.  The
-    # coefficients are complex so that no multiply casts them to the
-    # amplitudes' type; the values, and so the products, are the same.
-    reach = state.steps_taken + n - 1
-    scattering = is_scattering_site(profile, np.arange(-reach, reach + 1))
-    t = np.where(scattering, complex(profile.transmission), complex(_SQRT_HALF))
-    r = np.where(scattering, complex(profile.reflection), complex(_SQRT_HALF))
-    # Steps alternate between two tables of their own, and the products land
-    # in two scratch rows, so a step allocates nothing.  Each table is written
-    # on every other step only, so it holds one parity and its other rows
-    # keep the zeros they were made with.
-    tables = [np.zeros_like(amps) for _ in range(min(n, 2))]
-    scratch = np.empty((2, reach + 1), dtype=amps.dtype)
+    # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read, and step
+    # i reads only those of parity p = (n - 1 - i) % 2, so t and r are built
+    # per parity over x = -reach + p + 2m.  The coefficients are complex so
+    # that no multiply casts them to the amplitudes' type; the values, and so
+    # the products, are the same.  Any period above reach marks only x = 0,
+    # so capping it there keeps x % q within the integers numpy holds.
+    reach = k + n - 1
+    q = min(profile.period_q, reach + 1)
+    t, r = [], []
+    for p in range(min(n, 2)):
+        scattering = np.arange(p - reach, reach + 1, 2) % q == 0
+        t.append(np.where(scattering, complex(profile.transmission), complex(_SQRT_HALF)))
+        r.append(np.where(scattering, complex(profile.reflection), complex(_SQRT_HALF)))
+    # The buffers' rows are held as 1-d arrays because slicing those costs
+    # less per step than slicing a 2-d block; the products land in two
+    # scratch rows, so a step allocates nothing.
+    buffers = [tuple(buf) for buf in np.zeros((min(n - 1, 2), 2, k + n), dtype=amps.dtype)]
+    out = np.zeros_like(amps)
+    scratch_a, scratch_b = np.empty((2, reach + 1), dtype=amps.dtype)
+    src = amps[origin - k : origin + k + 1 : 2, DOWN], amps[origin - k : origin + k + 1 : 2, UP]
     for i in range(n):
-        # The coin acts at the pre-shift position; then DOWN slides one row
-        # toward -x and UP one row toward +x.  The live rows x = -k, -k + 2,
-        # ..., k are read, and the rows written cover the new support.
+        # The coin acts at the pre-shift position; then DOWN slides one site
+        # toward -x and UP one site toward +x.
         k = state.steps_taken + i
-        lo, hi = origin - k, origin + k + 1
-        tk, rk = t[reach - k : reach + k + 1 : 2], r[reach - k : reach + k + 1 : 2]
-        d, u = amps[lo:hi:2, DOWN], amps[lo:hi:2, UP]
-        a, b = scratch[:, : k + 1]
-        out = tables[i % 2]
-        # out[DOWN] = tk * d + rk * u and out[UP] = rk * d - tk * u.
-        np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=out[lo - 1 : hi - 1 : 2, DOWN])
-        np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1 : 2, UP])
-        amps = out
+        m0, p = divmod(n - 1 - i, 2)
+        tk, rk = t[p][m0 : m0 + k + 1], r[p][m0 : m0 + k + 1]
+        d, u = src
+        a, b = scratch_a[: k + 1], scratch_b[: k + 1]
+        if i < n - 1:
+            down_row, up_row = buffers[i % 2]
+            down, up = down_row[: k + 1], up_row[1 : k + 2]
+            src = down_row[: k + 2], up_row[: k + 2]
+        else:
+            lo, hi = origin - k, origin + k + 1
+            down, up = out[lo - 1 : hi - 1 : 2, DOWN], out[lo + 1 : hi + 1 : 2, UP]
+        # down = tk * d + rk * u and up = rk * d - tk * u.
+        np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=down)
+        np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=up)
     return WalkState(
-        amplitudes=amps,
+        amplitudes=out,
         origin_offset=state.origin_offset,
         steps_taken=state.steps_taken + n,
     )

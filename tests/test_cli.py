@@ -1,5 +1,6 @@
 """Command line: parsing, file outputs, manifests, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import periodicwalk.core as core
@@ -18,6 +20,7 @@ from periodicwalk.cli import (
     MAX_STEPS,
     RunConfig,
     UsageError,
+    _write_csv,
     main,
     parse_args,
     run,
@@ -166,6 +169,8 @@ def test_run_simulate_outputs(tmp_path):
     assert "norm_drift_tol" in manifest["thresholds"]
     assert "q1_law_residual_ceiling" in manifest["thresholds"]
     assert manifest["tool"]["name"] == "periodicwalk"
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_run_sweep_steps_ballistic_row(tmp_path):
@@ -210,6 +215,38 @@ def test_run_check_q1_outputs(tmp_path):
 
     manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
     assert manifest["config"]["q"] == 1
+
+
+def _cell_text(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, -0.0), (1, 5e-324), (-2, 2.2250738585072014e-308), (3, 0.1), (4, 1 / 3), (5, 1e300)],
+        [(np.int64(-7), np.float64(1 / 3)), (np.int64(8), np.float64(-0.0))],
+        [(12345678901234567890, 0.5)],
+        [(2, 0.5, 0.25), (3, 1 / 3, 1e-300)],
+        [(0.25, 1e300, -0.0, 5e-324)],
+    ],
+)
+def test_csv_text_matches_per_cell_formatting(rows, tmp_path):
+    # one %-format per row writes what str(int(v)) and format(v, ".17g") write per cell
+    header = [f"c{i}" for i in range(len(rows[0]))]
+    path = tmp_path / "t.csv"
+    digest = _write_csv(path, header, rows)
+    expected = "\n".join([",".join(header)] + [",".join(_cell_text(v) for v in row) for row in rows]) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+    assert digest == hashlib.sha256(expected.encode("ascii")).hexdigest()
+
+
+def test_csv_without_rows_is_the_header_alone(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b"], [])
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_cli_runs_are_byte_identical(tmp_path):

@@ -224,8 +224,8 @@ def test_evolve_matches_repeated_step_bitwise():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_evolve_never_writes_or_shares_its_input(n):
-    # evolve alternates between two tables of its own; neither may alias the
-    # caller's table or the table of another call's result
+    # evolve works in buffers of its own and returns a fresh table, which may
+    # alias neither the caller's table nor the table of another call's result
     profile = PotentialProfile(3, 0.9)
     start = random_walk_state(np.random.default_rng(5), capacity=12, support_steps=3)
     before = start.amplitudes.tobytes()
@@ -242,6 +242,17 @@ def test_evolve_deterministic_bit_identical():
     a = evolve(initial_state(40), profile, 40)
     b = evolve(initial_state(40), profile, 40)
     assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("q", [10**23, 2**63])
+def test_evolve_accepts_periods_beyond_int64(q):
+    # A 10-step walk reads |x| <= 9, where any period above 9 marks only the
+    # origin, so every such period gives the walk of q = 10.
+    start = initial_state(10)
+    expected = evolve(start, PotentialProfile(10, 1.0), 10).amplitudes
+    profile = PotentialProfile(q, 1.0)
+    assert np.array_equal(evolve(start, profile, 10).amplitudes, expected)
+    assert np.array_equal(evolve(evolve(start, profile, 4), profile, 6).amplitudes, expected)
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])

@@ -1,9 +1,10 @@
 """Shared reference implementations for the test suite.
 
-Everything here except ``full_table_evolve`` is written against plain
-dicts and scalars, without the package's array kernel, so agreement
-between the two is meaningful.  ``full_table_evolve`` is the earlier
-full-table form of that kernel, kept to pin its windowed successor.
+Everything here except ``full_table_evolve`` and ``strided_parity_evolve``
+is written against plain dicts and scalars, without the package's array
+kernel, so agreement between the two is meaningful.  Those two are earlier
+forms of that kernel, the full-table and the strided parity-compacted
+one, kept to pin their successors.
 """
 
 from __future__ import annotations
@@ -85,4 +86,41 @@ def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int)
         amplitudes=amps,
         origin_offset=state.origin_offset,
         steps_taken=state.steps_taken + n_steps,
+    )
+
+
+def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
+    """``evolve`` on stride-2 slices of two alternating full-size tables.
+
+    The parity-compacted kernel that preceded the contiguous per-parity
+    buffers, step loop unchanged: each step reads the live rows x = -k,
+    -k + 2, ..., k of the table and writes the other parity.  It performs
+    the same multiplies and adds on the same values, so its amplitudes
+    equal ``evolve``'s byte for byte.
+    """
+    n = n_steps
+    if n == 0:
+        return state
+    amps = state.amplitudes
+    origin = state.origin_offset
+    reach = state.steps_taken + n - 1
+    scattering = is_scattering_site(profile, np.arange(-reach, reach + 1))
+    t = np.where(scattering, complex(profile.transmission), complex(SQRT_HALF))
+    r = np.where(scattering, complex(profile.reflection), complex(SQRT_HALF))
+    tables = [np.zeros_like(amps) for _ in range(min(n, 2))]
+    scratch = np.empty((2, reach + 1), dtype=amps.dtype)
+    for i in range(n):
+        k = state.steps_taken + i
+        lo, hi = origin - k, origin + k + 1
+        tk, rk = t[reach - k : reach + k + 1 : 2], r[reach - k : reach + k + 1 : 2]
+        d, u = amps[lo:hi:2, DOWN], amps[lo:hi:2, UP]
+        a, b = scratch[:, : k + 1]
+        out = tables[i % 2]
+        np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=out[lo - 1 : hi - 1 : 2, DOWN])
+        np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1 : 2, UP])
+        amps = out
+    return WalkState(
+        amplitudes=amps,
+        origin_offset=state.origin_offset,
+        steps_taken=state.steps_taken + n,
     )
