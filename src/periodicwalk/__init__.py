@@ -1,7 +1,7 @@
 """Discrete-time coined walks on a line with periodically placed scattering sites.
 
-The package splits into a dense state-vector kernel (`core`), a slow
-branch-expansion reference (`oracle`), position statistics
+The package splits into a dense state-vector kernel (`core`), an
+independent branch-expansion reference (`oracle`), position statistics
 (`observables`), parameter sweeps with fit helpers (`experiments`) and a
 deterministic CSV-producing command line (`cli`).
 """
@@ -20,7 +20,6 @@ from .core import (
     UP,
     WalkState,
     check_norm,
-    coin_at,
     evolve,
     hadamard_coin,
     initial_state,
@@ -30,7 +29,7 @@ from .core import (
     step,
 )
 from .observables import Distribution, Moments, distribution, moments, q1_law, symmetry_residual
-from .oracle import MAX_ORACLE_STEPS, PathSumResult, path_sum_evolve
+from .oracle import MAX_ORACLE_STEPS, path_sum_evolve
 
 __all__ = [
     "__version__",
@@ -42,12 +41,10 @@ __all__ = [
     "Distribution",
     "Moments",
     "NormDriftError",
-    "PathSumResult",
     "PotentialProfile",
     "UP",
     "WalkState",
     "check_norm",
-    "coin_at",
     "distribution",
     "evolve",
     "hadamard_coin",

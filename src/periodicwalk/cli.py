@@ -17,9 +17,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .core import (
     initial_state,
 )
 from .experiments import (
+    DEFAULT_STEPS,
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
     sweep_sigma_vs_steps,
@@ -56,8 +57,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INVARIANT = 3
-
-_COMMANDS = ("simulate", "sweep-steps", "sweep-theta", "sweep-period", "check-q1")
 
 #: Largest step count, longest LO:HI range, largest theta-grid COUNT and
 #: largest period any command accepts.  A walk of N steps allocates a
@@ -93,15 +92,15 @@ class RunConfig:
     out: Path
 
 
-def _parse_int(text: str, flag: str, minimum: int, maximum: int | None = None) -> int:
+def _parse_int(text: str, flag: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise UsageError(f"{flag}: expected an integer, got {text!r}") from None
     if value < minimum:
         raise UsageError(f"{flag}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise UsageError(f"{flag}: must be <= {maximum}, got {value}")
+    if value > MAX_STEPS:
+        raise UsageError(f"{flag}: must be <= {MAX_STEPS}, got {value}")
     return value
 
 
@@ -115,22 +114,22 @@ def _parse_float(text: str, flag: str) -> float:
     return value
 
 
-def _parse_int_list(text: str, flag: str, minimum: int, maximum: int | None = None) -> tuple[int, ...]:
+def _parse_int_list(text: str, flag: str, minimum: int) -> tuple[int, ...]:
     """Accept N, N1,N2,..., or LO:HI (inclusive integer range of at most MAX_STEPS values)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 2:
             raise UsageError(f"{flag}: ranges take the form LO:HI, got {text!r}")
-        lo = _parse_int(parts[0], flag, minimum, maximum)
-        hi = _parse_int(parts[1], flag, minimum, maximum)
+        lo = _parse_int(parts[0], flag, minimum)
+        hi = _parse_int(parts[1], flag, minimum)
         if hi < lo:
             raise UsageError(f"{flag}: range end {hi} is below start {lo}")
         if hi - lo + 1 > MAX_STEPS:
             raise UsageError(f"{flag}: range {lo}:{hi} holds more than {MAX_STEPS} values")
         return tuple(range(lo, hi + 1))
     if "," in text:
-        return tuple(_parse_int(part, flag, minimum, maximum) for part in text.split(","))
-    return (_parse_int(text, flag, minimum, maximum),)
+        return tuple(_parse_int(part, flag, minimum) for part in text.split(","))
+    return (_parse_int(text, flag, minimum),)
 
 
 def _parse_theta_grid(text: str, flag: str, scale: float) -> tuple[float, ...]:
@@ -140,7 +139,7 @@ def _parse_theta_grid(text: str, flag: str, scale: float) -> tuple[float, ...]:
         raise UsageError(f"{flag}: grids take the form START:STOP:COUNT, got {text!r}")
     start = _parse_float(parts[0], flag)
     stop = _parse_float(parts[1], flag)
-    count = _parse_int(parts[2], flag, 2, MAX_STEPS)
+    count = _parse_int(parts[2], flag, 2)
     if not math.isfinite(stop - start):
         raise UsageError(f"{flag}: grid {start!r}:{stop!r} spans more than a float can hold")
     return tuple(_scaled_angle(float(v), scale, flag) for v in np.linspace(start, stop, count))
@@ -154,56 +153,142 @@ def _scaled_angle(value: float, scale: float, flag: str) -> float:
     return angle
 
 
-def _theta_text(ns: argparse.Namespace) -> tuple[str, float, str] | None:
+def _resolve_theta(ns: argparse.Namespace, grid: tuple[float, ...] | None) -> float | tuple[float, ...]:
+    """One required angle if ``grid`` is None; else a tuple of angles, ``grid`` when no flag is given."""
     if ns.theta is not None:
-        return ns.theta, 1.0, "--theta"
-    if ns.theta_pi is not None:
-        return ns.theta_pi, math.pi, "--theta-pi"
-    return None
-
-
-def _resolve_theta_scalar(ns: argparse.Namespace) -> float:
-    source = _theta_text(ns)
-    if source is None:
+        text, scale, flag = ns.theta, 1.0, "--theta"
+    elif ns.theta_pi is not None:
+        text, scale, flag = ns.theta_pi, math.pi, "--theta-pi"
+    elif grid is None:
         raise UsageError("one of --theta or --theta-pi is required")
-    text, scale, flag = source
-    if ":" in text:
+    else:
+        return grid
+    if ":" not in text:
+        angle = _scaled_angle(_parse_float(text, flag), scale, flag)
+        return angle if grid is None else (angle,)
+    if grid is None:
         raise UsageError(f"{flag}: this command takes a single angle, not a grid")
-    return _scaled_angle(_parse_float(text, flag), scale, flag)
+    return _parse_theta_grid(text, flag, scale)
 
 
-def _resolve_theta_values(
-    ns: argparse.Namespace, default: tuple[float, ...]
-) -> tuple[float, ...]:
-    source = _theta_text(ns)
-    if source is None:
-        return default
-    text, scale, flag = source
-    if ":" in text:
-        return _parse_theta_grid(text, flag, scale)
-    return (_scaled_angle(_parse_float(text, flag), scale, flag),)
+@dataclass(frozen=True)
+class _IntFlag:
+    """An integer flag: one value, or a list when ``many``; required if ``default`` is None."""
+
+    metavar: str
+    help: str
+    minimum: int
+    default: str | None = None
+    many: bool = False
+
+    def add_to(self, parser: argparse.ArgumentParser, flag: str) -> None:
+        required = self.default is None
+        help = self.help if required else f"{self.help} (default {self.default})"
+        parser.add_argument(flag, required=required, default=self.default, metavar=self.metavar, help=help)
+
+    def read(self, text: str, flag: str) -> int | tuple[int, ...]:
+        parse = _parse_int_list if self.many else _parse_int
+        return parse(text, flag, self.minimum)
 
 
-def _full_circle_grid() -> tuple[float, ...]:
-    # 0 .. 2*pi inclusive at pi/24 spacing.
-    return tuple(float(t) for t in np.linspace(0.0, 2.0 * math.pi, 49))
+@dataclass(frozen=True)
+class _Command:
+    """One command: its flags, the runner that makes its rows and details, its CSV header."""
+
+    help: str
+    q: _IntFlag | None  # None: no --q, the period is 1
+    steps: _IntFlag
+    theta_grid: tuple[float, ...] | None  # None: one required angle; else the default sweep
+    runner: Callable[[RunConfig], tuple[list[tuple], dict]]
+    header: tuple[str, ...]
 
 
-def _open_circle_grid() -> tuple[float, ...]:
-    # pi/24 .. 47*pi/24: the same spacing with both trapping endpoints
-    # (theta = 0 and 2*pi) excluded, as the closed form degenerates there.
-    return tuple(float(t) for t in np.linspace(math.pi / 24, 47 * math.pi / 24, 47))
+def _simulate(config: RunConfig) -> tuple[list[tuple], dict]:
+    profile = PotentialProfile(config.q, config.theta)
+    state = evolve(initial_state(max(config.steps, 1)), profile, config.steps)
+    check_norm(state)
+    dist = distribution(state)
+    rows = list(zip(dist.positions.tolist(), dist.probabilities.tolist()))
+    return rows, {"kind": "simulate", "q": config.q, "theta": config.theta, "n_steps": config.steps}
 
 
-def _add_theta_flags(sp: argparse.ArgumentParser) -> None:
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--theta", metavar="T", help="coin angle in radians; grids as START:STOP:COUNT")
-    group.add_argument(
-        "--theta-pi",
-        dest="theta_pi",
-        metavar="T",
-        help="coin angle in multiples of pi; grids as START:STOP:COUNT",
-    )
+def _sweep_steps(config: RunConfig) -> tuple[list[tuple], dict]:
+    result = sweep_sigma_vs_steps(config.q, config.theta, list(config.steps))
+    rows = list(zip(config.steps, result.sigma.tolist()))
+    return rows, dict(result.metadata)
+
+
+def _sweep_theta(config: RunConfig) -> tuple[list[tuple], dict]:
+    result = sweep_sigma_vs_theta(config.q, np.atleast_1d(config.theta), config.steps)
+    rows = list(zip(result.independent.tolist(), result.sigma.tolist()))
+    return rows, dict(result.metadata)
+
+
+def _sweep_period(config: RunConfig) -> tuple[list[tuple], dict]:
+    result = sweep_sigma_vs_inverse_period(config.theta, list(config.q), config.steps)
+    rows = list(zip(config.q, result.independent.tolist(), result.sigma.tolist()))
+    return rows, dict(result.metadata)
+
+
+def _check_q1(config: RunConfig) -> tuple[list[tuple], dict]:
+    table = check_q1_closed_form(np.atleast_1d(config.theta), config.steps)
+    columns = (table.theta, table.sigma2_over_n2, table.law, table.residual)
+    rows = list(zip(*(column.tolist() for column in columns)))
+    details = {"kind": "q1_closed_form", "theta_grid": table.theta.tolist(), "n_steps": table.n_steps}
+    return rows, details
+
+
+_PERIOD = _IntFlag("Q", "scattering period, integer >= 1", minimum=1)
+_STEPS = _IntFlag("N", "number of steps", minimum=1, default=str(DEFAULT_STEPS))
+
+
+#: One entry per command; the parser, the argument resolution and ``run``
+#: all read from here.
+_COMMANDS = {
+    "simulate": _Command(
+        help="one walk; write position,probability",
+        q=_PERIOD,
+        steps=replace(_STEPS, minimum=0),
+        theta_grid=None,
+        runner=_simulate,
+        header=("position", "probability"),
+    ),
+    "sweep-steps": _Command(
+        help="sigma vs step count; write n,sigma",
+        q=_PERIOD,
+        steps=_IntFlag("SPEC", "step counts to record: N, N1,N2,... or LO:HI", minimum=1, many=True),
+        theta_grid=None,
+        runner=_sweep_steps,
+        header=("n", "sigma"),
+    ),
+    "sweep-theta": _Command(
+        help="sigma vs coin angle; write theta,sigma",
+        q=_PERIOD,
+        steps=_STEPS,
+        # 0 .. 2*pi inclusive at pi/24 spacing.
+        theta_grid=tuple(float(t) for t in np.linspace(0.0, 2.0 * math.pi, 49)),
+        runner=_sweep_theta,
+        header=("theta", "sigma"),
+    ),
+    "sweep-period": _Command(
+        help="sigma vs period; write q,inv_q,sigma",
+        q=_IntFlag("SPEC", "periods to sweep: Q, Q1,Q2,... or LO:HI", minimum=1, default="1:10", many=True),
+        steps=_STEPS,
+        theta_grid=None,
+        runner=_sweep_period,
+        header=("q", "inv_q", "sigma"),
+    ),
+    "check-q1": _Command(
+        help="compare sigma^2/N^2 against 1 - |cos theta| for period 1",
+        q=None,
+        steps=replace(_STEPS, minimum=100, help="number of steps, >= 100"),
+        # pi/24 .. 47*pi/24: the same spacing with both trapping endpoints
+        # (theta = 0 and 2*pi) excluded, as the closed form degenerates there.
+        theta_grid=tuple(float(t) for t in np.linspace(math.pi / 24, 47 * math.pi / 24, 47)),
+        runner=_check_q1,
+        header=("theta", "sigma2_over_N2", "law", "residual"),
+    ),
+}
 
 
 def _build_parser() -> _Parser:
@@ -212,141 +297,32 @@ def _build_parser() -> _Parser:
         description="Simulate coined walks with periodically placed scattering sites.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND", parser_class=_Parser)
-
-    sp = sub.add_parser("simulate", help="one walk; write position,probability")
-    sp.add_argument("--q", required=True, metavar="Q", help="scattering period, integer >= 1")
-    _add_theta_flags(sp)
-    sp.add_argument("--steps", default="200", metavar="N", help="number of steps (default 200)")
-    sp.add_argument("--out", metavar="PATH", help="output CSV path (default simulate.csv)")
-
-    sp = sub.add_parser("sweep-steps", help="sigma vs step count; write n,sigma")
-    sp.add_argument("--q", required=True, metavar="Q", help="scattering period, integer >= 1")
-    _add_theta_flags(sp)
-    sp.add_argument(
-        "--steps",
-        required=True,
-        metavar="SPEC",
-        help="step counts to record: N, N1,N2,... or LO:HI",
-    )
-    sp.add_argument("--out", metavar="PATH", help="output CSV path (default sweep-steps.csv)")
-
-    sp = sub.add_parser("sweep-theta", help="sigma vs coin angle; write theta,sigma")
-    sp.add_argument("--q", required=True, metavar="Q", help="scattering period, integer >= 1")
-    _add_theta_flags(sp)
-    sp.add_argument("--steps", default="200", metavar="N", help="number of steps (default 200)")
-    sp.add_argument("--out", metavar="PATH", help="output CSV path (default sweep-theta.csv)")
-
-    sp = sub.add_parser("sweep-period", help="sigma vs period; write q,inv_q,sigma")
-    sp.add_argument(
-        "--q",
-        default="1:10",
-        metavar="SPEC",
-        help="periods to sweep: Q, Q1,Q2,... or LO:HI (default 1:10)",
-    )
-    _add_theta_flags(sp)
-    sp.add_argument("--steps", default="200", metavar="N", help="number of steps (default 200)")
-    sp.add_argument("--out", metavar="PATH", help="output CSV path (default sweep-period.csv)")
-
-    sp = sub.add_parser(
-        "check-q1",
-        help="compare sigma^2/N^2 against 1 - |cos theta| for period 1",
-    )
-    _add_theta_flags(sp)
-    sp.add_argument("--steps", default="200", metavar="N", help="number of steps, >= 100 (default 200)")
-    sp.add_argument("--out", metavar="PATH", help="output CSV path (default check-q1.csv)")
-
+    for name, entry in _COMMANDS.items():
+        sp = sub.add_parser(name, help=entry.help)
+        if entry.q is not None:
+            entry.q.add_to(sp, "--q")
+        group = sp.add_mutually_exclusive_group()
+        for flag, unit in (("--theta", "radians"), ("--theta-pi", "multiples of pi")):
+            group.add_argument(flag, metavar="T", help=f"coin angle in {unit}; grids as START:STOP:COUNT")
+        entry.steps.add_to(sp, "--steps")
+        sp.add_argument("--out", metavar="PATH", help=f"output CSV path (default {name}.csv)")
     return parser
 
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
     """Turn raw arguments into a RunConfig.  Raises UsageError on bad input."""
     ns = _build_parser().parse_args(list(argv))
-    command = ns.command
-    out = Path(ns.out) if ns.out else Path(f"{command}.csv")
-
-    if command == "simulate":
-        return RunConfig(
-            command=command,
-            q=_parse_int(ns.q, "--q", 1, MAX_STEPS),
-            theta=_resolve_theta_scalar(ns),
-            steps=_parse_int(ns.steps, "--steps", 0, MAX_STEPS),
-            out=out,
-        )
-    if command == "sweep-steps":
-        return RunConfig(
-            command=command,
-            q=_parse_int(ns.q, "--q", 1, MAX_STEPS),
-            theta=_resolve_theta_scalar(ns),
-            steps=_parse_int_list(ns.steps, "--steps", 1, MAX_STEPS),
-            out=out,
-        )
-    if command == "sweep-theta":
-        return RunConfig(
-            command=command,
-            q=_parse_int(ns.q, "--q", 1, MAX_STEPS),
-            theta=_resolve_theta_values(ns, default=_full_circle_grid()),
-            steps=_parse_int(ns.steps, "--steps", 1, MAX_STEPS),
-            out=out,
-        )
-    if command == "sweep-period":
-        return RunConfig(
-            command=command,
-            q=_parse_int_list(ns.q, "--q", 1, MAX_STEPS),
-            theta=_resolve_theta_scalar(ns),
-            steps=_parse_int(ns.steps, "--steps", 1, MAX_STEPS),
-            out=out,
-        )
-    # check-q1
+    entry = _COMMANDS[ns.command]
     return RunConfig(
-        command=command,
-        q=1,
-        theta=_resolve_theta_values(ns, default=_open_circle_grid()),
-        steps=_parse_int(ns.steps, "--steps", 100, MAX_STEPS),
-        out=out,
+        command=ns.command,
+        q=entry.q.read(ns.q, "--q") if entry.q is not None else 1,
+        theta=_resolve_theta(ns, entry.theta_grid),
+        steps=entry.steps.read(ns.steps, "--steps"),
+        out=Path(ns.out) if ns.out else Path(f"{ns.command}.csv"),
     )
 
 
-def _execute(config: RunConfig) -> tuple[list[str], list[tuple], dict]:
-    if config.command == "simulate":
-        profile = PotentialProfile(config.q, config.theta)
-        state = evolve(initial_state(max(config.steps, 1)), profile, config.steps)
-        check_norm(state)
-        dist = distribution(state)
-        rows = list(zip(dist.positions.tolist(), dist.probabilities.tolist()))
-        details = {"kind": "simulate", "q": config.q, "theta": config.theta, "n_steps": config.steps}
-        return ["position", "probability"], rows, details
-
-    if config.command == "sweep-steps":
-        result = sweep_sigma_vs_steps(config.q, config.theta, list(config.steps))
-        rows = [(int(n), float(s)) for n, s in zip(config.steps, result.sigma)]
-        return ["n", "sigma"], rows, dict(result.metadata)
-
-    if config.command == "sweep-theta":
-        grid = config.theta if isinstance(config.theta, tuple) else (config.theta,)
-        result = sweep_sigma_vs_theta(config.q, grid, config.steps)
-        rows = [(float(t), float(s)) for t, s in zip(result.independent, result.sigma)]
-        return ["theta", "sigma"], rows, dict(result.metadata)
-
-    if config.command == "sweep-period":
-        result = sweep_sigma_vs_inverse_period(config.theta, list(config.q), config.steps)
-        rows = [
-            (int(q), float(iq), float(s))
-            for q, iq, s in zip(config.q, result.independent, result.sigma)
-        ]
-        return ["q", "inv_q", "sigma"], rows, dict(result.metadata)
-
-    # check-q1
-    grid = config.theta if isinstance(config.theta, tuple) else (config.theta,)
-    table = check_q1_closed_form(grid, config.steps)
-    rows = [
-        (float(t), float(m), float(l), float(r))
-        for t, m, l, r in zip(table.theta, table.sigma2_over_n2, table.law, table.residual)
-    ]
-    details = {"kind": "q1_closed_form", "theta_grid": [float(t) for t in grid], "n_steps": table.n_steps}
-    return ["theta", "sigma2_over_N2", "law", "residual"], rows, details
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> str:
+def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> str:
     """Write the table as CSV and return the sha256 hex digest of the bytes written.
 
     One %-format serves every row.  It is built from the first row's types:
@@ -366,27 +342,17 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: int, csv_sha256: str) -> None:
     manifest = {
         "tool": {"name": "periodicwalk", "version": __version__},
         "command": config.command,
         "config": {
-            "q": _jsonable(config.q),
-            "theta": _jsonable(config.theta),
-            "steps": _jsonable(config.steps),
+            "q": config.q,
+            "theta": config.theta,
+            "steps": config.steps,
             "out": str(config.out),
         },
-        "details": {k: _jsonable(v) for k, v in details.items()},
+        "details": details,
         "thresholds": {
             "norm_drift_tol": NORM_DRIFT_TOL,
             "r_squared_steps_trend_min": experiments.R_SQUARED_STEPS_TREND_MIN,
@@ -399,21 +365,24 @@ def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: in
         "numpy_version": np.__version__,
         "elapsed_seconds": elapsed,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    # json writes tuples as lists; numpy scalars, which a hand-made RunConfig
+    # may hold, go through their .item().
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=np.generic.item) + "\n"
     Path(str(config.out) + ".manifest.json").write_text(text, encoding="ascii")
 
 
 def run(config: RunConfig) -> int:
     """Execute one command, write its CSV and manifest, return the exit status."""
     started = time.perf_counter()
+    entry = _COMMANDS[config.command]
     try:
-        header, rows, details = _execute(config)
+        rows, details = entry.runner(config)
     except NormDriftError as exc:
         print(f"periodicwalk: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     elapsed = time.perf_counter() - started
     try:
-        csv_sha256 = _write_csv(config.out, header, rows)
+        csv_sha256 = _write_csv(config.out, entry.header, rows)
         _write_manifest(config, details, elapsed, n_rows=len(rows), csv_sha256=csv_sha256)
     except OSError as exc:
         print(f"periodicwalk: i/o error: {exc}", file=sys.stderr)
@@ -423,9 +392,8 @@ def run(config: RunConfig) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Console entry point."""
-    args = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config = parse_args(args)
+        config = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(f"periodicwalk: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -44,7 +44,6 @@ __all__ = [
     "UP",
     "WalkState",
     "check_norm",
-    "coin_at",
     "evolve",
     "hadamard_coin",
     "initial_state",
@@ -137,22 +136,10 @@ class PotentialProfile:
         """Amplitude for bouncing back at a scattering site, cos(theta)."""
         return math.cos(self.theta)
 
-    @property
-    def reduced_theta(self) -> float:
-        """theta folded into [0, 2*pi).  Display convenience only; evolution uses theta as given."""
-        return self.theta % (2.0 * math.pi)
-
 
 def is_scattering_site(profile: PotentialProfile, x) -> bool | np.ndarray:
     """True where x is an integer multiple of the period.  Accepts scalars or arrays."""
     return x % profile.period_q == 0
-
-
-def coin_at(profile: PotentialProfile, x: int) -> np.ndarray:
-    """Coin matrix applied at position x under the given profile."""
-    if is_scattering_site(profile, x):
-        return scattering_coin(profile.theta)
-    return hadamard_coin()
 
 
 @dataclass(frozen=True)

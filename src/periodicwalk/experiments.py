@@ -11,7 +11,6 @@ after it was validated against the branch-expansion oracle, then frozen.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -22,7 +21,6 @@ from .observables import distribution, moments
 
 __all__ = [
     "DEFAULT_STEPS",
-    "DEFAULT_THETA_SPACING",
     "Q1_LAW_RESIDUAL_CEILING",
     "Q2_LAZY_SPREAD_CEILING",
     "R_SQUARED_INVERSE_PERIOD_MIN",
@@ -40,9 +38,6 @@ __all__ = [
 
 #: Default walk length for sweeps; long enough for asymptotic trends.
 DEFAULT_STEPS = 200
-
-#: Default angular resolution for theta grids.
-DEFAULT_THETA_SPACING = math.pi / 24
 
 #: Minimum r^2 for sigma-versus-steps linear growth.
 R_SQUARED_STEPS_TREND_MIN = 0.99

@@ -14,7 +14,6 @@ from periodicwalk import (
     PotentialProfile,
     WalkState,
     check_norm,
-    coin_at,
     evolve,
     hadamard_coin,
     initial_state,
@@ -88,13 +87,6 @@ def test_profile_amplitudes_square_to_one(theta):
     assert abs(profile.transmission**2 + profile.reflection**2 - 1.0) < 1e-15
 
 
-def test_profile_reduced_theta():
-    assert abs(PotentialProfile(1, 5 * math.pi).reduced_theta - math.pi) < 1e-12
-    assert abs(PotentialProfile(1, -math.pi / 2).reduced_theta - 3 * math.pi / 2) < 1e-12
-    # evolution ignores the reduction: the raw angle is what the coin sees
-    assert PotentialProfile(1, 5 * math.pi).theta == 5 * math.pi
-
-
 def test_is_scattering_site_period_four():
     profile = PotentialProfile(4, 0.3)
     for x in (0, 4, 8, -4, -8, 12):
@@ -113,13 +105,6 @@ def test_is_scattering_site_vectorized():
     xs = np.arange(-6, 7)
     mask = is_scattering_site(profile, xs)
     assert mask.tolist() == [(x % 3 == 0) for x in range(-6, 7)]
-
-
-def test_coin_at_selects_by_position():
-    profile = PotentialProfile(4, 0.7)
-    assert np.array_equal(coin_at(profile, 0), scattering_coin(0.7))
-    assert np.array_equal(coin_at(profile, -4), scattering_coin(0.7))
-    assert np.array_equal(coin_at(profile, 2), hadamard_coin())
 
 
 def test_initial_state_contents():

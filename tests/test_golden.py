@@ -1,15 +1,16 @@
-"""Every command's CSV bytes against a committed golden file.
+"""Every command's CSV bytes and ``--help`` text against committed golden files.
 
-The golden files were written by the seed's einsum kernel.  Any change to
+The golden CSVs were written by the seed's einsum kernel.  Any change to
 the kernel, the sweeps or the CSV writer that moves a single output byte
-fails here.
+fails here.  The help texts pin what the command table generates: flags,
+metavars, defaults and help lines, at an 80-column terminal.
 """
 
 from pathlib import Path
 
 import pytest
 
-from periodicwalk.cli import EXIT_OK, main
+from periodicwalk.cli import EXIT_OK, main, parse_args
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,3 +28,13 @@ def test_csv_bytes_match_golden(command, tmp_path):
     out = tmp_path / f"{command}.csv"
     assert main(CASES[command] + ["--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["periodicwalk", *sorted(CASES)])
+def test_help_text_matches_golden(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if name == "periodicwalk" else [name, "--help"]
+    with pytest.raises(SystemExit) as exit_info:
+        parse_args(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.encode("ascii") == (GOLDEN / f"{name}.help.txt").read_bytes()

@@ -13,6 +13,7 @@ from periodicwalk import (
     distribution,
     evolve,
     initial_state,
+    path_sum_evolve,
     point_state,
     step,
     symmetry_residual,
@@ -76,6 +77,25 @@ def test_windowed_evolve_equals_full_table_kernel(profile, split, position, dire
         # signs of zeros agree.
         strided = strided_parity_evolve(start, profile, n).amplitudes.tobytes()
         assert whole.amplitudes.tobytes() == halves.amplitudes.tobytes() == strided
+
+
+@walks
+@given(
+    profiles,
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([DOWN, UP]),
+)
+def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction):
+    # The oracle adds the same two products per cell in a different order;
+    # two-term sums commute exactly, so the amplitudes are equal, not close.
+    starts = (initial_state(max(n, 1)), point_state(position, direction, abs(position) + max(n, 1)))
+    for start in starts:
+        walked = evolve(start, profile, n)
+        expanded = np.zeros_like(walked.amplitudes)
+        for (x, c), amplitude in path_sum_evolve(start, profile, n).amplitudes.items():
+            expanded[x + walked.origin_offset, c] = amplitude
+        assert np.array_equal(walked.amplitudes, expanded)
 
 
 #: Largest |P(x) at theta - P(x) at theta + 2 pi| allowed.  sin and cos of the
