@@ -13,8 +13,10 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -193,49 +195,43 @@ class _IntFlag:
 
 @dataclass(frozen=True)
 class _Command:
-    """One command: its flags, the runner that makes its rows and details, its CSV header."""
+    """One command: its flags, the runner that makes its rows, its CSV header."""
 
     help: str
     q: _IntFlag | None  # None: no --q, the period is 1
     steps: _IntFlag
     theta_grid: tuple[float, ...] | None  # None: one required angle; else the default sweep
-    runner: Callable[[RunConfig], tuple[list[tuple], dict]]
+    runner: Callable[[RunConfig], list[tuple]]
     header: tuple[str, ...]
 
 
-def _simulate(config: RunConfig) -> tuple[list[tuple], dict]:
+def _simulate(config: RunConfig) -> list[tuple]:
     profile = PotentialProfile(config.q, config.theta)
     state = evolve(initial_state(max(config.steps, 1)), profile, config.steps)
     check_norm(state)
     dist = distribution(state)
-    rows = list(zip(dist.positions.tolist(), dist.probabilities.tolist()))
-    return rows, {"kind": "simulate", "q": config.q, "theta": config.theta, "n_steps": config.steps}
+    return list(zip(dist.positions.tolist(), dist.probabilities.tolist()))
 
 
-def _sweep_steps(config: RunConfig) -> tuple[list[tuple], dict]:
-    result = sweep_sigma_vs_steps(config.q, config.theta, list(config.steps))
-    rows = list(zip(config.steps, result.sigma.tolist()))
-    return rows, dict(result.metadata)
+def _sweep_steps(config: RunConfig) -> list[tuple]:
+    result = sweep_sigma_vs_steps(config.q, config.theta, config.steps)
+    return list(zip(config.steps, result.sigma.tolist()))
 
 
-def _sweep_theta(config: RunConfig) -> tuple[list[tuple], dict]:
+def _sweep_theta(config: RunConfig) -> list[tuple]:
     result = sweep_sigma_vs_theta(config.q, np.atleast_1d(config.theta), config.steps)
-    rows = list(zip(result.independent.tolist(), result.sigma.tolist()))
-    return rows, dict(result.metadata)
+    return list(zip(result.independent.tolist(), result.sigma.tolist()))
 
 
-def _sweep_period(config: RunConfig) -> tuple[list[tuple], dict]:
-    result = sweep_sigma_vs_inverse_period(config.theta, list(config.q), config.steps)
-    rows = list(zip(config.q, result.independent.tolist(), result.sigma.tolist()))
-    return rows, dict(result.metadata)
+def _sweep_period(config: RunConfig) -> list[tuple]:
+    result = sweep_sigma_vs_inverse_period(config.theta, config.q, config.steps)
+    return list(zip(config.q, result.independent.tolist(), result.sigma.tolist()))
 
 
-def _check_q1(config: RunConfig) -> tuple[list[tuple], dict]:
+def _check_q1(config: RunConfig) -> list[tuple]:
     table = check_q1_closed_form(np.atleast_1d(config.theta), config.steps)
     columns = (table.theta, table.sigma2_over_n2, table.law, table.residual)
-    rows = list(zip(*(column.tolist() for column in columns)))
-    details = {"kind": "q1_closed_form", "theta_grid": table.theta.tolist(), "n_steps": table.n_steps}
-    return rows, details
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 _PERIOD = _IntFlag("Q", "scattering period, integer >= 1", minimum=1)
@@ -342,7 +338,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: int, csv_sha256: str) -> None:
+def _write_manifest(path: Path, config: RunConfig, elapsed: float, n_rows: int, csv_sha256: str) -> None:
     manifest = {
         "tool": {"name": "periodicwalk", "version": __version__},
         "command": config.command,
@@ -352,7 +348,6 @@ def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: in
             "steps": config.steps,
             "out": str(config.out),
         },
-        "details": details,
         "thresholds": {
             "norm_drift_tol": NORM_DRIFT_TOL,
             "r_squared_steps_trend_min": experiments.R_SQUARED_STEPS_TREND_MIN,
@@ -368,7 +363,7 @@ def _write_manifest(config: RunConfig, details: dict, elapsed: float, n_rows: in
     # json writes tuples as lists; numpy scalars, which a hand-made RunConfig
     # may hold, go through their .item().
     text = json.dumps(manifest, indent=2, sort_keys=True, default=np.generic.item) + "\n"
-    Path(str(config.out) + ".manifest.json").write_text(text, encoding="ascii")
+    path.write_text(text, encoding="ascii")
 
 
 def run(config: RunConfig) -> int:
@@ -376,15 +371,25 @@ def run(config: RunConfig) -> int:
     started = time.perf_counter()
     entry = _COMMANDS[config.command]
     try:
-        rows, details = entry.runner(config)
+        rows = entry.runner(config)
     except NormDriftError as exc:
         print(f"periodicwalk: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     elapsed = time.perf_counter() - started
+    # Both files are written to temporaries beside their targets and moved
+    # into place only once both writes succeed: the manifest first, the CSV
+    # last, so a failed run leaves no new CSV without its manifest.
+    manifest = Path(f"{config.out}.manifest.json")
+    temporaries = {target: Path(f"{target}.{os.getpid()}.tmp") for target in (manifest, config.out)}
     try:
-        csv_sha256 = _write_csv(config.out, entry.header, rows)
-        _write_manifest(config, details, elapsed, n_rows=len(rows), csv_sha256=csv_sha256)
+        csv_sha256 = _write_csv(temporaries[config.out], entry.header, rows)
+        _write_manifest(temporaries[manifest], config, elapsed, n_rows=len(rows), csv_sha256=csv_sha256)
+        for target, temporary in temporaries.items():
+            os.replace(temporary, target)
     except OSError as exc:
+        for temporary in temporaries.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink()
         print(f"periodicwalk: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

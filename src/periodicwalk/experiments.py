@@ -12,11 +12,11 @@ after it was validated against the branch-expansion oracle, then frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import PotentialProfile, check_norm, evolve, initial_state, step
+from .core import PotentialProfile, WalkState, check_norm, evolve, initial_state, step
 from .observables import distribution, moments
 
 __all__ = [
@@ -60,14 +60,13 @@ Q2_LAZY_SPREAD_CEILING = 1.0e-3
 class SweepResult:
     """One sweep table: sigma against a single independent variable.
 
-    ``metadata`` records the fixed parameters and the grid that produced
-    the table, keyed by plain strings so it can go straight into a JSON
-    manifest.
+    Both columns are fresh float64 arrays that share no memory with the
+    caller's grid.  The inputs that produced the table are not kept here;
+    the CLI records them once, in its manifest's ``config``.
     """
 
     independent: np.ndarray
     sigma: np.ndarray
-    metadata: Mapping[str, object]
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,22 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     return LinearFit(slope=slope, intercept=intercept, r_squared=min(1.0, max(0.0, r_squared)))
 
 
-def _sigma_after(profile: PotentialProfile, n_steps: int) -> float:
-    state = evolve(initial_state(n_steps), profile, n_steps)
+def _grid(values: Sequence[float], name: str) -> np.ndarray:
+    """A fresh float64 copy of a non-empty 1-D grid, so no result aliases the caller's array."""
+    grid = np.array(values, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    return grid
+
+
+def _sigma(state: WalkState) -> float:
     check_norm(state)
     return moments(distribution(state)).sigma
+
+
+def _sigmas_after(profiles: Iterable[PotentialProfile], n_steps: int) -> np.ndarray:
+    """sigma after n_steps from the origin, one per profile; ``initial_state`` validates n_steps."""
+    return np.array([_sigma(evolve(initial_state(n_steps), p, n_steps)) for p in profiles])
 
 
 def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> SweepResult:
@@ -132,44 +143,26 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> Sweep
     Reusing a single trajectory keeps the rows mutually consistent and
     costs one walk of max(n_values) steps.
     """
-    ns = [int(n) for n in n_values]
-    if not ns:
-        raise ValueError("n_values must not be empty")
-    if any(n < 1 for n in ns):
-        raise ValueError("every entry of n_values must be >= 1")
+    grid = _grid(n_values, "n_values")
+    ns = grid.tolist()
     profile = PotentialProfile(q, theta)
-    wanted = set(ns)
-    sigma_at: dict[int, float] = {}
     state = initial_state(max(ns))
-    for k in range(1, max(ns) + 1):
+    wanted = set(ns)
+    if not wanted <= set(range(1, state.capacity + 1)):
+        raise ValueError("every entry of n_values must be an integer >= 1")
+    sigma_at: dict[int, float] = {}
+    for k in range(1, state.capacity + 1):
         state = step(state, profile)
         if k in wanted:
-            check_norm(state)
-            sigma_at[k] = moments(distribution(state)).sigma
-    metadata = {"kind": "sigma_vs_steps", "q": int(q), "theta": float(theta), "n_values": ns}
-    return SweepResult(
-        independent=np.array(ns, dtype=np.float64),
-        sigma=np.array([sigma_at[n] for n in ns], dtype=np.float64),
-        metadata=metadata,
-    )
+            sigma_at[k] = _sigma(state)
+    return SweepResult(independent=grid, sigma=np.array([sigma_at[n] for n in ns]))
 
 
 def sweep_sigma_vs_theta(q: int, theta_grid: Sequence[float], n_steps: int) -> SweepResult:
     """sigma after n_steps for each angle in theta_grid, at fixed period q."""
-    thetas = np.asarray(theta_grid, dtype=np.float64)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise ValueError("theta_grid must be a non-empty 1-D sequence")
-    n = int(n_steps)
-    if n < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
-    sigma = np.array([_sigma_after(PotentialProfile(q, t), n) for t in thetas])
-    metadata = {
-        "kind": "sigma_vs_theta",
-        "q": int(q),
-        "theta_grid": [float(t) for t in thetas],
-        "n_steps": n,
-    }
-    return SweepResult(independent=thetas.copy(), sigma=sigma, metadata=metadata)
+    thetas = _grid(theta_grid, "theta_grid")
+    profiles = [PotentialProfile(q, t) for t in thetas]
+    return SweepResult(independent=thetas, sigma=_sigmas_after(profiles, n_steps))
 
 
 def sweep_sigma_vs_inverse_period(
@@ -181,26 +174,9 @@ def sweep_sigma_vs_inverse_period(
     that denser potentials sit at larger x and trends against scatterer
     density read left to right.
     """
-    qs = [int(q) for q in q_values]
-    if not qs:
-        raise ValueError("q_values must not be empty")
-    if any(q < 1 for q in qs):
-        raise ValueError("every period in q_values must be >= 1")
-    n = int(n_steps)
-    if n < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
-    sigma = np.array([_sigma_after(PotentialProfile(q, theta), n) for q in qs])
-    metadata = {
-        "kind": "sigma_vs_inverse_period",
-        "theta": float(theta),
-        "q_values": qs,
-        "n_steps": n,
-    }
-    return SweepResult(
-        independent=np.array([1.0 / q for q in qs], dtype=np.float64),
-        sigma=sigma,
-        metadata=metadata,
-    )
+    qs = _grid(q_values, "q_values")
+    profiles = [PotentialProfile(q, theta) for q in qs.tolist()]
+    return SweepResult(independent=1.0 / qs, sigma=_sigmas_after(profiles, n_steps))
 
 
 def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawCheck:
@@ -210,21 +186,20 @@ def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawChec
     residuals that say nothing about correctness; n_steps below 100 is
     rejected outright.
     """
-    n = int(n_steps)
-    if n < 100:
+    if n_steps < 100:
         raise ValueError(f"closed-form comparison needs n_steps >= 100, got {n_steps!r}")
-    thetas = np.asarray(theta_grid, dtype=np.float64)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise ValueError("theta_grid must be a non-empty 1-D sequence")
-    sigma = np.array([_sigma_after(PotentialProfile(1, t), n) for t in thetas])
-    sigma2_over_n2 = (sigma / n) ** 2
+    thetas = _grid(theta_grid, "theta_grid")
+    # The walks run here, not through sweep_sigma_vs_theta, so that a trace
+    # shows this check as the direct caller of every evolve.
+    sigma = _sigmas_after([PotentialProfile(1, t) for t in thetas], n_steps)
+    sigma2_over_n2 = (sigma / n_steps) ** 2
     law = 1.0 - np.abs(np.cos(thetas))
     return Q1LawCheck(
-        theta=thetas.copy(),
+        theta=thetas,
         sigma2_over_n2=sigma2_over_n2,
         law=law,
         residual=np.abs(sigma2_over_n2 - law),
-        n_steps=n,
+        n_steps=n_steps,
     )
 
 

@@ -217,6 +217,28 @@ def test_run_check_q1_outputs(tmp_path):
     assert manifest["config"]["q"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--q", "3", "--theta", "0.9", "--steps", "20"],
+        ["sweep-steps", "--q", "2", "--theta", "0.9", "--steps", "1:5"],
+        ["sweep-theta", "--q", "2", "--theta", "0.4:1.2:3", "--steps", "20"],
+        ["sweep-period", "--q", "1:3", "--theta", "0.9", "--steps", "20"],
+        ["check-q1", "--theta", "0.9", "--steps", "100"],
+    ],
+)
+def test_manifest_records_the_inputs_once(argv, tmp_path):
+    out = tmp_path / "m.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+    assert set(manifest) == {
+        "tool", "command", "config", "thresholds", "rows", "csv_sha256", "numpy_version", "elapsed_seconds"
+    }
+    assert manifest["command"] == argv[0]
+    assert set(manifest["config"]) == {"q", "theta", "steps", "out"}
+    assert manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def _cell_text(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -264,6 +286,17 @@ def test_exit_code_io_error(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["simulate", "--q", "1", "--theta", "1", "--steps", "5", "--out", str(out)])
     assert code == EXIT_IO
+
+
+def test_failed_manifest_write_leaves_no_csv(tmp_path, capsys):
+    # the manifest path is a directory, so the manifest cannot be written
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    code = main(["simulate", "--q", "1", "--theta", "1", "--steps", "5", "--out", str(out)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("periodicwalk: i/o error: ")
+    assert not out.exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["x.csv.manifest.json"]
 
 
 def test_exit_code_invariant_violation(tmp_path, monkeypatch):

@@ -54,7 +54,6 @@ def test_sweep_steps_ballistic_sigma_equals_n():
     result = sweep_sigma_vs_steps(1, math.pi / 2, [10, 20, 30])
     assert np.allclose(result.sigma, [10.0, 20.0, 30.0], atol=1e-10)
     assert result.independent.tolist() == [10.0, 20.0, 30.0]
-    assert result.metadata["n_values"] == [10, 20, 30]
 
 
 def test_sweep_steps_snapshots_match_fresh_runs():
@@ -72,14 +71,38 @@ def test_sweep_steps_validation():
         sweep_sigma_vs_steps(1, 0.5, [5, 0])
 
 
+def test_sweeps_reject_non_integer_periods_and_step_counts():
+    # each of these used to be truncated: q=2, n=5, n=5, 20 and 100 steps
+    calls = [
+        lambda: sweep_sigma_vs_inverse_period(0.5, [2.5], 20),
+        lambda: sweep_sigma_vs_steps(1, 0.5, [5.7]),
+        lambda: sweep_sigma_vs_steps(1, 0.5, [5.7, 10]),
+        lambda: sweep_sigma_vs_theta(2, [0.5], 20.9),
+        lambda: check_q1_closed_form([0.5], 100.9),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_results_never_alias_the_callers_grid():
+    grid = np.array([1.0, 3.0])  # valid as step counts, angles and periods
+    columns = [
+        sweep_sigma_vs_steps(2, 0.5, grid).independent,
+        sweep_sigma_vs_theta(2, grid, 10).independent,
+        sweep_sigma_vs_inverse_period(0.5, grid, 10).independent,
+        check_q1_closed_form(grid, 100).theta,
+    ]
+    for column in columns:
+        assert column.dtype == np.float64
+        assert not np.shares_memory(column, grid)
+
+
 def test_sweep_theta_shape_and_metadata():
     grid = [0.2, 0.4, 0.6, 0.8, 1.0]
     result = sweep_sigma_vs_theta(2, grid, 50)
     assert result.independent.tolist() == grid
     assert result.sigma.shape == (5,)
-    assert result.metadata["kind"] == "sigma_vs_theta"
-    assert result.metadata["q"] == 2
-    assert result.metadata["n_steps"] == 50
 
 
 def test_sweep_theta_validation():
@@ -92,7 +115,6 @@ def test_sweep_theta_validation():
 def test_sweep_inverse_period_rows():
     result = sweep_sigma_vs_inverse_period(math.pi / 6, [1, 2, 4], 50)
     assert result.independent.tolist() == [1.0, 0.5, 0.25]
-    assert result.metadata["q_values"] == [1, 2, 4]
     assert result.sigma.shape == (3,)
 
 

@@ -18,6 +18,7 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
+from periodicwalk.experiments import sweep_sigma_vs_theta
 from walkref import full_table_evolve, random_walk_state, strided_parity_evolve
 
 profiles = st.builds(
@@ -111,6 +112,22 @@ def test_full_turn_of_theta_keeps_the_distribution(profile, n):
     p = distribution(evolve(initial_state(n), profile, n)).probabilities
     p_turned = distribution(evolve(initial_state(n), turned, n)).probabilities
     assert np.max(np.abs(p - p_turned)) <= FULL_TURN_CEILING
+
+
+#: Criterion 10's frozen bound on |sigma(theta) - sigma(2 pi - theta)| and, at
+#: q = 1, on |sigma(theta) - sigma(theta + pi)|.  The largest gaps measured
+#: over 300 random (q, theta, N <= 300) cases were 3.4e-12 and 4.7e-12.
+SIGMA_SYMMETRY_CEILING = 1e-9
+
+
+@walks
+@given(profiles, st.integers(min_value=1, max_value=300))
+def test_sigma_angle_symmetries(profile, n):
+    q, theta = profile.period_q, profile.theta
+    mirrored = sweep_sigma_vs_theta(q, [theta, 2 * math.pi - theta], n).sigma
+    assert abs(mirrored[0] - mirrored[1]) <= SIGMA_SYMMETRY_CEILING
+    shifted = sweep_sigma_vs_theta(1, [theta, theta + math.pi], n).sigma
+    assert abs(shifted[0] - shifted[1]) <= SIGMA_SYMMETRY_CEILING
 
 
 @walks
