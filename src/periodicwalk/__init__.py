@@ -28,7 +28,7 @@ from .core import (
     scattering_coin,
     step,
 )
-from .observables import Distribution, Moments, distribution, moments, q1_law, symmetry_residual
+from .observables import Distribution, Moments, distribution, moments, q1_law, q2_law, symmetry_residual
 from .oracle import MAX_ORACLE_STEPS, path_sum_evolve
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "path_sum_evolve",
     "point_state",
     "q1_law",
+    "q2_law",
     "scattering_coin",
     "step",
     "symmetry_residual",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -287,7 +288,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: the tree costs about a millisecond, and a parse
+    # leaves no state in it, so every parse_args call can share it.
     parser = _Parser(
         prog="periodicwalk",
         description="Simulate coined walks with periodically placed scattering sites.",

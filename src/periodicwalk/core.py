@@ -10,8 +10,9 @@ both limits reduce to familiar walks.
 
 Both coins are real matrices [[t, r], [r, -t]], so ``evolve`` keeps them
 as two per-row coefficient arrays t(x) and r(x), real values held as
-complex numbers and built once per call; ``step`` is ``evolve`` for one
-step.
+complex numbers and built once per call: filled with 1/sqrt 2, then the
+scattering rows, an arithmetic progression in each parity of x, set
+through one strided slice.  ``step`` is ``evolve`` for one step.
 
 Amplitudes live in a dense complex table allocated once for the longest
 walk a state will host; a walk of N steps never leaves [-N, N], so the
@@ -23,7 +24,9 @@ such buffers of its own, and reads t(x) and r(x) from contiguous arrays
 built per parity.  Only its first step reads the caller's table and only
 its last writes the returned one, each through stride-2 slices, so the
 caller's table is never written and a long walk allocates no memory per
-step.
+step.  Complex addition is componentwise, so the stencil's sums into the
+packed buffers run on float64 views of them; the last step's sums, into
+the stride-2 columns of the returned table, stay complex.
 """
 
 from __future__ import annotations
@@ -237,15 +240,23 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     The coin coefficients t(x) and r(x), real values held as complex128,
     are built once per call, over the rows |x| <= steps_taken + n_steps - 1
     that the steps read, as one contiguous array per parity of x (one
-    parity only when n_steps is 1).  The step from k to k + 1 steps reads
-    only the live sites x = -k, -k + 2, ..., k of its input (see
-    ``WalkState``).  Steps alternate between two zeroed buffers in which
+    parity only when n_steps is 1): 1/sqrt 2 everywhere, then sin and cos
+    theta written through one strided slice at the rows with x % q == 0.
+    The step from k to k + 1 steps reads only the live sites x = -k,
+    -k + 2, ..., k of its input (see ``WalkState``).  Steps alternate
+    between two zeroed buffers, allocated only when n_steps > 1, in which
     live site j (x = -k + 2j) sits in column j of a DOWN row and an UP row;
     the step from k writes DOWN to columns 0..k and UP to columns 1..k + 1,
-    so DOWN[k + 1] and UP[0] keep their zeros.  The first step reads the
-    input table and the last step writes a fresh zeroed table, both through
-    stride-2 slices.  The input table is never written, and the returned
-    table is never shared with the input or with another call's result.
+    so DOWN[k + 1] and UP[0] keep their zeros.  Each step writes one
+    product straight into its output row, the other into a scratch row,
+    and adds or subtracts the two; into the buffers those sums run on
+    float64 views, which give the same bytes as complex sums because
+    complex addition is componentwise.  The first step reads the input
+    table and the last step writes a fresh zeroed table, both through
+    stride-2 slices; float views of those would be strided 2-d arrays,
+    slower to sum than the complex columns, so the last step's sums stay
+    complex.  The input table is never written, and the returned table is
+    never shared with the input or with another call's result.
 
     Identical inputs give bit-identical outputs: the kernel is pure numpy
     with a fixed operation order and no randomness.
@@ -274,23 +285,40 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
     # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read, and step
     # i reads only those of parity p = (n - 1 - i) % 2, so t and r are built
-    # per parity over x = -reach + p + 2m.  The coefficients are complex so
-    # that no multiply casts them to the amplitudes' type; the values, and so
-    # the products, are the same.  Any period above reach marks only x = 0,
-    # so capping it there keeps x % q within the integers numpy holds.
+    # per parity over x = x0 + 2m, x0 = p - reach, as 1/sqrt 2 with the
+    # scattering rows overwritten through one strided slice.  x % q == 0
+    # holds at every q-th m from m = -x0 (q + 1) / 2 mod q for odd q (as
+    # (q + 1) / 2 inverts 2 mod q), at every (q / 2)-th m from m = -x0 / 2
+    # mod q / 2 for even q and even x0, and nowhere for even q and odd x0.
+    # The coefficients are complex so that no multiply casts them to the
+    # amplitudes' type; the values, and so the products, are the same.  Any
+    # period above reach marks only x = 0, so capping it there loses nothing
+    # and keeps the stride within the indices numpy takes.
     reach = k + n - 1
     q = min(profile.period_q, reach + 1)
     t, r = [], []
     for p in range(min(n, 2)):
-        scattering = np.arange(p - reach, reach + 1, 2) % q == 0
-        t.append(np.where(scattering, complex(profile.transmission), complex(_SQRT_HALF)))
-        r.append(np.where(scattering, complex(profile.reflection), complex(_SQRT_HALF)))
-    # The buffers' rows are held as 1-d arrays because slicing those costs
-    # less per step than slicing a 2-d block; the products land in two
-    # scratch rows, so a step allocates nothing.
-    buffers = [tuple(buf) for buf in np.zeros((min(n - 1, 2), 2, k + n), dtype=amps.dtype)]
+        x0 = p - reach
+        coefficients = np.full((2, reach + 1 - p), complex(_SQRT_HALF))
+        if q % 2 or x0 % 2 == 0:
+            stride = q if q % 2 else q // 2
+            first = (-x0 * ((q + 1) // 2) if q % 2 else -x0 // 2) % stride
+            coefficients[0, first::stride] = complex(profile.transmission)
+            coefficients[1, first::stride] = complex(profile.reflection)
+        t.append(coefficients[0])
+        r.append(coefficients[1])
+    # Every buffer row is held as a 1-d complex array and a float view of
+    # it, because slicing those costs less per step than slicing a 2-d
+    # block.  A float sum costs about a third of a complex one and gives the
+    # same bytes.  The products land in the output rows and one scratch row,
+    # so a step allocates nothing; a one-step call needs no buffers at all.
+    real = amps.real.dtype
+    if n > 1:
+        pairs = np.zeros((min(n - 1, 2), 2, k + n), dtype=amps.dtype)
+        buffers = [(tuple(pair), tuple(pair.view(real))) for pair in pairs]
     out = np.zeros_like(amps)
-    scratch_a, scratch_b = np.empty((2, reach + 1), dtype=amps.dtype)
+    scratch = np.empty(reach + 1, dtype=amps.dtype)
+    scratch_real = scratch.view(real)
     src = amps[origin - k : origin + k + 1 : 2, DOWN], amps[origin - k : origin + k + 1 : 2, UP]
     for i in range(n):
         # The coin acts at the pre-shift position; then DOWN slides one site
@@ -299,17 +327,24 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         m0, p = divmod(n - 1 - i, 2)
         tk, rk = t[p][m0 : m0 + k + 1], r[p][m0 : m0 + k + 1]
         d, u = src
-        a, b = scratch_a[: k + 1], scratch_b[: k + 1]
+        b = scratch[: k + 1]
         if i < n - 1:
-            down_row, up_row = buffers[i % 2]
+            (down_row, up_row), (down_real, up_real) = buffers[i % 2]
             down, up = down_row[: k + 1], up_row[1 : k + 2]
+            sum_down, sum_up, sum_b = down_real[: 2 * k + 2], up_real[2 : 2 * k + 4], scratch_real[: 2 * k + 2]
             src = down_row[: k + 2], up_row[: k + 2]
         else:
+            # Stride-2 columns of the returned table: the sums stay complex.
             lo, hi = origin - k, origin + k + 1
             down, up = out[lo - 1 : hi - 1 : 2, DOWN], out[lo + 1 : hi + 1 : 2, UP]
+            sum_down, sum_up, sum_b = down, up, b
         # down = tk * d + rk * u and up = rk * d - tk * u.
-        np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=down)
-        np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=up)
+        np.multiply(tk, d, down)
+        np.multiply(rk, u, b)
+        np.add(sum_down, sum_b, sum_down)
+        np.multiply(rk, d, up)
+        np.multiply(tk, u, b)
+        np.subtract(sum_up, sum_b, sum_up)
     return WalkState(
         amplitudes=out,
         origin_offset=state.origin_offset,

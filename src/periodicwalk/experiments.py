@@ -22,6 +22,7 @@ from .observables import distribution, moments
 __all__ = [
     "DEFAULT_STEPS",
     "Q1_LAW_RESIDUAL_CEILING",
+    "Q2_LAW_RESIDUAL_CEILING",
     "Q2_LAZY_SPREAD_CEILING",
     "R_SQUARED_INVERSE_PERIOD_MIN",
     "R_SQUARED_STEPS_TREND_MIN",
@@ -49,6 +50,12 @@ R_SQUARED_INVERSE_PERIOD_MIN = 0.90
 #: over theta in (0, 2*pi) at pi/24 spacing.  Measured max 5.9e-5; the
 #: ceiling leaves headroom without masking regressions.
 Q1_LAW_RESIDUAL_CEILING = 2.0e-4
+
+#: Ceiling on |sigma^2/N^2 - (1 - max(|cos theta|, 1/sqrt 2))| for period 2
+#: at N = 400, over 61 evenly spaced theta in [0.05, 2*pi - 0.05].  Measured
+#: max 7.5e-5; the slowest convergence is next to the kinks at pi/4 + n*pi/2.
+#: Headroom as above.
+Q2_LAW_RESIDUAL_CEILING = 2.5e-4
 
 #: Ceiling on the relative spread (max - min) / mean of sigma for period 2
 #: over theta in [pi/4, 3*pi/4] at N = 100, where the walk is lazy and

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOWN, UP, WalkState
+from .core import _SQRT_HALF, DOWN, UP, WalkState
 
 __all__ = [
     "Distribution",
@@ -15,6 +15,7 @@ __all__ = [
     "distribution",
     "moments",
     "q1_law",
+    "q2_law",
     "symmetry_residual",
 ]
 
@@ -80,6 +81,16 @@ def q1_law(theta: float, n_steps: int) -> float:
     theta = 0 or pi where the walker is trapped near the origin.
     """
     return math.sqrt(1.0 - abs(math.cos(theta))) * n_steps
+
+
+def q2_law(theta: float, n_steps: int) -> float:
+    """Closed-form spread prediction sqrt(1 - max(|cos theta|, 1/sqrt 2)) * n_steps.
+
+    Valid for period 2 in the large-step regime.  Where |cos theta| >=
+    1/sqrt 2 it is ``q1_law``; on [pi/4, 3 pi/4] and its shifts by pi the
+    walk is lazy: it spreads like the Hadamard walk whatever theta is.
+    """
+    return math.sqrt(1.0 - max(abs(math.cos(theta)), _SQRT_HALF)) * n_steps
 
 
 def symmetry_residual(dist: Distribution) -> float:

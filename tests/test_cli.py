@@ -147,6 +147,18 @@ def test_oversized_inputs_are_usage_errors(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_parser_is_reused_across_calls_and_after_a_usage_error():
+    # The parser tree is built once per process; a parse that fails midway
+    # must leave nothing behind for the next one.
+    with pytest.raises(UsageError):
+        parse_args(["simulate", "--q", "4", "--theta", "1", "--theta-pi", "1"])
+    config = parse_args(["simulate", "--q", "4", "--theta-pi", "0.25"])
+    assert (config.q, config.steps, config.out) == (4, 200, Path("simulate.csv"))
+    assert abs(config.theta - math.pi / 4) < 1e-15
+    config = parse_args(["sweep-period", "--theta", "1.0"])
+    assert (config.q, config.theta, config.steps) == (tuple(range(1, 11)), 1.0, 200)
+
+
 def test_run_simulate_outputs(tmp_path):
     out = tmp_path / "dist.csv"
     code = main(["simulate", "--q", "4", "--theta-pi", "0.16666666666666666", "--steps", "100", "--out", str(out)])

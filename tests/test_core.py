@@ -22,7 +22,7 @@ from periodicwalk import (
     scattering_coin,
     step,
 )
-from walkref import SQRT_HALF, hadamard_reference, max_amp_diff, random_walk_state
+from walkref import SQRT_HALF, hadamard_reference, max_amp_diff, random_walk_state, strided_parity_evolve
 
 
 def test_hadamard_coin_values():
@@ -238,6 +238,34 @@ def test_evolve_accepts_periods_beyond_int64(q):
     profile = PotentialProfile(q, 1.0)
     assert np.array_equal(evolve(start, profile, 10).amplitudes, expected)
     assert np.array_equal(evolve(evolve(start, profile, 4), profile, 6).amplitudes, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
+def test_coefficient_fill_for_every_period(n):
+    # evolve marks the scattering rows of each parity through a strided
+    # slice, with its own first row and stride for odd q, even q and the
+    # parity of the leftmost row.  Every period up to 2N + 3 passes the
+    # reach + 1 cap on q; the starts have even and odd steps_taken, and the
+    # splits put every step at the head of a call.
+    starts = (initial_state(n), random_walk_state(np.random.default_rng(n), capacity=3 + n, support_steps=3))
+    for q in [*range(1, 2 * n + 4), 2**62]:
+        profile = PotentialProfile(q, 1.0)
+        for start in starts:
+            expected = strided_parity_evolve(start, profile, n).amplitudes.tobytes()
+            for a in range(n + 1):
+                split = evolve(evolve(start, profile, a), profile, n - a)
+                assert split.amplitudes.tobytes() == expected, (q, start.steps_taken, a)
+
+
+@pytest.mark.parametrize("theta_pi", [0.16666666666666666, 4.166666666666667])
+def test_4000_step_walk_equals_strided_parity_kernel(theta_pi):
+    # The second angle leaves a band of subnormal amplitudes at the front of
+    # the walk (2168 subnormal components in the final table), which a walk
+    # of a few hundred steps never reaches.
+    profile = PotentialProfile(4, theta_pi * math.pi)
+    start = initial_state(4000)
+    expected = strided_parity_evolve(start, profile, 4000).amplitudes.tobytes()
+    assert evolve(start, profile, 4000).amplitudes.tobytes() == expected
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from periodicwalk import PotentialProfile, distribution, evolve, initial_state, moments
+from periodicwalk import PotentialProfile, distribution, evolve, initial_state, moments, q2_law
 from periodicwalk.experiments import (
     Q1_LAW_RESIDUAL_CEILING,
+    Q2_LAW_RESIDUAL_CEILING,
     Q2_LAZY_SPREAD_CEILING,
     R_SQUARED_INVERSE_PERIOD_MIN,
     check_q1_closed_form,
@@ -160,6 +161,14 @@ def test_q1_and_q2_nearly_equal_below_quarter_pi():
     rel = np.abs(sigma1 - sigma2) / np.maximum(sigma1, sigma2)
     # frozen: measured max 1.8e-3 at N = 200 on this grid
     assert rel.max() < 5e-3
+
+
+def test_q2_law_residual_below_frozen_ceiling():
+    grid = np.linspace(0.05, 2 * math.pi - 0.05, 61)
+    n = 400
+    sigma2_over_n2 = (sweep_sigma_vs_theta(2, grid, n).sigma / n) ** 2
+    law = np.array([(q2_law(theta, n) / n) ** 2 for theta in grid])
+    assert np.abs(sigma2_over_n2 - law).max() < Q2_LAW_RESIDUAL_CEILING
 
 
 def test_q2_lazy_spread_below_ceiling():

@@ -13,6 +13,7 @@ from periodicwalk import (
     initial_state,
     moments,
     q1_law,
+    q2_law,
     symmetry_residual,
 )
 from walkref import random_walk_state
@@ -122,6 +123,16 @@ def test_q1_law_values():
 @pytest.mark.parametrize("theta", [0.3, 1.1, 2.0, 2.9])
 def test_q1_law_mirror_symmetric(theta):
     assert abs(q1_law(theta, 77) - q1_law(2 * math.pi - theta, 77)) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, 2.5, math.pi, 3.5, 5.6])
+def test_q2_law_is_the_q1_law_outside_the_lazy_bands(theta):
+    assert q2_law(theta, 77) == q1_law(theta, 77)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 1.0, math.pi / 2, 2.2, 3 * math.pi / 4, 4.0, 5.3])
+def test_q2_law_is_the_hadamard_spread_inside_the_lazy_bands(theta):
+    assert q2_law(theta, 200) == q1_law(math.pi / 4, 200)
 
 
 def test_symmetry_residual_zero_for_symmetric_input():
