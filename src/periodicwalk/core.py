@@ -8,25 +8,17 @@ site the Hadamard coin.  ``q = 1`` makes every site a scatterer, and
 ``theta = pi/4`` makes the scattering coin coincide with Hadamard, so
 both limits reduce to familiar walks.
 
-Both coins are real matrices [[t, r], [r, -t]], so ``evolve`` keeps them
-as two per-row coefficient arrays t(x) and r(x), real values held as
-complex numbers and built once per call: filled with 1/sqrt 2, then the
-scattering rows, an arithmetic progression in each parity of x, set
-through one strided slice.  ``step`` is ``evolve`` for one step.
-
-Amplitudes live in a dense complex table allocated once for the longest
-walk a state will host; a walk of N steps never leaves [-N, N], so the
-table never needs to grow.  ``evolve`` only touches the live sites: after
-k steps amplitude sits only on x = -k, -k + 2, ..., k.  Between its first
-and last step it keeps those k + 1 sites packed, site j (x = -k + 2j) in
-column j of a contiguous DOWN row and UP row, alternating between two
-such buffers of its own, and reads t(x) and r(x) from contiguous arrays
-built per parity.  Only its first step reads the caller's table and only
-its last writes the returned one, each through stride-2 slices, so the
-caller's table is never written and a long walk allocates no memory per
-step.  Complex addition is componentwise, so the stencil's sums into the
-packed buffers run on float64 views of them; the last step's sums, into
-the stride-2 columns of the returned table, stay complex.
+Amplitudes live in a dense complex table, one (DOWN, UP) row per site,
+allocated once for the longest walk a state will host; a walk of N steps
+never leaves [-N, N], so the table never needs to grow.  After k steps
+amplitude sits only on the live sites x = -k, -k + 2, ..., k, and
+``evolve`` touches nothing else.  Both coins are real matrices
+[[t, r], [r, -t]], so ``evolve`` holds them as per-site coefficients t(x)
+and r(x), built once per call as one contiguous array per parity of x.
+Between its first and last step it keeps the k + 1 live sites packed,
+site j (x = -k + 2j) in column j of a contiguous DOWN row and UP row,
+alternating between two such buffers of its own.  ``step`` is ``evolve``
+for one step.
 """
 
 from __future__ import annotations
@@ -237,26 +229,12 @@ def step(state: WalkState, profile: PotentialProfile) -> WalkState:
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Apply ``n_steps`` steps and return the final state.
 
-    The coin coefficients t(x) and r(x), real values held as complex128,
-    are built once per call, over the rows |x| <= steps_taken + n_steps - 1
-    that the steps read, as one contiguous array per parity of x (one
-    parity only when n_steps is 1): 1/sqrt 2 everywhere, then sin and cos
-    theta written through one strided slice at the rows with x % q == 0.
-    The step from k to k + 1 steps reads only the live sites x = -k,
-    -k + 2, ..., k of its input (see ``WalkState``).  Steps alternate
-    between two zeroed buffers, allocated only when n_steps > 1, in which
-    live site j (x = -k + 2j) sits in column j of a DOWN row and an UP row;
-    the step from k writes DOWN to columns 0..k and UP to columns 1..k + 1,
-    so DOWN[k + 1] and UP[0] keep their zeros.  Each step writes one
-    product straight into its output row, the other into a scratch row,
-    and adds or subtracts the two; into the buffers those sums run on
-    float64 views, which give the same bytes as complex sums because
-    complex addition is componentwise.  The first step reads the input
-    table and the last step writes a fresh zeroed table, both through
-    stride-2 slices; float views of those would be strided 2-d arrays,
-    slower to sum than the complex columns, so the last step's sums stay
-    complex.  The input table is never written, and the returned table is
-    never shared with the input or with another call's result.
+    Reads only the live rows of ``state.amplitudes``, those with
+    |x| <= steps_taken and the parity of steps_taken (see ``WalkState``),
+    and writes only a fresh zeroed table of the same shape, which it
+    returns.  The input table is never written, and the returned table is
+    never shared with the input or with another call's result; only
+    ``n_steps == 0`` returns ``state`` itself.
 
     Identical inputs give bit-identical outputs: the kernel is pure numpy
     with a fixed operation order and no randomness.
@@ -307,18 +285,18 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
             coefficients[1, first::stride] = complex(profile.reflection)
         t.append(coefficients[0])
         r.append(coefficients[1])
-    # Every buffer row is held as a 1-d complex array and a float view of
-    # it, because slicing those costs less per step than slicing a 2-d
-    # block.  A float sum costs about a third of a complex one and gives the
-    # same bytes.  The products land in the output rows and one scratch row,
-    # so a step allocates nothing; a one-step call needs no buffers at all.
-    real = amps.real.dtype
+    # The buffers start zeroed: the step from k writes DOWN to columns 0..k
+    # and UP to 1..k + 1, and the next step reads columns 0..k + 1 of both.
+    # Each row is prebuilt as a 1-d array, because slicing those costs less
+    # per step than slicing a 2-d block or unpacking pairs[i % 2] (which won
+    # 0 and 2 of 14 alternating pairs at N = 200 and 4000).  The products
+    # land in the output rows and one scratch row, so a step allocates
+    # nothing; a one-step call needs no buffers at all.
     if n > 1:
         pairs = np.zeros((min(n - 1, 2), 2, k + n), dtype=amps.dtype)
-        buffers = [(tuple(pair), tuple(pair.view(real))) for pair in pairs]
+        buffers = [tuple(pair) for pair in pairs]
     out = np.zeros_like(amps)
     scratch = np.empty(reach + 1, dtype=amps.dtype)
-    scratch_real = scratch.view(real)
     src = amps[origin - k : origin + k + 1 : 2, DOWN], amps[origin - k : origin + k + 1 : 2, UP]
     for i in range(n):
         # The coin acts at the pre-shift position; then DOWN slides one site
@@ -329,22 +307,21 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         d, u = src
         b = scratch[: k + 1]
         if i < n - 1:
-            (down_row, up_row), (down_real, up_real) = buffers[i % 2]
+            down_row, up_row = buffers[i % 2]
             down, up = down_row[: k + 1], up_row[1 : k + 2]
-            sum_down, sum_up, sum_b = down_real[: 2 * k + 2], up_real[2 : 2 * k + 4], scratch_real[: 2 * k + 2]
             src = down_row[: k + 2], up_row[: k + 2]
         else:
-            # Stride-2 columns of the returned table: the sums stay complex.
+            # Straight into the stride-2 columns of the returned table: a
+            # step into a buffer and a copy-out nearly doubled a one-step call.
             lo, hi = origin - k, origin + k + 1
             down, up = out[lo - 1 : hi - 1 : 2, DOWN], out[lo + 1 : hi + 1 : 2, UP]
-            sum_down, sum_up, sum_b = down, up, b
         # down = tk * d + rk * u and up = rk * d - tk * u.
         np.multiply(tk, d, down)
         np.multiply(rk, u, b)
-        np.add(sum_down, sum_b, sum_down)
+        np.add(down, b, down)
         np.multiply(rk, d, up)
         np.multiply(tk, u, b)
-        np.subtract(sum_up, sum_b, sum_up)
+        np.subtract(up, b, up)
     return WalkState(
         amplitudes=out,
         origin_offset=state.origin_offset,

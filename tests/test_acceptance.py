@@ -30,6 +30,8 @@ from periodicwalk.cli import EXIT_OK, main
 from periodicwalk.experiments import (
     Q1_LAW_RESIDUAL_CEILING,
     Q2_LAZY_SPREAD_CEILING,
+    R_SQUARED_INVERSE_PERIOD_MIN,
+    R_SQUARED_STEPS_TREND_MIN,
     check_q1_closed_form,
     linear_fit,
     relative_spread,
@@ -179,11 +181,11 @@ def test_criterion_07_linear_growth_fits():
         sweep = sweep_sigma_vs_steps(q, theta, ns)
         fit = linear_fit(sweep.independent, sweep.sigma)
         results[label] = fit.r_squared
-        ok = ok and fit.r_squared >= 0.99
+        ok = ok and fit.r_squared >= R_SQUARED_STEPS_TREND_MIN
     report(
         "criterion-07 linear-sigma-growth",
         ok,
-        "r^2 " + ", ".join(f"{k}: {v:.5f}" for k, v in results.items()) + " (>=0.99)",
+        "r^2 " + ", ".join(f"{k}: {v:.5f}" for k, v in results.items()) + f" (>={R_SQUARED_STEPS_TREND_MIN})",
     )
 
 
@@ -193,17 +195,17 @@ def test_criterion_08_inverse_period_trends():
     for theta in (math.pi / 12, math.pi / 6, math.pi / 5):
         sweep = sweep_sigma_vs_inverse_period(theta, list(range(2, 11)), 200)
         fit = linear_fit(sweep.independent, sweep.sigma)
-        ok = ok and fit.slope < 0 and fit.r_squared >= 0.9
+        ok = ok and fit.slope < 0 and fit.r_squared >= R_SQUARED_INVERSE_PERIOD_MIN
         details.append(f"theta={theta / math.pi:.3f}pi slope={fit.slope:.1f} r2={fit.r_squared:.3f}")
     for theta in (math.pi / 4 + math.pi / 24, math.pi / 3, 5 * math.pi / 12):
         sweep = sweep_sigma_vs_inverse_period(theta, list(range(1, 11)), 200)
         fit = linear_fit(sweep.independent, sweep.sigma)
-        ok = ok and fit.slope > 0 and fit.r_squared >= 0.9
+        ok = ok and fit.slope > 0 and fit.r_squared >= R_SQUARED_INVERSE_PERIOD_MIN
         details.append(f"theta={theta / math.pi:.3f}pi slope={fit.slope:.1f} r2={fit.r_squared:.3f}")
     report(
         "criterion-08 inverse-period-trends",
         ok,
-        "; ".join(details) + " (sign as named, r^2>=0.9)",
+        "; ".join(details) + f" (sign as named, r^2>={R_SQUARED_INVERSE_PERIOD_MIN})",
     )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import periodicwalk.core as core
+import periodicwalk.experiments as experiments
 from periodicwalk.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -249,6 +250,17 @@ def test_manifest_records_the_inputs_once(argv, tmp_path):
     assert manifest["command"] == argv[0]
     assert set(manifest["config"]) == {"q", "theta", "steps", "out"}
     assert manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_manifest_records_every_frozen_threshold(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--q", "2", "--theta", "0.9", "--steps", "4", "--out", str(out)]) == EXIT_OK
+    thresholds = json.loads((tmp_path / "t.csv.manifest.json").read_text())["thresholds"]
+    frozen = [name for name in experiments.__all__ if name.endswith(("_CEILING", "_MIN"))]
+    assert frozen
+    for name in frozen:
+        assert thresholds[name.lower()] == getattr(experiments, name)
+    assert thresholds["norm_drift_tol"] == core.NORM_DRIFT_TOL
 
 
 def _cell_text(value) -> str:

@@ -87,3 +87,18 @@ def test_agreement_with_second_independent_reference():
     keys = set(reference.amplitudes) | set(hadamard)
     worst = max(abs(reference.amplitude(x, c) - hadamard.get((x, c), 0j)) for x, c in keys)
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("theta", [math.pi / 6, 2.0])
+def test_evolve_equals_oracle_at_its_cap(q, theta):
+    # The hypothesis property stops at 100 steps; this runs the longest walk
+    # the oracle allows.  Both add the same two products per cell, so the
+    # amplitudes are equal, not close.
+    profile = PotentialProfile(q, theta)
+    start = initial_state(MAX_ORACLE_STEPS)
+    walked = evolve(start, profile, MAX_ORACLE_STEPS)
+    expanded = np.zeros_like(walked.amplitudes)
+    for (x, c), amplitude in path_sum_evolve(start, profile, MAX_ORACLE_STEPS).amplitudes.items():
+        expanded[x + walked.origin_offset, c] = amplitude
+    assert np.array_equal(walked.amplitudes, expanded)
