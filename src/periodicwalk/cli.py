@@ -354,11 +354,11 @@ def _write_manifest(path: Path, config: RunConfig, elapsed: float, n_rows: int, 
         },
         "thresholds": {
             "norm_drift_tol": NORM_DRIFT_TOL,
-            "r_squared_steps_trend_min": experiments.R_SQUARED_STEPS_TREND_MIN,
-            "r_squared_inverse_period_min": experiments.R_SQUARED_INVERSE_PERIOD_MIN,
-            "q1_law_residual_ceiling": experiments.Q1_LAW_RESIDUAL_CEILING,
-            "q2_law_residual_ceiling": experiments.Q2_LAW_RESIDUAL_CEILING,
-            "q2_lazy_spread_ceiling": experiments.Q2_LAZY_SPREAD_CEILING,
+            **{
+                name.lower(): getattr(experiments, name)
+                for name in experiments.__all__
+                if name.endswith(("_CEILING", "_MIN"))
+            },
         },
         "rows": n_rows,
         "csv_sha256": csv_sha256,

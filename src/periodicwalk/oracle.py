@@ -8,20 +8,21 @@ the path sum without the exponential blowup per path: step k touches at
 most 2(k + 1) cells, and an N-step walk costs O(N^2) dict operations
 (about 55 ms at N = 200 on a 2-vCPU Xeon VM).  It shares no array code
 with the dense kernel, which makes it a genuinely independent
-cross-check.
+cross-check.  The expanded cells come back as a ``WalkState`` with the
+input's table shape, so they compare with ``evolve`` table to table; a
+cell that would land outside that table raises ``CapacityError``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOWN, UP, CoinDirection, PotentialProfile, WalkState
-from .core import hadamard_coin, is_scattering_site, scattering_coin
+from .core import DOWN, UP, CapacityError, CoinDirection, PotentialProfile, WalkState
+from .core import _whole, hadamard_coin, is_scattering_site, scattering_coin
 
-__all__ = ["MAX_ORACLE_STEPS", "PathSumResult", "path_sum_evolve"]
+__all__ = ["MAX_ORACLE_STEPS", "path_sum_evolve"]
 
 #: Longest oracle walk.  The cost is O(N^2) dict operations, so this is a
 #: bound on run time, not on what the expansion can reach; beyond it the
@@ -29,37 +30,7 @@ __all__ = ["MAX_ORACLE_STEPS", "PathSumResult", "path_sum_evolve"]
 MAX_ORACLE_STEPS = 200
 
 
-@dataclass(frozen=True)
-class PathSumResult:
-    """Sparse amplitude map produced by the reference evolution.
-
-    ``amplitudes`` maps (position, CoinDirection) to a complex amplitude;
-    absent keys are zero.  ``n_steps`` is the number of steps this call
-    applied on top of the supplied initial state.
-    """
-
-    amplitudes: dict[tuple[int, CoinDirection], complex]
-    n_steps: int
-
-    def amplitude(self, x: int, direction: CoinDirection) -> complex:
-        """Amplitude at (x, direction), zero if the cell never received weight."""
-        return self.amplitudes.get((int(x), CoinDirection(direction)), 0j)
-
-    def norm(self) -> float:
-        """l2 norm over all stored cells."""
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
-
-
-def _seed(initial: WalkState) -> dict[tuple[int, CoinDirection], complex]:
-    amps: dict[tuple[int, CoinDirection], complex] = {}
-    rows, cols = np.nonzero(initial.amplitudes)
-    for i, c in zip(rows, cols):
-        x = int(i) - initial.origin_offset
-        amps[(x, CoinDirection(int(c)))] = complex(initial.amplitudes[i, c])
-    return amps
-
-
-def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int) -> PathSumResult:
+def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Evolve ``initial`` by explicit branch expansion.
 
     Each step replaces the amplitude a at (x, c) by two contributions:
@@ -68,20 +39,28 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
     in content to enumerating all 2^n_steps coin-flip paths and summing
     their amplitude products by endpoint.
 
+    Every non-zero cell of ``initial`` is expanded, whatever its support
+    bound, into a fresh ``WalkState`` of the same shape and origin,
+    ``n_steps`` steps further on.
+
     Raises
     ------
     ValueError
-        If n_steps is negative or exceeds MAX_ORACLE_STEPS.
+        If n_steps is not a whole number in 0..MAX_ORACLE_STEPS.
+    CapacityError
+        If a cell lands outside the table.
     """
-    n = int(n_steps)
-    if n != n_steps or n < 0:
-        raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
+    n = _whole(n_steps, "n_steps", 0)
     if n > MAX_ORACLE_STEPS:
         raise ValueError(f"oracle is capped at {MAX_ORACLE_STEPS} steps, got {n}")
 
     # Python-complex coin entries, indexed [is scattering site][row][column].
     coins = (hadamard_coin().tolist(), scattering_coin(profile.theta).tolist())
-    amps = _seed(initial)
+    table, origin = initial.amplitudes, initial.origin_offset
+    amps = {
+        (int(i) - origin, CoinDirection(int(c))): complex(table[i, c])
+        for i, c in np.argwhere(table)
+    }
     for _ in range(n):
         nxt: defaultdict[tuple[int, CoinDirection], complex] = defaultdict(complex)
         for (x, c), a in amps.items():
@@ -89,4 +68,9 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
             nxt[(x - 1, DOWN)] += a * m[DOWN][c]
             nxt[(x + 1, UP)] += a * m[UP][c]
         amps = dict(nxt)
-    return PathSumResult(amplitudes=amps, n_steps=n)
+    out = np.zeros_like(table)
+    for (x, c), a in amps.items():
+        if not 0 <= x + origin < out.shape[0]:
+            raise CapacityError(f"the walk reaches x = {x}, outside capacity {initial.capacity}")
+        out[x + origin, c] = a
+    return WalkState(amplitudes=out, origin_offset=origin, steps_taken=initial.steps_taken + n)

@@ -56,19 +56,19 @@ def test_scattering_coin_unitary_for_any_angle(k):
     assert np.allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_scattering_coin_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
         scattering_coin(bad)
 
 
-@pytest.mark.parametrize("bad_q", [0, -1, -7, 1.5])
+@pytest.mark.parametrize("bad_q", [0, -1, -7, 1.5, math.inf, math.nan])
 def test_profile_rejects_bad_period(bad_q):
     with pytest.raises(ValueError):
         PotentialProfile(bad_q, 0.3)
 
 
-@pytest.mark.parametrize("bad_theta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad_theta", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_profile_rejects_nonfinite_theta(bad_theta):
     with pytest.raises(ValueError):
         PotentialProfile(2, bad_theta)
@@ -118,7 +118,7 @@ def test_initial_state_contents():
     assert abs(state.norm() - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, math.inf])
 def test_initial_state_rejects_bad_capacity(bad):
     with pytest.raises(ValueError):
         initial_state(bad)
@@ -135,6 +135,12 @@ def test_point_state_contents():
 def test_point_state_rejects_position_outside_capacity():
     with pytest.raises(ValueError):
         point_state(7, DOWN, 6)
+
+
+@pytest.mark.parametrize("position,capacity", [(2.5, 5), (0, math.inf)])
+def test_point_state_rejects_fractional_or_infinite_arguments(position, capacity):
+    with pytest.raises(ValueError):
+        point_state(position, UP, capacity)
 
 
 def test_amplitude_outside_table_is_zero():
@@ -180,9 +186,10 @@ def test_evolve_capacity_checked_up_front():
         evolve(initial_state(3), profile, 4)
 
 
-def test_evolve_rejects_negative_steps():
+@pytest.mark.parametrize("bad", [-1, 1.5, math.inf])
+def test_evolve_rejects_negative_steps(bad):
     with pytest.raises(ValueError):
-        evolve(initial_state(3), PotentialProfile(1, 0.4), -1)
+        evolve(initial_state(3), PotentialProfile(1, 0.4), bad)
 
 
 def test_evolve_rejects_negative_steps_taken():

@@ -93,10 +93,9 @@ def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction):
     starts = (initial_state(max(n, 1)), point_state(position, direction, abs(position) + max(n, 1)))
     for start in starts:
         walked = evolve(start, profile, n)
-        expanded = np.zeros_like(walked.amplitudes)
-        for (x, c), amplitude in path_sum_evolve(start, profile, n).amplitudes.items():
-            expanded[x + walked.origin_offset, c] = amplitude
-        assert np.array_equal(walked.amplitudes, expanded)
+        expanded = path_sum_evolve(start, profile, n)
+        assert np.array_equal(walked.amplitudes, expanded.amplitudes)
+        assert walked.steps_taken == expanded.steps_taken
 
 
 #: Largest |P(x) at theta - P(x) at theta + 2 pi| allowed.  sin and cos of the
