@@ -10,52 +10,9 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .core import (
-    NORM_DRIFT_TOL,
-    CapacityError,
-    CoinDirection,
-    DOWN,
-    NormDriftError,
-    PotentialProfile,
-    UP,
-    WalkState,
-    check_norm,
-    evolve,
-    hadamard_coin,
-    initial_state,
-    is_scattering_site,
-    point_state,
-    scattering_coin,
-    step,
-)
-from .observables import Distribution, Moments, distribution, moments, q1_law, q2_law, symmetry_residual
-from .oracle import MAX_ORACLE_STEPS, path_sum_evolve
+from . import core, observables, oracle
+from .core import *  # noqa: F403
+from .observables import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "NORM_DRIFT_TOL",
-    "MAX_ORACLE_STEPS",
-    "CapacityError",
-    "CoinDirection",
-    "DOWN",
-    "Distribution",
-    "Moments",
-    "NormDriftError",
-    "PotentialProfile",
-    "UP",
-    "WalkState",
-    "check_norm",
-    "distribution",
-    "evolve",
-    "hadamard_coin",
-    "initial_state",
-    "is_scattering_site",
-    "moments",
-    "path_sum_evolve",
-    "point_state",
-    "q1_law",
-    "q2_law",
-    "scattering_coin",
-    "step",
-    "symmetry_residual",
-]
+__all__ = ["__version__", *core.__all__, *observables.__all__, *oracle.__all__]

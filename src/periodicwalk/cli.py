@@ -382,19 +382,22 @@ def run(config: RunConfig) -> int:
         return EXIT_INVARIANT
     elapsed = time.perf_counter() - started
     # Both files are written to temporaries beside their targets and moved
-    # into place only once both writes succeed: the manifest first, the CSV
-    # last, so a failed run leaves no new CSV without its manifest.
+    # into place only once both writes succeed, the manifest first and the
+    # CSV last.  If a move fails, the targets already moved are removed too,
+    # so a failed run leaves neither file without the other.
     manifest = Path(f"{config.out}.manifest.json")
     temporaries = {target: Path(f"{target}.{os.getpid()}.tmp") for target in (manifest, config.out)}
+    moved = []
     try:
         csv_sha256 = _write_csv(temporaries[config.out], entry.header, rows)
         _write_manifest(temporaries[manifest], config, elapsed, n_rows=len(rows), csv_sha256=csv_sha256)
         for target, temporary in temporaries.items():
             os.replace(temporary, target)
+            moved.append(target)
     except OSError as exc:
-        for temporary in temporaries.values():
+        for path in [*temporaries.values(), *moved]:
             with contextlib.suppress(OSError):
-                temporary.unlink()
+                path.unlink()
         print(f"periodicwalk: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

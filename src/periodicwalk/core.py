@@ -40,11 +40,8 @@ __all__ = [
     "WalkState",
     "check_norm",
     "evolve",
-    "hadamard_coin",
     "initial_state",
-    "is_scattering_site",
     "point_state",
-    "scattering_coin",
     "step",
 ]
 
@@ -96,36 +93,14 @@ DOWN = CoinDirection.DOWN
 UP = CoinDirection.UP
 
 
-def hadamard_coin() -> np.ndarray:
-    """Return the Hadamard coin as a 2x2 complex matrix in (DOWN, UP) order.
-
-    H = (1/sqrt 2) [[1, 1], [1, -1]].
-    """
-    h = _SQRT_HALF
-    return np.array([[h, h], [h, -h]], dtype=np.complex128)
-
-
-def scattering_coin(theta: float) -> np.ndarray:
-    """Return the scattering coin C(theta) as a 2x2 complex matrix.
-
-    C(theta) = [[sin theta, cos theta], [cos theta, -sin theta]] in
-    (DOWN, UP) order: sin(theta) is the transmission amplitude and
-    cos(theta) the reflection amplitude, so theta = pi/2 transmits
-    perfectly and theta = 0 reflects perfectly.  theta is used as given,
-    with no range reduction, and must be finite.
-    """
-    theta = _finite(theta, "theta")
-    t = math.sin(theta)
-    r = math.cos(theta)
-    return np.array([[t, r], [r, -t]], dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class PotentialProfile:
     """Periodic arrangement of coins: C(theta) wherever x % q == 0, Hadamard elsewhere.
 
-    The origin is always a scattering site.  Negative positions follow
-    mathematical modulo, so x = -q, -2q, ... are scattering sites too.
+    C(theta) = [[sin theta, cos theta], [cos theta, -sin theta]] in (DOWN,
+    UP) order; theta is used as given, with no range reduction, and must be
+    finite.  The origin is always a scattering site.  Negative positions
+    follow mathematical modulo, so x = -q, -2q, ... are scattering sites too.
     """
 
     period_q: int
@@ -144,11 +119,6 @@ class PotentialProfile:
     def reflection(self) -> float:
         """Amplitude for bouncing back at a scattering site, cos(theta)."""
         return math.cos(self.theta)
-
-
-def is_scattering_site(profile: PotentialProfile, x) -> bool | np.ndarray:
-    """True where x is an integer multiple of the period.  Accepts scalars or arrays."""
-    return x % profile.period_q == 0
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import PotentialProfile, WalkState, check_norm, evolve, initial_state, step
+from .core import PotentialProfile, WalkState, _whole, check_norm, evolve, initial_state, step
 from .observables import distribution, moments
 
 __all__ = [
@@ -140,8 +140,9 @@ def _sigma(state: WalkState) -> float:
 
 
 def _sigmas_after(profiles: Iterable[PotentialProfile], n_steps: int) -> np.ndarray:
-    """sigma after n_steps from the origin, one per profile; ``initial_state`` validates n_steps."""
-    return np.array([_sigma(evolve(initial_state(n_steps), p, n_steps)) for p in profiles])
+    """sigma after n_steps from the origin, one per profile."""
+    n = _whole(n_steps, "n_steps", 1)
+    return np.array([_sigma(evolve(initial_state(n), p, n)) for p in profiles])
 
 
 def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> SweepResult:
@@ -151,12 +152,10 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> Sweep
     costs one walk of max(n_values) steps.
     """
     grid = _grid(n_values, "n_values")
-    ns = grid.tolist()
+    ns = [_whole(n, "n_values", 1) for n in grid.tolist()]
     profile = PotentialProfile(q, theta)
     state = initial_state(max(ns))
     wanted = set(ns)
-    if not wanted <= set(range(1, state.capacity + 1)):
-        raise ValueError("every entry of n_values must be an integer >= 1")
     sigma_at: dict[int, float] = {}
     for k in range(1, state.capacity + 1):
         state = step(state, profile)
@@ -193,8 +192,7 @@ def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawChec
     residuals that say nothing about correctness; n_steps below 100 is
     rejected outright.
     """
-    if n_steps < 100:
-        raise ValueError(f"closed-form comparison needs n_steps >= 100, got {n_steps!r}")
+    n_steps = _whole(n_steps, "n_steps", 100)
     thetas = _grid(theta_grid, "theta_grid")
     # The walks run here, not through sweep_sigma_vs_theta, so that a trace
     # shows this check as the direct caller of every evolve.
@@ -215,4 +213,6 @@ def relative_spread(sigma: Sequence[float]) -> float:
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("sigma must be a non-empty 1-D sequence")
+    if not np.all(s > 0):
+        raise ValueError("every entry of sigma must be > 0")
     return float((s.max() - s.min()) / s.mean())

@@ -7,10 +7,11 @@ of the 2^N path expansion, just grouped by endpoint, so the result is
 the path sum without the exponential blowup per path: step k touches at
 most 2(k + 1) cells, and an N-step walk costs O(N^2) dict operations
 (about 55 ms at N = 200 on a 2-vCPU Xeon VM).  It shares no array code
-with the dense kernel, which makes it a genuinely independent
-cross-check.  The expanded cells come back as a ``WalkState`` with the
-input's table shape, so they compare with ``evolve`` table to table; a
-cell that would land outside that table raises ``CapacityError``.
+with the dense kernel and builds its own Hadamard and C(theta) entries
+from the profile, which makes it a genuinely independent cross-check.
+The expanded cells come back as a ``WalkState`` with the input's table
+shape, so they compare with ``evolve`` table to table; a cell that would
+land outside that table raises ``CapacityError``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import DOWN, UP, CapacityError, CoinDirection, PotentialProfile, WalkState
-from .core import _whole, hadamard_coin, is_scattering_site, scattering_coin
+from .core import DOWN, UP, CapacityError, CoinDirection, PotentialProfile, WalkState, _SQRT_HALF, _whole
 
 __all__ = ["MAX_ORACLE_STEPS", "path_sum_evolve"]
 
@@ -54,8 +54,13 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
     if n > MAX_ORACLE_STEPS:
         raise ValueError(f"oracle is capped at {MAX_ORACLE_STEPS} steps, got {n}")
 
-    # Python-complex coin entries, indexed [is scattering site][row][column].
-    coins = (hadamard_coin().tolist(), scattering_coin(profile.theta).tolist())
+    # Python-complex coin entries, indexed [x % q == 0][row][column]: the
+    # Hadamard coin, then C(theta).  Both have the form [[a, b], [b, -a]].
+    coins = [
+        [[complex(a), complex(b)], [complex(b), complex(-a)]]
+        for a, b in ((_SQRT_HALF, _SQRT_HALF), (profile.transmission, profile.reflection))
+    ]
+    q = profile.period_q
     table, origin = initial.amplitudes, initial.origin_offset
     amps = {
         (int(i) - origin, CoinDirection(int(c))): complex(table[i, c])
@@ -64,7 +69,7 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
     for _ in range(n):
         nxt: defaultdict[tuple[int, CoinDirection], complex] = defaultdict(complex)
         for (x, c), a in amps.items():
-            m = coins[is_scattering_site(profile, x)]
+            m = coins[x % q == 0]
             nxt[(x - 1, DOWN)] += a * m[DOWN][c]
             nxt[(x + 1, UP)] += a * m[UP][c]
         amps = dict(nxt)

@@ -312,15 +312,16 @@ def test_exit_code_io_error(tmp_path):
     assert code == EXIT_IO
 
 
-def test_failed_manifest_write_leaves_no_csv(tmp_path, capsys):
-    # the manifest path is a directory, so the manifest cannot be written
+@pytest.mark.parametrize("blocked", ["x.csv.manifest.json", "x.csv"])
+def test_failed_manifest_write_leaves_no_csv(tmp_path, capsys, blocked):
+    # a directory stands at one target, so that file cannot be moved into
+    # place; the other file must not be left behind either
     out = tmp_path / "x.csv"
-    (tmp_path / "x.csv.manifest.json").mkdir()
+    (tmp_path / blocked).mkdir()
     code = main(["simulate", "--q", "1", "--theta", "1", "--steps", "5", "--out", str(out)])
     assert code == EXIT_IO
     assert capsys.readouterr().err.startswith("periodicwalk: i/o error: ")
-    assert not out.exists()
-    assert [path.name for path in tmp_path.iterdir()] == ["x.csv.manifest.json"]
+    assert [path.name for path in tmp_path.iterdir()] == [blocked]
 
 
 def test_exit_code_invariant_violation(tmp_path, monkeypatch):

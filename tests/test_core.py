@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import periodicwalk
 from periodicwalk import (
     DOWN,
     UP,
@@ -15,51 +16,71 @@ from periodicwalk import (
     WalkState,
     check_norm,
     evolve,
-    hadamard_coin,
     initial_state,
-    is_scattering_site,
+    path_sum_evolve,
     point_state,
-    scattering_coin,
     step,
 )
 from walkref import SQRT_HALF, hadamard_reference, max_amp_diff, random_walk_state, strided_parity_evolve
 
 
+def coin_matrix(t, r):
+    """[[t, r], [r, -t]] in (DOWN, UP) order, the form of both coins."""
+    return np.array([[t, r], [r, -t]])
+
+
+HADAMARD = coin_matrix(SQRT_HALF, SQRT_HALF)
+
+#: The kernel and the branch-expansion oracle each build their own coins.
+WALKS = (evolve, path_sum_evolve)
+
+
+def site_coin(walk, profile, x):
+    """The coin that ``walk`` applies at site x, read off one step.
+
+    Column c is the step from unit amplitude on (x, c): its DOWN row is the
+    amplitude landing on (x - 1, DOWN), its UP row the one on (x + 1, UP).
+    """
+    columns = []
+    for c in (DOWN, UP):
+        after = walk(point_state(x, c, abs(x) + 1), profile, 1)
+        columns.append([after.amplitude(x - 1, DOWN), after.amplitude(x + 1, UP)])
+    return np.array(columns).T
+
+
 def test_hadamard_coin_values():
-    h = hadamard_coin()
-    expected = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-    assert h.shape == (2, 2)
-    assert h.dtype == np.complex128
-    assert np.allclose(h, expected, atol=1e-15)
+    for walk in WALKS:
+        assert np.allclose(site_coin(walk, PotentialProfile(4, 0.3), 1), HADAMARD, atol=1e-15)
 
 
 def test_hadamard_coin_is_unitary_and_involutive():
-    h = hadamard_coin()
-    assert np.allclose(h @ h.conj().T, np.eye(2), atol=1e-12)
-    assert np.allclose(h @ h, np.eye(2), atol=1e-15)
+    for walk in WALKS:
+        h = site_coin(walk, PotentialProfile(4, 0.3), 1)
+        assert np.allclose(h @ h.conj().T, np.eye(2), atol=1e-12)
+        assert np.allclose(h @ h, np.eye(2), atol=1e-15)
 
 
 def test_scattering_coin_quarter_pi_matches_hadamard():
-    assert np.allclose(scattering_coin(math.pi / 4), hadamard_coin(), atol=1e-15)
+    for walk in WALKS:
+        assert np.allclose(site_coin(walk, PotentialProfile(4, math.pi / 4), 0), HADAMARD, atol=1e-15)
 
 
 def test_scattering_coin_special_angles():
-    free = scattering_coin(math.pi / 2)
-    assert np.allclose(free, np.diag([1.0, -1.0]), atol=1e-15)
-    mirror = scattering_coin(0.0)
-    assert np.allclose(mirror, np.array([[0, 1], [1, 0]]), atol=1e-15)
+    for walk in WALKS:
+        free = site_coin(walk, PotentialProfile(1, math.pi / 2), 0)
+        assert np.allclose(free, np.diag([1.0, -1.0]), atol=1e-15)
+        mirror = site_coin(walk, PotentialProfile(1, 0.0), 0)
+        assert np.allclose(mirror, np.array([[0, 1], [1, 0]]), atol=1e-15)
 
 
-@pytest.mark.parametrize("k", range(-12, 37))
-def test_scattering_coin_unitary_for_any_angle(k):
-    c = scattering_coin(k * math.pi / 12)
+@pytest.mark.parametrize(
+    "walk,k",
+    [pytest.param(evolve, k, id=str(k)) for k in range(-12, 37)]
+    + [pytest.param(path_sum_evolve, k, id=f"oracle-{k}") for k in range(-12, 37)],
+)
+def test_scattering_coin_unitary_for_any_angle(walk, k):
+    c = site_coin(walk, PotentialProfile(1, k * math.pi / 12), 0)
     assert np.allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
-def test_scattering_coin_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        scattering_coin(bad)
 
 
 @pytest.mark.parametrize("bad_q", [0, -1, -7, 1.5, math.inf, math.nan])
@@ -89,22 +110,34 @@ def test_profile_amplitudes_square_to_one(theta):
 
 def test_is_scattering_site_period_four():
     profile = PotentialProfile(4, 0.3)
-    for x in (0, 4, 8, -4, -8, 12):
-        assert is_scattering_site(profile, x)
-    for x in (1, -1, 2, -2, 3, -3, 5):
-        assert not is_scattering_site(profile, x)
+    scattering = coin_matrix(math.sin(0.3), math.cos(0.3))
+    for walk in WALKS:
+        for x in (0, 4, 8, -4, -8, 12):
+            assert np.array_equal(site_coin(walk, profile, x), scattering)
+        for x in (1, -1, 2, -2, 3, -3, 5):
+            assert np.array_equal(site_coin(walk, profile, x), HADAMARD)
 
 
 def test_is_scattering_site_period_one_everywhere():
     profile = PotentialProfile(1, 0.3)
-    assert all(is_scattering_site(profile, x) for x in range(-5, 6))
+    scattering = coin_matrix(math.sin(0.3), math.cos(0.3))
+    for walk in WALKS:
+        assert all(np.array_equal(site_coin(walk, profile, x), scattering) for x in range(-5, 6))
 
 
 def test_is_scattering_site_vectorized():
+    # One step from unit DOWN amplitude on every live site of a row sends
+    # each site's transmission amplitude to (x - 1, DOWN): sin(theta) at the
+    # multiples of q, 1/sqrt 2 elsewhere.
     profile = PotentialProfile(3, 0.3)
-    xs = np.arange(-6, 7)
-    mask = is_scattering_site(profile, xs)
-    assert mask.tolist() == [(x % 3 == 0) for x in range(-6, 7)]
+    for walk in WALKS:
+        for k in (5, 6):
+            amps = np.zeros((2 * k + 3, 2), dtype=np.complex128)
+            amps[1 : 2 * k + 2 : 2, DOWN] = 1.0  # x = -k, -k + 2, ..., k
+            after = walk(WalkState(amplitudes=amps, origin_offset=k + 1, steps_taken=k), profile, 1)
+            xs = range(-k, k + 1, 2)
+            transmitted = [after.amplitude(x - 1, DOWN) for x in xs]
+            assert transmitted == [math.sin(0.3) if x % 3 == 0 else SQRT_HALF for x in xs]
 
 
 def test_initial_state_contents():
@@ -370,3 +403,34 @@ def test_coin_direction_values():
     assert CoinDirection.UP == 1
     assert DOWN is CoinDirection.DOWN
     assert UP is CoinDirection.UP
+
+
+def test_public_surface():
+    # A name joins or leaves the package surface only by editing this list.
+    assert sorted(periodicwalk.__all__) == sorted([
+        "__version__",
+        "NORM_DRIFT_TOL",
+        "CapacityError",
+        "CoinDirection",
+        "DOWN",
+        "NormDriftError",
+        "PotentialProfile",
+        "UP",
+        "WalkState",
+        "check_norm",
+        "evolve",
+        "initial_state",
+        "point_state",
+        "step",
+        "Distribution",
+        "Moments",
+        "distribution",
+        "moments",
+        "q1_law",
+        "q2_law",
+        "symmetry_residual",
+        "MAX_ORACLE_STEPS",
+        "path_sum_evolve",
+    ])
+    for name in periodicwalk.__all__:
+        assert hasattr(periodicwalk, name), name

@@ -68,21 +68,25 @@ def test_sweep_steps_snapshots_match_fresh_runs():
 def test_sweep_steps_validation():
     with pytest.raises(ValueError):
         sweep_sigma_vs_steps(1, 0.5, [])
-    with pytest.raises(ValueError):
-        sweep_sigma_vs_steps(1, 0.5, [5, 0])
+    for bad in ([5, 0], [0]):
+        with pytest.raises(ValueError, match="n_values"):
+            sweep_sigma_vs_steps(1, 0.5, bad)
 
 
 def test_sweeps_reject_non_integer_periods_and_step_counts():
     # each of these used to be truncated: q=2, n=5, n=5, 20 and 100 steps
     calls = [
-        lambda: sweep_sigma_vs_inverse_period(0.5, [2.5], 20),
-        lambda: sweep_sigma_vs_steps(1, 0.5, [5.7]),
-        lambda: sweep_sigma_vs_steps(1, 0.5, [5.7, 10]),
-        lambda: sweep_sigma_vs_theta(2, [0.5], 20.9),
-        lambda: check_q1_closed_form([0.5], 100.9),
+        ("period_q", lambda: sweep_sigma_vs_inverse_period(0.5, [2.5], 20)),
+        ("n_values", lambda: sweep_sigma_vs_steps(1, 0.5, [5.7])),
+        ("n_values", lambda: sweep_sigma_vs_steps(1, 0.5, [5.7, 10])),
+        ("n_values", lambda: sweep_sigma_vs_steps(1, 0.5, [2.5])),
+        ("n_steps", lambda: sweep_sigma_vs_theta(2, [0.5], 20.9)),
+        ("n_steps", lambda: sweep_sigma_vs_theta(2, [0.5], "abc")),
+        ("n_steps", lambda: check_q1_closed_form([0.5], 100.9)),
+        ("n_steps", lambda: check_q1_closed_form([0.5], "abc")),
     ]
-    for call in calls:
-        with pytest.raises(ValueError):
+    for name, call in calls:
+        with pytest.raises(ValueError, match=name):
             call()
 
 
@@ -109,7 +113,7 @@ def test_sweep_theta_shape_and_metadata():
 def test_sweep_theta_validation():
     with pytest.raises(ValueError):
         sweep_sigma_vs_theta(2, [], 50)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_steps"):
         sweep_sigma_vs_theta(2, [0.5], 0)
 
 
@@ -214,7 +218,7 @@ def test_check_q1_full_grid_below_frozen_ceiling():
 
 
 def test_check_q1_rejects_short_walks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_steps"):
         check_q1_closed_form([0.5], 99)
     with pytest.raises(ValueError):
         check_q1_closed_form([], 200)
@@ -223,5 +227,6 @@ def test_check_q1_rejects_short_walks():
 def test_relative_spread_values():
     assert relative_spread([4.0, 4.0, 4.0]) == 0.0
     assert abs(relative_spread([1.0, 3.0]) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        relative_spread([])
+    for bad in ([], [0.0, 0.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError):
+            relative_spread(bad)

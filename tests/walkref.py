@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from periodicwalk import DOWN, UP, CoinDirection, PotentialProfile, WalkState, is_scattering_site
+from periodicwalk import DOWN, UP, CoinDirection, PotentialProfile, WalkState
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -73,7 +73,8 @@ def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int)
     may differ.
     """
     amps = state.amplitudes
-    scattering = is_scattering_site(profile, np.arange(amps.shape[0]) - state.origin_offset)
+    xs = np.arange(amps.shape[0]) - state.origin_offset
+    scattering = xs % profile.period_q == 0
     t = np.where(scattering, profile.transmission, SQRT_HALF)
     r = np.where(scattering, profile.reflection, SQRT_HALF)
     for _ in range(n_steps):
@@ -104,7 +105,8 @@ def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: 
     amps = state.amplitudes
     origin = state.origin_offset
     reach = state.steps_taken + n - 1
-    scattering = is_scattering_site(profile, np.arange(-reach, reach + 1))
+    xs = np.arange(-reach, reach + 1)
+    scattering = xs % profile.period_q == 0
     t = np.where(scattering, complex(profile.transmission), complex(SQRT_HALF))
     r = np.where(scattering, complex(profile.reflection), complex(SQRT_HALF))
     tables = [np.zeros_like(amps) for _ in range(min(n, 2))]
