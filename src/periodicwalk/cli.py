@@ -135,8 +135,13 @@ def _parse_int_list(text: str, flag: str, minimum: int) -> tuple[int, ...]:
     return (_parse_int(text, flag, minimum),)
 
 
-def _parse_theta_grid(text: str, flag: str, scale: float) -> tuple[float, ...]:
-    """START:STOP:COUNT, expanded to COUNT (at most MAX_STEPS) evenly spaced angles."""
+def _parse_angles(text: str, flag: str, scale: float, grid: bool) -> float | tuple[float, ...]:
+    """A scaled angle; with ``grid``, a tuple: one angle, or COUNT <= MAX_STEPS from START:STOP:COUNT."""
+    if ":" not in text:
+        angle = _scaled_angle(_parse_float(text, flag), scale, flag)
+        return (angle,) if grid else angle
+    if not grid:
+        raise UsageError(f"{flag}: this command takes a single angle, not a grid")
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{flag}: grids take the form START:STOP:COUNT, got {text!r}")
@@ -156,24 +161,6 @@ def _scaled_angle(value: float, scale: float, flag: str) -> float:
     return angle
 
 
-def _resolve_theta(ns: argparse.Namespace, grid: tuple[float, ...] | None) -> float | tuple[float, ...]:
-    """One required angle if ``grid`` is None; else a tuple of angles, ``grid`` when no flag is given."""
-    if ns.theta is not None:
-        text, scale, flag = ns.theta, 1.0, "--theta"
-    elif ns.theta_pi is not None:
-        text, scale, flag = ns.theta_pi, math.pi, "--theta-pi"
-    elif grid is None:
-        raise UsageError("one of --theta or --theta-pi is required")
-    else:
-        return grid
-    if ":" not in text:
-        angle = _scaled_angle(_parse_float(text, flag), scale, flag)
-        return angle if grid is None else (angle,)
-    if grid is None:
-        raise UsageError(f"{flag}: this command takes a single angle, not a grid")
-    return _parse_theta_grid(text, flag, scale)
-
-
 @dataclass(frozen=True)
 class _IntFlag:
     """An integer flag: one value, or a list when ``many``; required if ``default`` is None."""
@@ -185,13 +172,13 @@ class _IntFlag:
     many: bool = False
 
     def add_to(self, parser: argparse.ArgumentParser, flag: str) -> None:
+        # argparse converts a string default through ``type`` as well.
         required = self.default is None
         help = self.help if required else f"{self.help} (default {self.default})"
-        parser.add_argument(flag, required=required, default=self.default, metavar=self.metavar, help=help)
-
-    def read(self, text: str, flag: str) -> int | tuple[int, ...]:
-        parse = _parse_int_list if self.many else _parse_int
-        return parse(text, flag, self.minimum)
+        parse = functools.partial(_parse_int_list if self.many else _parse_int, flag=flag, minimum=self.minimum)
+        parser.add_argument(
+            flag, required=required, default=self.default, type=parse, metavar=self.metavar, help=help
+        )
 
 
 @dataclass(frozen=True)
@@ -239,8 +226,7 @@ _PERIOD = _IntFlag("Q", "scattering period, integer >= 1", minimum=1)
 _STEPS = _IntFlag("N", "number of steps", minimum=1, default=str(DEFAULT_STEPS))
 
 
-#: One entry per command; the parser, the argument resolution and ``run``
-#: all read from here.
+#: One entry per command; the parser and ``run`` read from here.
 _COMMANDS = {
     "simulate": _Command(
         help="one walk; write position,probability",
@@ -291,7 +277,8 @@ _COMMANDS = {
 @functools.cache
 def _build_parser() -> _Parser:
     # Built once per process: the tree costs about a millisecond, and a parse
-    # leaves no state in it, so every parse_args call can share it.
+    # leaves no state in it, so every parse_args call can share it.  argparse
+    # lets the converters' UsageError through, so their messages stay exact.
     parser = _Parser(
         prog="periodicwalk",
         description="Simulate coined walks with periodically placed scattering sites.",
@@ -301,9 +288,13 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name, help=entry.help)
         if entry.q is not None:
             entry.q.add_to(sp, "--q")
+        else:
+            sp.set_defaults(q=1)
         group = sp.add_mutually_exclusive_group()
-        for flag, unit in (("--theta", "radians"), ("--theta-pi", "multiples of pi")):
-            group.add_argument(flag, metavar="T", help=f"coin angle in {unit}; grids as START:STOP:COUNT")
+        for flag, unit, scale in (("--theta", "radians", 1.0), ("--theta-pi", "multiples of pi", math.pi)):
+            parse = functools.partial(_parse_angles, flag=flag, scale=scale, grid=entry.theta_grid is not None)
+            help = f"coin angle in {unit}; grids as START:STOP:COUNT"
+            group.add_argument(flag, dest="theta", default=entry.theta_grid, type=parse, metavar="T", help=help)
         entry.steps.add_to(sp, "--steps")
         sp.add_argument("--out", metavar="PATH", help=f"output CSV path (default {name}.csv)")
     return parser
@@ -312,14 +303,10 @@ def _build_parser() -> _Parser:
 def parse_args(argv: Sequence[str]) -> RunConfig:
     """Turn raw arguments into a RunConfig.  Raises UsageError on bad input."""
     ns = _build_parser().parse_args(list(argv))
-    entry = _COMMANDS[ns.command]
-    return RunConfig(
-        command=ns.command,
-        q=entry.q.read(ns.q, "--q") if entry.q is not None else 1,
-        theta=_resolve_theta(ns, entry.theta_grid),
-        steps=entry.steps.read(ns.steps, "--steps"),
-        out=Path(ns.out) if ns.out else Path(f"{ns.command}.csv"),
-    )
+    if ns.theta is None:  # a command without a default grid needs one angle
+        raise UsageError("one of --theta or --theta-pi is required")
+    out = Path(ns.out or f"{ns.command}.csv")
+    return RunConfig(command=ns.command, q=ns.q, theta=ns.theta, steps=ns.steps, out=out)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> str:

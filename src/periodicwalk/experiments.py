@@ -105,13 +105,15 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     Raises
     ------
     ValueError
-        If the inputs are not equal-length 1-D samples or the x values
-        are all identical, which leaves the slope undefined.
+        If the inputs are not equal-length 1-D samples of finite values,
+        or the x values are all identical, which leaves the slope undefined.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("xs and ys must be 1-D sequences of equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("xs and ys must be finite")
     if np.unique(x).size < 2:
         raise ValueError("need at least two distinct x values to fit a line")
     x_mean = float(x.mean())
@@ -209,10 +211,10 @@ def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawChec
 
 
 def relative_spread(sigma: Sequence[float]) -> float:
-    """(max - min) / mean of a positive sample; the laziness figure of merit."""
+    """(max - min) / mean of a finite positive sample; the laziness figure of merit."""
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("sigma must be a non-empty 1-D sequence")
-    if not np.all(s > 0):
-        raise ValueError("every entry of sigma must be > 0")
+    if not np.all(np.isfinite(s) & (s > 0)):
+        raise ValueError("every entry of sigma must be finite and > 0")
     return float((s.max() - s.min()) / s.mean())

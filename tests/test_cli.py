@@ -54,6 +54,8 @@ def test_parse_defaults():
     config = parse_args(["simulate", "--q", "3", "--theta", "1.0"])
     assert config.steps == 200
     assert config.out == Path("simulate.csv")
+    assert parse_args(["simulate", "--q", "3", "--theta", "1.0", "--out="]).out == Path("simulate.csv")
+    assert parse_args(["check-q1", "--out", ""]).out == Path("check-q1.csv")
     config = parse_args(["sweep-period", "--theta", "1.0"])
     assert config.q == tuple(range(1, 11))
 
@@ -146,6 +148,54 @@ def test_oversized_inputs_are_usage_errors(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("periodicwalk: usage error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["simulate", "--q", "x", "--theta", "1"], "--q: expected an integer, got 'x'"),
+        (["simulate", "--q", "0", "--theta", "1"], "--q: must be >= 1, got 0"),
+        (["simulate", "--q", str(MAX_STEPS + 1), "--theta", "1"], f"--q: must be <= {MAX_STEPS}, got {MAX_STEPS + 1}"),
+        (["sweep-period", "--theta", "1", "--q", "1:2:3"], "--q: ranges take the form LO:HI, got '1:2:3'"),
+        (["sweep-period", "--theta", "1", "--q", "1,,3"], "--q: expected an integer, got ''"),
+        (["simulate", "--q", "1", "--theta", "1", "--steps", "-3"], "--steps: must be >= 0, got -3"),
+        (["check-q1", "--steps", "50"], "--steps: must be >= 100, got 50"),
+        (["sweep-steps", "--q", "1", "--theta", "1", "--steps", "9:5"], "--steps: range end 5 is below start 9"),
+        (
+            ["sweep-steps", "--q", "1", "--theta", "1", "--steps", "1:1000000000000"],
+            f"--steps: must be <= {MAX_STEPS}, got 1000000000000",
+        ),
+        (["simulate", "--q", "4", "--theta", "abc"], "--theta: expected a number, got 'abc'"),
+        (["simulate", "--q", "4", "--theta", ""], "--theta: expected a number, got ''"),
+        (["simulate", "--q", "4", "--theta", "inf"], "--theta: must be finite, got 'inf'"),
+        (["simulate", "--q", "4", "--theta-pi", "nan"], "--theta-pi: must be finite, got 'nan'"),
+        (["simulate", "--q", "4", "--theta-pi", "1e308"], "--theta-pi: angle 1e+308 is not finite in radians"),
+        (["simulate", "--q", "4", "--theta", "1:2"], "--theta: this command takes a single angle, not a grid"),
+        (["sweep-theta", "--q", "2", "--theta", "0:1:2:3"], "--theta: grids take the form START:STOP:COUNT, got '0:1:2:3'"),
+        (["sweep-theta", "--q", "2", "--theta", "0:x:3"], "--theta: expected a number, got 'x'"),
+        (["sweep-theta", "--q", "2", "--theta", "0:1:1"], "--theta: must be >= 2, got 1"),
+        (
+            ["sweep-theta", "--q", "2", "--theta-pi", f"0:1:{MAX_STEPS + 1}"],
+            f"--theta-pi: must be <= {MAX_STEPS}, got {MAX_STEPS + 1}",
+        ),
+        (
+            ["sweep-theta", "--q", "2", "--theta=-1e308:1e308:3"],
+            "--theta: grid -1e+308:1e+308 spans more than a float can hold",
+        ),
+        (["sweep-theta", "--q", "2", "--theta-pi", "0:1e308:3"], "--theta-pi: angle 1e+308 is not finite in radians"),
+        (["simulate", "--q", "4"], "one of --theta or --theta-pi is required"),
+        (["sweep-period", "--steps", "10"], "one of --theta or --theta-pi is required"),
+        # Two errors: each flag is converted as argparse reads it, so the
+        # first bad value in argv order is reported, before the exclusion.
+        (["simulate", "--q", "0", "--theta", "1", "--theta-pi", "1"], "--q: must be >= 1, got 0"),
+        # A repeated flag is checked every time it appears, even where a
+        # later value would replace it.
+        (["simulate", "--q", "0", "--q", "3", "--theta", "1"], "--q: must be >= 1, got 0"),
+    ],
+)
+def test_usage_error_messages(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"periodicwalk: usage error: {message}\n"
 
 
 def test_parser_is_reused_across_calls_and_after_a_usage_error():

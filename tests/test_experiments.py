@@ -44,6 +44,9 @@ def test_linear_fit_rejects_bad_shapes():
         linear_fit([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         linear_fit(np.zeros((2, 2)), np.zeros((2, 2)))
+    for xs, ys in (([0.0, 1.0, math.nan], [1.0, 2.0, 3.0]), ([0.0, 1.0, 2.0], [1.0, math.inf, 3.0])):
+        with pytest.raises(ValueError, match="finite"):
+            linear_fit(xs, ys)
 
 
 def test_linear_fit_r_squared_within_bounds():
@@ -227,6 +230,6 @@ def test_check_q1_rejects_short_walks():
 def test_relative_spread_values():
     assert relative_spread([4.0, 4.0, 4.0]) == 0.0
     assert abs(relative_spread([1.0, 3.0]) - 1.0) < 1e-15
-    for bad in ([], [0.0, 0.0], [-1.0, 1.0]):
+    for bad in ([], [0.0, 0.0], [-1.0, 1.0], [1.0, math.inf], [1.0, math.nan]):
         with pytest.raises(ValueError):
             relative_spread(bad)

@@ -3,9 +3,13 @@
 The golden CSVs were written by the seed's einsum kernel.  Any change to
 the kernel, the sweeps or the CSV writer that moves a single output byte
 fails here.  The help texts pin what the command table generates: flags,
-metavars, defaults and help lines, at an 80-column terminal.
+metavars, defaults and help lines, at an 80-column terminal.  They hold
+byte for byte under Python 3.10.13, 3.11.7 and 3.12.1.  From 3.13 argparse
+lays out two of them differently, so ``golden/py313/`` keeps their 3.13.0
+bytes, and the other four hold there unchanged.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,4 +41,7 @@ def test_help_text_matches_golden(name, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_info:
         parse_args(argv)
     assert exit_info.value.code == 0
-    assert capsys.readouterr().out.encode("ascii") == (GOLDEN / f"{name}.help.txt").read_bytes()
+    golden = GOLDEN / f"{name}.help.txt"
+    if sys.version_info >= (3, 13) and (GOLDEN / "py313" / golden.name).exists():
+        golden = GOLDEN / "py313" / golden.name
+    assert capsys.readouterr().out.encode("ascii") == golden.read_bytes()
