@@ -194,32 +194,31 @@ class _Command:
 
 
 def _simulate(config: RunConfig) -> list[tuple]:
-    profile = PotentialProfile(config.q, config.theta)
-    state = evolve(initial_state(max(config.steps, 1)), profile, config.steps)
+    n = config.steps
+    state = evolve(initial_state(max(n, 1)), PotentialProfile(config.q, config.theta), n)
     check_norm(state)
-    dist = distribution(state)
-    return list(zip(dist.positions.tolist(), dist.probabilities.tolist()))
+    return list(zip(range(-n, n + 1), distribution(state).tolist()))
 
 
 def _sweep_steps(config: RunConfig) -> list[tuple]:
-    result = sweep_sigma_vs_steps(config.q, config.theta, config.steps)
-    return list(zip(config.steps, result.sigma.tolist()))
+    sigma = sweep_sigma_vs_steps(config.q, config.theta, config.steps)
+    return list(zip(config.steps, sigma.tolist()))
 
 
 def _sweep_theta(config: RunConfig) -> list[tuple]:
-    result = sweep_sigma_vs_theta(config.q, np.atleast_1d(config.theta), config.steps)
-    return list(zip(result.independent.tolist(), result.sigma.tolist()))
+    sigma = sweep_sigma_vs_theta(config.q, config.theta, config.steps)
+    return list(zip(config.theta, sigma.tolist()))
 
 
 def _sweep_period(config: RunConfig) -> list[tuple]:
-    result = sweep_sigma_vs_inverse_period(config.theta, config.q, config.steps)
-    return list(zip(config.q, result.independent.tolist(), result.sigma.tolist()))
+    sigma = sweep_sigma_vs_inverse_period(config.theta, config.q, config.steps)
+    return list(zip(config.q, [1.0 / q for q in config.q], sigma.tolist()))
 
 
 def _check_q1(config: RunConfig) -> list[tuple]:
-    table = check_q1_closed_form(np.atleast_1d(config.theta), config.steps)
-    columns = (table.theta, table.sigma2_over_n2, table.law, table.residual)
-    return list(zip(*(column.tolist() for column in columns)))
+    table = check_q1_closed_form(config.theta, config.steps)
+    columns = (table.sigma2_over_n2, table.law, table.residual)
+    return list(zip(config.theta, *(column.tolist() for column in columns)))
 
 
 _PERIOD = _IntFlag("Q", "scattering period, integer >= 1", minimum=1)

@@ -10,9 +10,11 @@ both limits reduce to familiar walks.
 
 Amplitudes live in a dense complex table, one (DOWN, UP) row per site,
 allocated once for the longest walk a state will host; a walk of N steps
-never leaves [-N, N], so the table never needs to grow.  After k steps
-amplitude sits only on the live sites x = -k, -k + 2, ..., k, and
-``evolve`` touches nothing else.  Both coins are real matrices
+never leaves [-N, N], so the table never needs to grow.  A table for
+``capacity`` steps has 2 * capacity + 1 rows: row i holds position
+i - capacity, so the origin is the middle row.  After k steps amplitude
+sits only on the live sites x = -k, -k + 2, ..., k, and ``evolve``
+touches nothing else.  Both coins are real matrices
 [[t, r], [r, -t]], so ``evolve`` holds them as per-site coefficients t(x)
 and r(x), built once per call as one contiguous array per parity of x.
 Between its first and last step it keeps the k + 1 live sites packed,
@@ -125,12 +127,12 @@ class PotentialProfile:
 class WalkState:
     """Dense amplitude table over (position, coin direction).
 
-    Row ``i`` holds the (DOWN, UP) amplitudes of position ``i - origin_offset``,
-    so the table spans positions -origin_offset .. +origin_offset.  The table
-    is sized once, up front, for the longest walk it will host; ``capacity``
-    is the number of steps that fit.  ``steps_taken`` doubles as the support
-    bound: all amplitude lies within |x| <= steps_taken, on sites of the
-    same parity as steps_taken reachable from the start.
+    Row ``i`` holds the (DOWN, UP) amplitudes of position ``i - capacity``,
+    so the table spans positions -capacity .. +capacity, and ``capacity``
+    is also the number of steps that fit.  ``steps_taken`` doubles as the
+    support bound: all amplitude lies within |x| <= steps_taken, on sites
+    of the same parity as steps_taken reachable from the start.
+    ValueError unless 0 <= steps_taken <= capacity.
 
     ``evolve`` reads only the rows with |x| <= steps_taken whose parity is
     that of steps_taken, so a hand-built state must keep that support bound:
@@ -139,17 +141,20 @@ class WalkState:
     """
 
     amplitudes: np.ndarray
-    origin_offset: int
     steps_taken: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.steps_taken <= self.capacity:
+            raise ValueError(f"steps_taken must lie in 0..{self.capacity}, got {self.steps_taken!r}")
 
     @property
     def capacity(self) -> int:
-        """Total number of steps the table can absorb before amplitude would fall off."""
-        return self.origin_offset
+        """Row of the origin, which is also the number of steps the table can absorb."""
+        return (self.amplitudes.shape[0] - 1) // 2
 
     def amplitude(self, x: int, direction: CoinDirection) -> complex:
         """Amplitude of the (x, direction) basis state; zero outside the table."""
-        i = x + self.origin_offset
+        i = x + self.capacity
         if 0 <= i < self.amplitudes.shape[0]:
             return complex(self.amplitudes[i, direction])
         return 0j
@@ -176,7 +181,7 @@ def initial_state(capacity_steps: int) -> WalkState:
     amps = np.zeros((2 * capacity + 1, 2), dtype=np.complex128)
     amps[capacity, DOWN] = _SQRT_HALF
     amps[capacity, UP] = 1j * _SQRT_HALF
-    return WalkState(amplitudes=amps, origin_offset=capacity, steps_taken=0)
+    return WalkState(amplitudes=amps, steps_taken=0)
 
 
 def point_state(position: int, direction: CoinDirection, capacity_steps: int) -> WalkState:
@@ -192,7 +197,7 @@ def point_state(position: int, direction: CoinDirection, capacity_steps: int) ->
         raise ValueError(f"position {position} lies outside a table of capacity {capacity}")
     amps = np.zeros((2 * capacity + 1, 2), dtype=np.complex128)
     amps[position + capacity, CoinDirection(direction)] = 1.0
-    return WalkState(amplitudes=amps, origin_offset=capacity, steps_taken=abs(position))
+    return WalkState(amplitudes=amps, steps_taken=abs(position))
 
 
 def step(state: WalkState, profile: PotentialProfile) -> WalkState:
@@ -220,23 +225,16 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     Raises
     ------
     ValueError
-        If n_steps is not a whole number >= 0, or the state's steps_taken
-        is negative.
+        If n_steps is not a whole number >= 0.
     CapacityError
         If steps_taken + n_steps would exceed the table capacity.
     """
     n = _whole(n_steps, "n_steps", 0)
     if n == 0:
         return state
-    if state.steps_taken < 0:
-        raise ValueError(f"steps_taken must be >= 0, got {state.steps_taken}")
-    if state.steps_taken + n > state.capacity:
-        raise CapacityError(
-            f"{n} more steps after {state.steps_taken} would exceed capacity {state.capacity}"
-        )
-    amps = state.amplitudes
-    origin = state.origin_offset
-    k = state.steps_taken
+    amps, origin, k = state.amplitudes, state.capacity, state.steps_taken
+    if k + n > origin:
+        raise CapacityError(f"{n} more steps after {k} would exceed capacity {origin}")
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
     # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read, and step
     # i reads only those of parity p = (n - 1 - i) % 2, so t and r are built
@@ -300,11 +298,7 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         np.multiply(rk, d, up)
         np.multiply(tk, u, b)
         np.subtract(up, b, up)
-    return WalkState(
-        amplitudes=out,
-        origin_offset=state.origin_offset,
-        steps_taken=state.steps_taken + n,
-    )
+    return WalkState(amplitudes=out, steps_taken=state.steps_taken + n)
 
 
 def check_norm(state: WalkState) -> None:

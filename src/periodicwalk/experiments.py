@@ -1,8 +1,8 @@
 """Parameter sweeps over step count, coin angle and period, with fit helpers.
 
-Sweeps return plain tables (independent variable, sigma) so callers can
-fit, plot or serialize them without reaching back into walk states.  All
-evaluation is sequential and deterministic.
+Sweeps return sigma as a float64 array in the order of the caller's grid;
+the caller already holds that grid, so it pairs the two to fit, plot or
+serialize them.  All evaluation is sequential and deterministic.
 
 Trend thresholds live here as named configuration rather than inline
 magic numbers; the measured ceilings were produced by this implementation
@@ -28,7 +28,6 @@ __all__ = [
     "R_SQUARED_STEPS_TREND_MIN",
     "LinearFit",
     "Q1LawCheck",
-    "SweepResult",
     "check_q1_closed_form",
     "linear_fit",
     "relative_spread",
@@ -64,19 +63,6 @@ Q2_LAZY_SPREAD_CEILING = 1.0e-3
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """One sweep table: sigma against a single independent variable.
-
-    Both columns are fresh float64 arrays that share no memory with the
-    caller's grid.  The inputs that produced the table are not kept here;
-    the CLI records them once, in its manifest's ``config``.
-    """
-
-    independent: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
 class LinearFit:
     """Least-squares line y = slope * x + intercept with its r^2."""
 
@@ -87,13 +73,11 @@ class LinearFit:
 
 @dataclass(frozen=True)
 class Q1LawCheck:
-    """Measured sigma^2/N^2 against 1 - |cos theta| for the period-1 walk."""
+    """Measured sigma^2/N^2 against 1 - |cos theta| for the period-1 walk, in grid order."""
 
-    theta: np.ndarray
     sigma2_over_n2: np.ndarray
     law: np.ndarray
     residual: np.ndarray
-    n_steps: int
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
@@ -129,8 +113,8 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 
 
 def _grid(values: Sequence[float], name: str) -> np.ndarray:
-    """A fresh float64 copy of a non-empty 1-D grid, so no result aliases the caller's array."""
-    grid = np.array(values, dtype=np.float64)
+    """``values`` as a float64 array; ValueError unless it is a non-empty 1-D sequence."""
+    grid = np.asarray(values, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
     return grid
@@ -147,7 +131,7 @@ def _sigmas_after(profiles: Iterable[PotentialProfile], n_steps: int) -> np.ndar
     return np.array([_sigma(evolve(initial_state(n), p, n)) for p in profiles])
 
 
-def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> SweepResult:
+def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.ndarray:
     """sigma after each requested step count, all snapshots of one evolution.
 
     Reusing a single trajectory keeps the rows mutually consistent and
@@ -163,28 +147,23 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> Sweep
         state = step(state, profile)
         if k in wanted:
             sigma_at[k] = _sigma(state)
-    return SweepResult(independent=grid, sigma=np.array([sigma_at[n] for n in ns]))
+    return np.array([sigma_at[n] for n in ns])
 
 
-def sweep_sigma_vs_theta(q: int, theta_grid: Sequence[float], n_steps: int) -> SweepResult:
+def sweep_sigma_vs_theta(q: int, theta_grid: Sequence[float], n_steps: int) -> np.ndarray:
     """sigma after n_steps for each angle in theta_grid, at fixed period q."""
     thetas = _grid(theta_grid, "theta_grid")
-    profiles = [PotentialProfile(q, t) for t in thetas]
-    return SweepResult(independent=thetas, sigma=_sigmas_after(profiles, n_steps))
+    return _sigmas_after([PotentialProfile(q, t) for t in thetas], n_steps)
 
 
-def sweep_sigma_vs_inverse_period(
-    theta: float, q_values: Sequence[int], n_steps: int
-) -> SweepResult:
-    """sigma after n_steps for each period in q_values, keyed by 1/q.
+def sweep_sigma_vs_inverse_period(theta: float, q_values: Sequence[int], n_steps: int) -> np.ndarray:
+    """sigma after n_steps for each period in q_values, in the order of q_values.
 
-    Rows follow the order of q_values; the independent column is 1/q so
-    that denser potentials sit at larger x and trends against scatterer
-    density read left to right.
+    The paper plots it against 1/q, so that denser potentials sit at
+    larger x and trends against scatterer density read left to right.
     """
     qs = _grid(q_values, "q_values")
-    profiles = [PotentialProfile(q, theta) for q in qs.tolist()]
-    return SweepResult(independent=1.0 / qs, sigma=_sigmas_after(profiles, n_steps))
+    return _sigmas_after([PotentialProfile(q, theta) for q in qs.tolist()], n_steps)
 
 
 def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawCheck:
@@ -201,13 +180,7 @@ def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawChec
     sigma = _sigmas_after([PotentialProfile(1, t) for t in thetas], n_steps)
     sigma2_over_n2 = (sigma / n_steps) ** 2
     law = 1.0 - np.abs(np.cos(thetas))
-    return Q1LawCheck(
-        theta=thetas,
-        sigma2_over_n2=sigma2_over_n2,
-        law=law,
-        residual=np.abs(sigma2_over_n2 - law),
-        n_steps=n_steps,
-    )
+    return Q1LawCheck(sigma2_over_n2=sigma2_over_n2, law=law, residual=np.abs(sigma2_over_n2 - law))
 
 
 def relative_spread(sigma: Sequence[float]) -> float:

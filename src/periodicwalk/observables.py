@@ -10,7 +10,6 @@ import numpy as np
 from .core import _SQRT_HALF, DOWN, UP, WalkState
 
 __all__ = [
-    "Distribution",
     "Moments",
     "distribution",
     "moments",
@@ -18,21 +17,6 @@ __all__ = [
     "q2_law",
     "symmetry_residual",
 ]
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Probability by position after ``n_steps`` steps.
-
-    Positions run over the full reachable window -n_steps .. +n_steps in
-    strictly increasing order.  Zero entries are kept on purpose, parity
-    zeros included, so consumers always see the same window shape for the
-    same step count.
-    """
-
-    positions: np.ndarray
-    probabilities: np.ndarray
-    n_steps: int
 
 
 @dataclass(frozen=True)
@@ -44,29 +28,28 @@ class Moments:
     sigma: float
 
 
-def distribution(state: WalkState) -> Distribution:
-    """Trace out the coin: P(x) = |a(x, DOWN)|^2 + |a(x, UP)|^2 over [-N, N]."""
-    n = state.steps_taken
-    lo = state.origin_offset - n
-    hi = state.origin_offset + n + 1
-    window = state.amplitudes[lo:hi]
+def distribution(state: WalkState) -> np.ndarray:
+    """Trace out the coin: P(x) = |a(x, DOWN)|^2 + |a(x, UP)|^2 for x = -N .. N.
+
+    N is ``state.steps_taken``, so entry i is P(i - N).  Zero entries are
+    kept on purpose, parity zeros included, so the same step count always
+    gives the same window.
+    """
+    n, origin = state.steps_taken, state.capacity
+    window = state.amplitudes[origin - n : origin + n + 1]
     sq = window.real * window.real + window.imag * window.imag
-    probs = sq[:, DOWN] + sq[:, UP]
-    return Distribution(
-        positions=np.arange(-n, n + 1, dtype=np.int64),
-        probabilities=probs,
-        n_steps=n,
-    )
+    return sq[:, DOWN] + sq[:, UP]
 
 
-def moments(dist: Distribution) -> Moments:
-    """Weighted sums over the distribution; sigma = sqrt(<x^2> - <x>^2).
+def moments(p: np.ndarray) -> Moments:
+    """Weighted sums over P(x) for x = -N .. N; sigma = sqrt(<x^2> - <x>^2).
 
+    ``p`` is a window as ``distribution`` returns it, 2N + 1 entries long.
     The variance is clamped at zero before the square root so that
     rounding on a point mass cannot produce a NaN.
     """
-    x = dist.positions.astype(np.float64)
-    p = dist.probabilities
+    n = (len(p) - 1) // 2
+    x = np.arange(-n, n + 1, dtype=np.float64)
     mean = float(p @ x)
     second = float(p @ (x * x))
     variance = second - mean * mean
@@ -93,12 +76,6 @@ def q2_law(theta: float, n_steps: int) -> float:
     return math.sqrt(1.0 - max(abs(math.cos(theta)), _SQRT_HALF)) * n_steps
 
 
-def symmetry_residual(dist: Distribution) -> float:
-    """Largest |P(x) - P(-x)| over the distribution's window.
-
-    Positions whose mirror is absent count as mirrored onto probability
-    zero, so the residual is well defined for hand-built distributions
-    with one-sided windows too.
-    """
-    lookup = {int(x): float(p) for x, p in zip(dist.positions, dist.probabilities)}
-    return max(abs(p - lookup.get(-x, 0.0)) for x, p in lookup.items())
+def symmetry_residual(p: np.ndarray) -> float:
+    """Largest |P(x) - P(-x)| over a window x = -N .. N."""
+    return float(np.max(np.abs(p - p[::-1])))

@@ -40,13 +40,14 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
     their amplitude products by endpoint.
 
     Every non-zero cell of ``initial`` is expanded, whatever its support
-    bound, into a fresh ``WalkState`` of the same shape and origin,
-    ``n_steps`` steps further on.
+    bound, into a fresh ``WalkState`` of the same shape, ``n_steps`` steps
+    further on.
 
     Raises
     ------
     ValueError
-        If n_steps is not a whole number in 0..MAX_ORACLE_STEPS.
+        If n_steps is not a whole number in 0..MAX_ORACLE_STEPS, or the
+        result would count more steps than the table holds.
     CapacityError
         If a cell lands outside the table.
     """
@@ -61,7 +62,7 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
         for a, b in ((_SQRT_HALF, _SQRT_HALF), (profile.transmission, profile.reflection))
     ]
     q = profile.period_q
-    table, origin = initial.amplitudes, initial.origin_offset
+    table, origin = initial.amplitudes, initial.capacity
     amps = {
         (int(i) - origin, CoinDirection(int(c))): complex(table[i, c])
         for i, c in np.argwhere(table)
@@ -78,4 +79,4 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
         if not 0 <= x + origin < out.shape[0]:
             raise CapacityError(f"the walk reaches x = {x}, outside capacity {initial.capacity}")
         out[x + origin, c] = a
-    return WalkState(amplitudes=out, origin_offset=origin, steps_taken=initial.steps_taken + n)
+    return WalkState(amplitudes=out, steps_taken=initial.steps_taken + n)

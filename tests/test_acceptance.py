@@ -56,9 +56,9 @@ def n100_grid():
     for q in range(1, 11):
         for k in range(0, 49):
             state = evolve(initial_state(100), PotentialProfile(q, k * math.pi / 24), 100)
-            dist = distribution(state)
-            residuals[(q, k)] = symmetry_residual(dist)
-            sigmas[(q, k)] = moments(dist).sigma
+            p = distribution(state)
+            residuals[(q, k)] = symmetry_residual(p)
+            sigmas[(q, k)] = moments(p).sigma
     return residuals, sigmas
 
 
@@ -115,10 +115,9 @@ def test_criterion_03_hadamard_collapse():
 def test_criterion_04_free_propagation():
     n = 100
     state = evolve(initial_state(n), PotentialProfile(1, math.pi / 2), n)
-    dist = distribution(state)
-    p_left = dist.probabilities[0]
-    p_right = dist.probabilities[-1]
-    sigma = moments(dist).sigma
+    p = distribution(state)
+    p_left, p_right = p[0], p[-1]
+    sigma = moments(p).sigma
     # N even: the UP branch phase factor (-1)^N is +1
     phase_err = max(
         abs(state.amplitude(-n, DOWN) - SQRT_HALF),
@@ -178,8 +177,7 @@ def test_criterion_07_linear_growth_fits():
         (2, math.pi / 3, "q=2,pi/3"),
         (10, math.pi / 3, "q=10,pi/3"),
     ]:
-        sweep = sweep_sigma_vs_steps(q, theta, ns)
-        fit = linear_fit(sweep.independent, sweep.sigma)
+        fit = linear_fit(ns, sweep_sigma_vs_steps(q, theta, ns))
         results[label] = fit.r_squared
         ok = ok and fit.r_squared >= R_SQUARED_STEPS_TREND_MIN
     report(
@@ -193,13 +191,13 @@ def test_criterion_08_inverse_period_trends():
     ok = True
     details = []
     for theta in (math.pi / 12, math.pi / 6, math.pi / 5):
-        sweep = sweep_sigma_vs_inverse_period(theta, list(range(2, 11)), 200)
-        fit = linear_fit(sweep.independent, sweep.sigma)
+        qs = range(2, 11)
+        fit = linear_fit([1.0 / q for q in qs], sweep_sigma_vs_inverse_period(theta, qs, 200))
         ok = ok and fit.slope < 0 and fit.r_squared >= R_SQUARED_INVERSE_PERIOD_MIN
         details.append(f"theta={theta / math.pi:.3f}pi slope={fit.slope:.1f} r2={fit.r_squared:.3f}")
     for theta in (math.pi / 4 + math.pi / 24, math.pi / 3, 5 * math.pi / 12):
-        sweep = sweep_sigma_vs_inverse_period(theta, list(range(1, 11)), 200)
-        fit = linear_fit(sweep.independent, sweep.sigma)
+        qs = range(1, 11)
+        fit = linear_fit([1.0 / q for q in qs], sweep_sigma_vs_inverse_period(theta, qs, 200))
         ok = ok and fit.slope > 0 and fit.r_squared >= R_SQUARED_INVERSE_PERIOD_MIN
         details.append(f"theta={theta / math.pi:.3f}pi slope={fit.slope:.1f} r2={fit.r_squared:.3f}")
     report(
@@ -239,8 +237,8 @@ def test_criterion_10_sigma_angle_symmetries(n100_grid):
 
 def test_criterion_11_q2_laziness():
     grid = [math.pi / 4 + k * math.pi / 24 for k in range(13)]
-    spread_q2 = relative_spread(sweep_sigma_vs_theta(2, grid, 100).sigma)
-    spread_q5 = relative_spread(sweep_sigma_vs_theta(5, grid, 100).sigma)
+    spread_q2 = relative_spread(sweep_sigma_vs_theta(2, grid, 100))
+    spread_q5 = relative_spread(sweep_sigma_vs_theta(5, grid, 100))
     ok = spread_q2 < Q2_LAZY_SPREAD_CEILING and spread_q2 * 5.0 <= spread_q5
     report(
         "criterion-11 q2-laziness",

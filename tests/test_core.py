@@ -134,7 +134,7 @@ def test_is_scattering_site_vectorized():
         for k in (5, 6):
             amps = np.zeros((2 * k + 3, 2), dtype=np.complex128)
             amps[1 : 2 * k + 2 : 2, DOWN] = 1.0  # x = -k, -k + 2, ..., k
-            after = walk(WalkState(amplitudes=amps, origin_offset=k + 1, steps_taken=k), profile, 1)
+            after = walk(WalkState(amplitudes=amps, steps_taken=k), profile, 1)
             xs = range(-k, k + 1, 2)
             transmitted = [after.amplitude(x - 1, DOWN) for x in xs]
             assert transmitted == [math.sin(0.3) if x % 3 == 0 else SQRT_HALF for x in xs]
@@ -225,11 +225,13 @@ def test_evolve_rejects_negative_steps(bad):
         evolve(initial_state(3), PotentialProfile(1, 0.4), bad)
 
 
-def test_evolve_rejects_negative_steps_taken():
-    # the window |x| <= steps_taken is empty for a hand-built negative count
+@pytest.mark.parametrize("steps_taken", [-1, 4])
+def test_walk_state_rejects_steps_taken_outside_its_capacity(steps_taken):
+    # A count outside 0..capacity names a window |x| <= steps_taken that the
+    # table does not hold: empty for -1, wider than the 7 rows for 4.
     amps = initial_state(3).amplitudes
     with pytest.raises(ValueError, match="steps_taken"):
-        evolve(WalkState(amplitudes=amps, origin_offset=3, steps_taken=-1), PotentialProfile(1, 0.4), 1)
+        WalkState(amplitudes=amps, steps_taken=steps_taken)
 
 
 def test_evolve_zero_steps_is_identity():
@@ -322,7 +324,7 @@ def test_support_and_parity_stay_exact_zeros():
     profile = PotentialProfile(3, 0.8)
     state = initial_state(31)
     size = state.amplitudes.shape[0]
-    xs = np.arange(size) - state.origin_offset
+    xs = np.arange(size) - state.capacity
     for n in range(1, 32):
         state = step(state, profile)
         outside = (np.abs(xs) > n) | ((xs - n) % 2 != 0)
@@ -335,7 +337,7 @@ def test_support_and_parity_stay_exact_zeros():
 def test_trapping_at_theta_zero():
     # pure reflection at every site pins the walker next to the origin
     state = evolve(initial_state(40), PotentialProfile(1, 0.0), 40)
-    xs = np.arange(state.amplitudes.shape[0]) - state.origin_offset
+    xs = np.arange(state.amplitudes.shape[0]) - state.capacity
     inside = np.abs(xs) <= 1
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
     assert abs(probs[inside].sum() - 1.0) < 1e-12
@@ -344,7 +346,7 @@ def test_trapping_at_theta_zero():
 
 def test_trapping_at_theta_pi():
     state = evolve(initial_state(40), PotentialProfile(1, math.pi), 40)
-    xs = np.arange(state.amplitudes.shape[0]) - state.origin_offset
+    xs = np.arange(state.amplitudes.shape[0]) - state.capacity
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
     assert probs[np.abs(xs) <= 1].sum() > 1.0 - 1e-12
 
@@ -357,8 +359,8 @@ def test_free_propagation_amplitudes(n):
     assert abs(state.amplitude(-n, DOWN) - SQRT_HALF) < 1e-12
     assert abs(state.amplitude(n, UP) - 1j * sign * SQRT_HALF) < 1e-12
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    assert abs(probs[state.origin_offset - n] - 0.5) < 1e-12
-    assert abs(probs[state.origin_offset + n] - 0.5) < 1e-12
+    assert abs(probs[state.capacity - n] - 0.5) < 1e-12
+    assert abs(probs[state.capacity + n] - 0.5) < 1e-12
 
 
 def test_two_step_walk_from_point_seed():
@@ -366,7 +368,7 @@ def test_two_step_walk_from_point_seed():
     #                -> h^2(|-2,DOWN> + |0,UP>) + h^2(|0,DOWN> - |2,UP>)
     state = evolve(point_state(0, DOWN, 2), PotentialProfile(1, math.pi / 4), 2)
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    by_x = {x: probs[x + state.origin_offset] for x in range(-2, 3)}
+    by_x = {x: probs[x + state.capacity] for x in range(-2, 3)}
     assert abs(by_x[-2] - 0.25) < 1e-12
     assert abs(by_x[0] - 0.5) < 1e-12
     assert abs(by_x[2] - 0.25) < 1e-12
@@ -389,11 +391,7 @@ def test_check_norm_passes_fresh_state():
 
 def test_check_norm_raises_on_drift():
     state = initial_state(4)
-    broken = WalkState(
-        amplitudes=state.amplitudes * 2.0,
-        origin_offset=state.origin_offset,
-        steps_taken=state.steps_taken,
-    )
+    broken = WalkState(amplitudes=state.amplitudes * 2.0, steps_taken=state.steps_taken)
     with pytest.raises(NormDriftError):
         check_norm(broken)
 
@@ -422,7 +420,6 @@ def test_public_surface():
         "initial_state",
         "point_state",
         "step",
-        "Distribution",
         "Moments",
         "distribution",
         "moments",

@@ -55,15 +55,13 @@ def test_linear_fit_r_squared_within_bounds():
 
 
 def test_sweep_steps_ballistic_sigma_equals_n():
-    result = sweep_sigma_vs_steps(1, math.pi / 2, [10, 20, 30])
-    assert np.allclose(result.sigma, [10.0, 20.0, 30.0], atol=1e-10)
-    assert result.independent.tolist() == [10.0, 20.0, 30.0]
+    sigma = sweep_sigma_vs_steps(1, math.pi / 2, [30, 10, 20])
+    assert np.allclose(sigma, [30.0, 10.0, 20.0], atol=1e-10)
 
 
 def test_sweep_steps_snapshots_match_fresh_runs():
     profile = PotentialProfile(3, 0.9)
-    result = sweep_sigma_vs_steps(3, 0.9, [5, 9])
-    for n, sigma in zip([5, 9], result.sigma):
+    for n, sigma in zip([5, 9], sweep_sigma_vs_steps(3, 0.9, [5, 9])):
         fresh = moments(distribution(evolve(initial_state(n), profile, n))).sigma
         assert sigma == fresh
 
@@ -93,24 +91,11 @@ def test_sweeps_reject_non_integer_periods_and_step_counts():
             call()
 
 
-def test_results_never_alias_the_callers_grid():
-    grid = np.array([1.0, 3.0])  # valid as step counts, angles and periods
-    columns = [
-        sweep_sigma_vs_steps(2, 0.5, grid).independent,
-        sweep_sigma_vs_theta(2, grid, 10).independent,
-        sweep_sigma_vs_inverse_period(0.5, grid, 10).independent,
-        check_q1_closed_form(grid, 100).theta,
-    ]
-    for column in columns:
-        assert column.dtype == np.float64
-        assert not np.shares_memory(column, grid)
-
-
 def test_sweep_theta_shape_and_metadata():
     grid = [0.2, 0.4, 0.6, 0.8, 1.0]
-    result = sweep_sigma_vs_theta(2, grid, 50)
-    assert result.independent.tolist() == grid
-    assert result.sigma.shape == (5,)
+    sigma = sweep_sigma_vs_theta(2, grid, 50)
+    assert sigma.dtype == np.float64
+    assert sigma.shape == (5,)
 
 
 def test_sweep_theta_validation():
@@ -121,9 +106,9 @@ def test_sweep_theta_validation():
 
 
 def test_sweep_inverse_period_rows():
-    result = sweep_sigma_vs_inverse_period(math.pi / 6, [1, 2, 4], 50)
-    assert result.independent.tolist() == [1.0, 0.5, 0.25]
-    assert result.sigma.shape == (3,)
+    # one sigma per period, in the order of the periods given
+    sigma = sweep_sigma_vs_inverse_period(math.pi / 6, [4, 1, 2], 50)
+    assert sigma.tolist() == [sweep_sigma_vs_theta(q, [math.pi / 6], 50)[0] for q in (4, 1, 2)]
 
 
 def test_sweep_inverse_period_validation():
@@ -137,34 +122,34 @@ def test_sweep_inverse_period_validation():
 
 def test_sigma_ordering_flips_with_theta():
     # below pi/4 a denser potential speeds the walk up, above it slows it
-    low = sweep_sigma_vs_inverse_period(math.pi / 6, [2, 5], 200).sigma
+    low = sweep_sigma_vs_inverse_period(math.pi / 6, [2, 5], 200)
     assert low[0] < low[1]
-    high = sweep_sigma_vs_inverse_period(math.pi / 3, [2, 5], 200).sigma
+    high = sweep_sigma_vs_inverse_period(math.pi / 3, [2, 5], 200)
     assert high[0] > high[1]
 
 
 def test_inverse_period_trend_fits():
-    falling = sweep_sigma_vs_inverse_period(math.pi / 6, list(range(2, 11)), 200)
-    fit = linear_fit(falling.independent, falling.sigma)
+    qs = range(2, 11)
+    fit = linear_fit([1.0 / q for q in qs], sweep_sigma_vs_inverse_period(math.pi / 6, qs, 200))
     assert fit.slope < 0
     assert fit.r_squared >= R_SQUARED_INVERSE_PERIOD_MIN
 
-    rising = sweep_sigma_vs_inverse_period(math.pi / 3, list(range(1, 11)), 200)
-    fit = linear_fit(rising.independent, rising.sigma)
+    qs = range(1, 11)
+    fit = linear_fit([1.0 / q for q in qs], sweep_sigma_vs_inverse_period(math.pi / 3, qs, 200))
     assert fit.slope > 0
     assert fit.r_squared >= R_SQUARED_INVERSE_PERIOD_MIN
 
 
 def test_quarter_pi_sigma_flat_across_periods():
     # all coins coincide at theta = pi/4, so q cannot matter
-    result = sweep_sigma_vs_inverse_period(math.pi / 4, list(range(1, 11)), 100)
-    assert relative_spread(result.sigma) < 1e-9
+    sigma = sweep_sigma_vs_inverse_period(math.pi / 4, list(range(1, 11)), 100)
+    assert relative_spread(sigma) < 1e-9
 
 
 def test_q1_and_q2_nearly_equal_below_quarter_pi():
     grid = [k * math.pi / 24 for k in range(1, 6)]
-    sigma1 = sweep_sigma_vs_theta(1, grid, 200).sigma
-    sigma2 = sweep_sigma_vs_theta(2, grid, 200).sigma
+    sigma1 = sweep_sigma_vs_theta(1, grid, 200)
+    sigma2 = sweep_sigma_vs_theta(2, grid, 200)
     rel = np.abs(sigma1 - sigma2) / np.maximum(sigma1, sigma2)
     # frozen: measured max 1.8e-3 at N = 200 on this grid
     assert rel.max() < 5e-3
@@ -173,22 +158,20 @@ def test_q1_and_q2_nearly_equal_below_quarter_pi():
 def test_q2_law_residual_below_frozen_ceiling():
     grid = np.linspace(0.05, 2 * math.pi - 0.05, 61)
     n = 400
-    sigma2_over_n2 = (sweep_sigma_vs_theta(2, grid, n).sigma / n) ** 2
+    sigma2_over_n2 = (sweep_sigma_vs_theta(2, grid, n) / n) ** 2
     law = np.array([(q2_law(theta, n) / n) ** 2 for theta in grid])
     assert np.abs(sigma2_over_n2 - law).max() < Q2_LAW_RESIDUAL_CEILING
 
 
 def test_q2_lazy_spread_below_ceiling():
     grid = [math.pi / 4 + k * math.pi / 24 for k in range(13)]
-    result = sweep_sigma_vs_theta(2, grid, 100)
-    assert relative_spread(result.sigma) < Q2_LAZY_SPREAD_CEILING
+    assert relative_spread(sweep_sigma_vs_theta(2, grid, 100)) < Q2_LAZY_SPREAD_CEILING
 
 
 @pytest.mark.parametrize("k", [3, 7, 11])
 def test_sigma_mirror_symmetry_in_theta(k):
     theta = k * math.pi / 24
-    result = sweep_sigma_vs_theta(3, [theta, 2 * math.pi - theta], 100)
-    a, b = result.sigma
+    a, b = sweep_sigma_vs_theta(3, [theta, 2 * math.pi - theta], 100)
     assert abs(a - b) < 1e-9
     assert abs(a - b) / max(a, b) < 1e-9
 
@@ -196,8 +179,7 @@ def test_sigma_mirror_symmetry_in_theta(k):
 @pytest.mark.parametrize("k", [2, 9])
 def test_q1_sigma_pi_shift_symmetry(k):
     theta = k * math.pi / 24
-    result = sweep_sigma_vs_theta(1, [theta, theta + math.pi], 100)
-    a, b = result.sigma
+    a, b = sweep_sigma_vs_theta(1, [theta, theta + math.pi], 100)
     assert abs(a - b) < 1e-9
 
 
@@ -217,7 +199,7 @@ def test_check_q1_full_grid_below_frozen_ceiling():
     grid = [k * math.pi / 24 for k in range(1, 48)]
     table = check_q1_closed_form(grid, 200)
     assert table.residual.max() < Q1_LAW_RESIDUAL_CEILING
-    assert table.theta.shape == table.sigma2_over_n2.shape == table.law.shape
+    assert table.residual.shape == table.sigma2_over_n2.shape == table.law.shape == (47,)
 
 
 def test_check_q1_rejects_short_walks():

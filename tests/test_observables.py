@@ -1,4 +1,4 @@
-"""Distributions, moments, the closed-form spread law, and symmetry checks."""
+"""Position probabilities, moments, the closed-form spread laws, and symmetry checks."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from periodicwalk import (
-    Distribution,
     PotentialProfile,
     distribution,
     evolve,
@@ -20,22 +19,21 @@ from walkref import random_walk_state
 
 
 def test_distribution_of_fresh_state():
-    dist = distribution(initial_state(4))
-    assert dist.n_steps == 0
-    assert dist.positions.tolist() == [0]
-    assert abs(dist.probabilities[0] - 1.0) < 1e-12
+    p = distribution(initial_state(4))
+    assert p.shape == (1,)
+    assert abs(p[0] - 1.0) < 1e-12
 
 
 def test_distribution_window_and_parity_zeros():
     n = 9
     state = evolve(initial_state(n), PotentialProfile(4, math.pi / 6), n)
-    dist = distribution(state)
-    assert dist.positions.tolist() == list(range(-n, n + 1))
-    assert np.all(np.diff(dist.positions) > 0)
-    # odd step count: even positions are unreachable and stay exactly zero
-    even = dist.positions % 2 == 0
-    assert np.all(dist.probabilities[even] == 0.0)
-    assert abs(dist.probabilities.sum() - 1.0) < 1e-12
+    p = distribution(state)
+    assert p.shape == (2 * n + 1,)
+    # odd step count: the even positions, x = -n + i for odd i, are
+    # unreachable and stay exactly zero
+    assert np.all(p[1::2] == 0.0)
+    assert np.all(p[::2] > 0.0)
+    assert abs(p.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("support", [0, 1, 2, 7, 50])
@@ -43,55 +41,40 @@ def test_distribution_bytes_equal_axis_sum_of_squares(support):
     state = random_walk_state(np.random.default_rng(support), capacity=60, support_steps=support)
     window = state.amplitudes[60 - support : 60 + support + 1]
     expected = np.sum(window.real * window.real + window.imag * window.imag, axis=1)
-    assert distribution(state).probabilities.tobytes() == expected.tobytes()
+    assert distribution(state).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.4), (2, math.pi / 3), (5, 2.2), (7, math.pi / 4)])
 def test_distribution_sums_to_one(q, theta):
     state = evolve(initial_state(50), PotentialProfile(q, theta), 50)
-    dist = distribution(state)
-    assert abs(dist.probabilities.sum() - 1.0) < 1e-12
+    assert abs(distribution(state).sum() - 1.0) < 1e-12
 
 
 def test_free_propagation_distribution():
     n = 5
     state = evolve(initial_state(n), PotentialProfile(1, math.pi / 2), n)
-    dist = distribution(state)
-    by_x = dict(zip(dist.positions.tolist(), dist.probabilities.tolist()))
-    assert abs(by_x[-n] - 0.5) < 1e-12
-    assert abs(by_x[n] - 0.5) < 1e-12
-    interior = dist.probabilities[1:-1]
-    assert interior.sum() < 1e-24
+    p = distribution(state)
+    assert abs(p[0] - 0.5) < 1e-12  # x = -n
+    assert abs(p[-1] - 0.5) < 1e-12  # x = +n
+    assert p[1:-1].sum() < 1e-24
 
 
 def test_moments_point_mass():
-    dist = Distribution(
-        positions=np.array([2], dtype=np.int64),
-        probabilities=np.array([1.0]),
-        n_steps=2,
-    )
-    m = moments(dist)
+    # x = -2 .. 2, all the weight on x = 2
+    m = moments(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
     assert m.mean == 2.0
     assert m.second_moment == 4.0
     assert m.sigma == 0.0
 
 
 def test_moments_hand_cases():
-    symmetric = Distribution(
-        positions=np.array([-1, 0, 1], dtype=np.int64),
-        probabilities=np.array([0.5, 0.0, 0.5]),
-        n_steps=1,
-    )
-    m = moments(symmetric)
+    m = moments(np.array([0.5, 0.0, 0.5]))  # x = -1 .. 1
     assert abs(m.mean) < 1e-15
     assert abs(m.second_moment - 1.0) < 1e-15
     assert abs(m.sigma - 1.0) < 1e-15
 
-    skewed = Distribution(
-        positions=np.array([0, 4], dtype=np.int64),
-        probabilities=np.array([0.25, 0.75]),
-        n_steps=4,
-    )
+    skewed = np.zeros(9)  # x = -4 .. 4
+    skewed[4], skewed[8] = 0.25, 0.75  # x = 0 and x = 4
     m = moments(skewed)
     assert abs(m.mean - 3.0) < 1e-12
     assert abs(m.second_moment - 12.0) < 1e-12
@@ -136,21 +119,12 @@ def test_q2_law_is_the_hadamard_spread_inside_the_lazy_bands(theta):
 
 
 def test_symmetry_residual_zero_for_symmetric_input():
-    dist = Distribution(
-        positions=np.array([-2, -1, 0, 1, 2], dtype=np.int64),
-        probabilities=np.array([0.3, 0.0, 0.4, 0.0, 0.3]),
-        n_steps=2,
-    )
-    assert symmetry_residual(dist) == 0.0
+    assert symmetry_residual(np.array([0.3, 0.0, 0.4, 0.0, 0.3])) == 0.0
 
 
 def test_symmetry_residual_detects_asymmetry():
-    dist = Distribution(
-        positions=np.array([0, 1], dtype=np.int64),
-        probabilities=np.array([0.4, 0.6]),
-        n_steps=1,
-    )
-    assert abs(symmetry_residual(dist) - 0.6) < 1e-15
+    # x = -1 .. 1: P(1) = 0.6 against P(-1) = 0
+    assert abs(symmetry_residual(np.array([0.0, 0.4, 0.6])) - 0.6) < 1e-15
 
 
 def test_symmetry_residual_of_simulated_walk():

@@ -24,7 +24,6 @@ def test_zero_steps_returns_the_seed():
     state = initial_state(3)
     result = path_sum_evolve(state, PotentialProfile(2, 0.5), 0)
     assert result.steps_taken == 0
-    assert result.origin_offset == state.origin_offset
     assert np.array_equal(result.amplitudes, state.amplitudes)
     assert not np.shares_memory(result.amplitudes, state.amplitudes)
 
@@ -68,7 +67,15 @@ def test_amplitude_outside_the_support_bound_raises_rather_than_wraps():
     amps = np.zeros((7, 2), dtype=np.complex128)
     amps[0, DOWN] = 1.0
     with pytest.raises(CapacityError):
-        path_sum_evolve(WalkState(amplitudes=amps, origin_offset=3, steps_taken=0), PotentialProfile(2, 0.5), 1)
+        path_sum_evolve(WalkState(amplitudes=amps, steps_taken=0), PotentialProfile(2, 0.5), 1)
+
+
+def test_a_step_count_past_the_capacity_raises():
+    # Only the origin holds amplitude, so two steps stay inside the 7-row
+    # table, but the result would count 2 + 2 steps against a capacity of 3.
+    start = WalkState(amplitudes=initial_state(3).amplitudes, steps_taken=2)
+    with pytest.raises(ValueError, match="steps_taken"):
+        path_sum_evolve(start, PotentialProfile(2, 0.5), 2)
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (4, math.pi / 4), (3, 2.0)])

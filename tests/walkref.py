@@ -41,7 +41,7 @@ def max_amp_diff(state: WalkState, amplitude_map) -> float:
     """Largest |dense - reference| amplitude over the union of supports."""
     keys = {(int(x), int(c)) for (x, c) in amplitude_map}
     nz = np.argwhere((state.amplitudes.real != 0) | (state.amplitudes.imag != 0))
-    keys.update((int(i) - state.origin_offset, int(c)) for i, c in nz)
+    keys.update((int(i) - state.capacity, int(c)) for i, c in nz)
     return max(
         abs(state.amplitude(x, CoinDirection(c)) - complex(amplitude_map.get((x, c), 0j)))
         for x, c in keys
@@ -62,7 +62,7 @@ def random_walk_state(rng: np.random.Generator, capacity: int, support_steps: in
     block[(xs + support_steps) % 2 == 1] = 0.0
     amps[rows] = block
     amps /= np.linalg.norm(amps)
-    return WalkState(amplitudes=amps, origin_offset=capacity, steps_taken=support_steps)
+    return WalkState(amplitudes=amps, steps_taken=support_steps)
 
 
 def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
@@ -73,7 +73,7 @@ def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int)
     may differ.
     """
     amps = state.amplitudes
-    xs = np.arange(amps.shape[0]) - state.origin_offset
+    xs = np.arange(amps.shape[0]) - state.capacity
     scattering = xs % profile.period_q == 0
     t = np.where(scattering, profile.transmission, SQRT_HALF)
     r = np.where(scattering, profile.reflection, SQRT_HALF)
@@ -83,11 +83,7 @@ def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int)
         out[:-1, DOWN] = t[1:] * d[1:] + r[1:] * u[1:]
         out[1:, UP] = r[:-1] * d[:-1] - t[:-1] * u[:-1]
         amps = out
-    return WalkState(
-        amplitudes=amps,
-        origin_offset=state.origin_offset,
-        steps_taken=state.steps_taken + n_steps,
-    )
+    return WalkState(amplitudes=amps, steps_taken=state.steps_taken + n_steps)
 
 
 def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
@@ -103,7 +99,7 @@ def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: 
     if n == 0:
         return state
     amps = state.amplitudes
-    origin = state.origin_offset
+    origin = state.capacity
     reach = state.steps_taken + n - 1
     xs = np.arange(-reach, reach + 1)
     scattering = xs % profile.period_q == 0
@@ -121,8 +117,4 @@ def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: 
         np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=out[lo - 1 : hi - 1 : 2, DOWN])
         np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1 : 2, UP])
         amps = out
-    return WalkState(
-        amplitudes=amps,
-        origin_offset=state.origin_offset,
-        steps_taken=state.steps_taken + n,
-    )
+    return WalkState(amplitudes=amps, steps_taken=state.steps_taken + n)
