@@ -118,7 +118,11 @@ def _parse_float(text: str, flag: str) -> float:
 
 
 def _parse_int_list(text: str, flag: str, minimum: int) -> tuple[int, ...]:
-    """Accept N, N1,N2,..., or LO:HI (inclusive integer range of at most MAX_STEPS values)."""
+    """Accept N, N1,N2,..., or LO:HI, an inclusive integer range.
+
+    A range holds at most MAX_STEPS values with no check of its own: both
+    ends lie in [minimum, MAX_STEPS], and every list flag has minimum >= 1.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 2:
@@ -127,8 +131,6 @@ def _parse_int_list(text: str, flag: str, minimum: int) -> tuple[int, ...]:
         hi = _parse_int(parts[1], flag, minimum)
         if hi < lo:
             raise UsageError(f"{flag}: range end {hi} is below start {lo}")
-        if hi - lo + 1 > MAX_STEPS:
-            raise UsageError(f"{flag}: range {lo}:{hi} holds more than {MAX_STEPS} values")
         return tuple(range(lo, hi + 1))
     if "," in text:
         return tuple(_parse_int(part, flag, minimum) for part in text.split(","))

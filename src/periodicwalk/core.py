@@ -14,13 +14,17 @@ never leaves [-N, N], so the table never needs to grow.  A table for
 ``capacity`` steps has 2 * capacity + 1 rows: row i holds position
 i - capacity, so the origin is the middle row.  After k steps amplitude
 sits only on the live sites x = -k, -k + 2, ..., k, and ``evolve``
-touches nothing else.  Both coins are real matrices
-[[t, r], [r, -t]], so ``evolve`` holds them as per-site coefficients t(x)
-and r(x), built once per call as one contiguous array per parity of x.
-Between its first and last step it keeps the k + 1 live sites packed,
-site j (x = -k + 2j) in column j of a contiguous DOWN row and UP row,
-alternating between two such buffers of its own.  ``step`` is ``evolve``
-for one step.
+touches nothing else.  Both coins are real matrices [[t, r], [r, -t]].
+Each step reads the live sites of one parity of x, and ``evolve`` gives
+every parity one of three step classes.  On a Hadamard parity no live
+site scatters (even q, odd x): t = r = 1/sqrt 2, so a step takes two
+products instead of four.  On an all-scattering parity every site does
+(q = 1, or q = 2 on even x): t and r are the scalars sin and cos theta.
+Only a mixed parity holds per-site coefficients t(x) and r(x), built
+once per call as one contiguous array.  Between its first and last step
+``evolve`` keeps the k + 1 live sites packed, site j (x = -k + 2j) in
+column j of a contiguous DOWN row and UP row, alternating between two
+such buffers of its own.  ``step`` is ``evolve`` for one step.
 """
 
 from __future__ import annotations
@@ -132,7 +136,8 @@ class WalkState:
     is also the number of steps that fit.  ``steps_taken`` doubles as the
     support bound: all amplitude lies within |x| <= steps_taken, on sites
     of the same parity as steps_taken reachable from the start.
-    ValueError unless 0 <= steps_taken <= capacity.
+    ValueError unless the table has shape (2 * capacity + 1, 2) and
+    0 <= steps_taken <= capacity.
 
     ``evolve`` reads only the rows with |x| <= steps_taken whose parity is
     that of steps_taken, so a hand-built state must keep that support bound:
@@ -144,6 +149,9 @@ class WalkState:
     steps_taken: int
 
     def __post_init__(self) -> None:
+        shape = self.amplitudes.shape
+        if len(shape) != 2 or shape != (2 * self.capacity + 1, 2):
+            raise ValueError(f"amplitudes must have shape (2 * capacity + 1, 2), got {shape}")
         if not 0 <= self.steps_taken <= self.capacity:
             raise ValueError(f"steps_taken must lie in 0..{self.capacity}, got {self.steps_taken!r}")
 
@@ -237,29 +245,42 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         raise CapacityError(f"{n} more steps after {k} would exceed capacity {origin}")
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
     # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read, and step
-    # i reads only those of parity p = (n - 1 - i) % 2, so t and r are built
-    # per parity over x = x0 + 2m, x0 = p - reach, as 1/sqrt 2 with the
-    # scattering rows overwritten through one strided slice.  x % q == 0
-    # holds at every q-th m from m = -x0 (q + 1) / 2 mod q for odd q (as
-    # (q + 1) / 2 inverts 2 mod q), at every (q / 2)-th m from m = -x0 / 2
-    # mod q / 2 for even q and even x0, and nowhere for even q and odd x0.
-    # The coefficients are complex so that no multiply casts them to the
-    # amplitudes' type; the values, and so the products, are the same.  Any
-    # period above reach marks only x = 0, so capping it there loses nothing
-    # and keeps the stride within the indices numpy takes.
+    # i reads only those of parity p = (n - 1 - i) % 2, over x = x0 + 2m,
+    # x0 = p - reach.  x % q == 0 holds at every stride-th m from m = first:
+    # stride q and first -x0 (q + 1) / 2 mod q for odd q (as (q + 1) / 2
+    # inverts 2 mod q), stride q / 2 and first -x0 / 2 mod q / 2 for even q
+    # and even x0, and nowhere for even q and odd x0.  That gives each parity
+    # one of three step classes: Hadamard when none of its rows scatters, all
+    # scattering when stride is 1 (q = 1, or q = 2 on even x0), and mixed
+    # otherwise.  Only a mixed parity needs per-site coefficients, built as
+    # 1/sqrt 2 with the scattering rows overwritten through one strided
+    # slice.  The other two hold their coin as 0-d arrays: numpy would
+    # convert a Python complex on every call, about 0.2 us each.  Every
+    # class forms the same products and sums in the same order, so the
+    # amplitudes do not depend on the class.  Coefficients are complex so
+    # that no multiply casts them to the amplitudes' type; the values, and
+    # so the products, are the same.  Any period above reach marks only
+    # x = 0, so capping it there loses nothing and keeps the stride within
+    # the indices numpy takes.
     reach = k + n - 1
     q = min(profile.period_q, reach + 1)
-    t, r = [], []
+    hadamard = np.array(complex(_SQRT_HALF))
+    coins = []
     for p in range(min(n, 2)):
-        x0 = p - reach
-        coefficients = np.full((2, reach + 1 - p), complex(_SQRT_HALF))
+        x0, size = p - reach, reach + 1 - p
+        first, stride = size, 1
         if q % 2 or x0 % 2 == 0:
             stride = q if q % 2 else q // 2
             first = (-x0 * ((q + 1) // 2) if q % 2 else -x0 // 2) % stride
+        if first >= size:
+            coins.append(None)
+        elif stride == 1:
+            coins.append((np.array(complex(profile.transmission)), np.array(complex(profile.reflection))))
+        else:
+            coefficients = np.full((2, size), complex(_SQRT_HALF))
             coefficients[0, first::stride] = complex(profile.transmission)
             coefficients[1, first::stride] = complex(profile.reflection)
-        t.append(coefficients[0])
-        r.append(coefficients[1])
+            coins.append((coefficients[0], coefficients[1]))
     # The buffers start zeroed: the step from k writes DOWN to columns 0..k
     # and UP to 1..k + 1, and the next step reads columns 0..k + 1 of both.
     # Each row is prebuilt as a 1-d array, because slicing those costs less
@@ -279,7 +300,6 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         # toward -x and UP one site toward +x.
         k = state.steps_taken + i
         m0, p = divmod(n - 1 - i, 2)
-        tk, rk = t[p][m0 : m0 + k + 1], r[p][m0 : m0 + k + 1]
         d, u = src
         b = scratch[: k + 1]
         if i < n - 1:
@@ -291,6 +311,17 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
             # step into a buffer and a copy-out nearly doubled a one-step call.
             lo, hi = origin - k, origin + k + 1
             down, up = out[lo - 1 : hi - 1 : 2, DOWN], out[lo + 1 : hi + 1 : 2, UP]
+        if coins[p] is None:
+            # down = h d + h u and up = h d - h u with each product taken
+            # once: h d lands in down, and up is taken before down is summed.
+            np.multiply(hadamard, d, down)
+            np.multiply(hadamard, u, b)
+            np.subtract(down, b, up)
+            np.add(down, b, down)
+            continue
+        tk, rk = coins[p]
+        if tk.ndim:
+            tk, rk = tk[m0 : m0 + k + 1], rk[m0 : m0 + k + 1]
         # down = tk * d + rk * u and up = rk * d - tk * u.
         np.multiply(tk, d, down)
         np.multiply(rk, u, b)

@@ -225,6 +225,14 @@ def test_evolve_rejects_negative_steps(bad):
         evolve(initial_state(3), PotentialProfile(1, 0.4), bad)
 
 
+@pytest.mark.parametrize("shape", [(6, 2), (7, 3), (7,)])
+def test_walk_state_rejects_a_table_not_shaped_for_its_capacity(shape):
+    # An even row count has no middle row for the origin, and a row holds
+    # exactly the DOWN and UP amplitudes of one site.
+    with pytest.raises(ValueError, match="shape"):
+        WalkState(amplitudes=np.zeros(shape, dtype=np.complex128), steps_taken=0)
+
+
 @pytest.mark.parametrize("steps_taken", [-1, 4])
 def test_walk_state_rejects_steps_taken_outside_its_capacity(steps_taken):
     # A count outside 0..capacity names a window |x| <= steps_taken that the
@@ -286,28 +294,34 @@ def test_evolve_accepts_periods_beyond_int64(q):
 def test_coefficient_fill_for_every_period(n):
     # evolve marks the scattering rows of each parity through a strided
     # slice, with its own first row and stride for odd q, even q and the
-    # parity of the leftmost row.  Every period up to 2N + 3 passes the
-    # reach + 1 cap on q; the starts have even and odd steps_taken, and the
-    # splits put every step at the head of a call.
+    # parity of the leftmost row, and gives each parity its step class:
+    # Hadamard, all scattering or mixed.  Every period up to 2N + 3 passes
+    # the reach + 1 cap on q; the starts have even and odd steps_taken, and
+    # the splits put every step at the head of a call.  The second angle has
+    # sin and cos both negative, so the scalar coins carry a sign.
     starts = (initial_state(n), random_walk_state(np.random.default_rng(n), capacity=3 + n, support_steps=3))
-    for q in [*range(1, 2 * n + 4), 2**62]:
-        profile = PotentialProfile(q, 1.0)
-        for start in starts:
-            expected = strided_parity_evolve(start, profile, n).amplitudes.tobytes()
-            for a in range(n + 1):
-                split = evolve(evolve(start, profile, a), profile, n - a)
-                assert split.amplitudes.tobytes() == expected, (q, start.steps_taken, a)
+    for theta in (1.0, -2.5):
+        for q in [*range(1, 2 * n + 4), 2**62]:
+            profile = PotentialProfile(q, theta)
+            for start in starts:
+                expected = strided_parity_evolve(start, profile, n).amplitudes.tobytes()
+                for a in range(n + 1):
+                    split = evolve(evolve(start, profile, a), profile, n - a)
+                    assert split.amplitudes.tobytes() == expected, (theta, q, start.steps_taken, a)
 
 
 @pytest.mark.parametrize("theta_pi", [0.16666666666666666, 4.166666666666667])
 def test_4000_step_walk_equals_strided_parity_kernel(theta_pi):
     # The second angle leaves a band of subnormal amplitudes at the front of
-    # the walk (2168 subnormal components in the final table), which a walk
-    # of a few hundred steps never reaches.
-    profile = PotentialProfile(4, theta_pi * math.pi)
+    # the walk (2168 subnormal components in the final table at q = 4), which
+    # a walk of a few hundred steps never reaches.  Every step of q = 1 is all
+    # scattering and every step of q = 2 all scattering or all Hadamard;
+    # q = 4 alternates Hadamard and mixed steps.
     start = initial_state(4000)
-    expected = strided_parity_evolve(start, profile, 4000).amplitudes.tobytes()
-    assert evolve(start, profile, 4000).amplitudes.tobytes() == expected
+    for q in (1, 2, 4):
+        profile = PotentialProfile(q, theta_pi * math.pi)
+        expected = strided_parity_evolve(start, profile, 4000).amplitudes.tobytes()
+        assert evolve(start, profile, 4000).amplitudes.tobytes() == expected, q
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])
