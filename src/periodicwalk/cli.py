@@ -197,7 +197,7 @@ class _Command:
 
 def _simulate(config: RunConfig) -> list[tuple]:
     n = config.steps
-    state = evolve(initial_state(max(n, 1)), PotentialProfile(config.q, config.theta), n)
+    state = evolve(initial_state(), PotentialProfile(config.q, config.theta), n)
     check_norm(state)
     return list(zip(range(-n, n + 1), distribution(state).tolist()))
 

@@ -8,23 +8,22 @@ site the Hadamard coin.  ``q = 1`` makes every site a scatterer, and
 ``theta = pi/4`` makes the scattering coin coincide with Hadamard, so
 both limits reduce to familiar walks.
 
-Amplitudes live in a dense complex table, one (DOWN, UP) row per site,
-allocated once for the longest walk a state will host; a walk of N steps
-never leaves [-N, N], so the table never needs to grow.  A table for
-``capacity`` steps has 2 * capacity + 1 rows: row i holds position
-i - capacity, so the origin is the middle row.  After k steps amplitude
-sits only on the live sites x = -k, -k + 2, ..., k, and ``evolve``
-touches nothing else.  Both coins are real matrices [[t, r], [r, -t]].
-Each step reads the live sites of one parity of x, and ``evolve`` gives
-every parity one of three step classes.  On a Hadamard parity no live
-site scatters (even q, odd x): t = r = 1/sqrt 2, so a step takes two
-products instead of four.  On an all-scattering parity every site does
-(q = 1, or q = 2 on even x): t and r are the scalars sin and cos theta.
-Only a mixed parity holds per-site coefficients t(x) and r(x), built
-once per call as one contiguous array.  Between its first and last step
-``evolve`` keeps the k + 1 live sites packed, site j (x = -k + 2j) in
-column j of a contiguous DOWN row and UP row, alternating between two
-such buffers of its own.  ``step`` is ``evolve`` for one step.
+Amplitudes live in a dense complex table, one (DOWN, UP) row per site.
+A walk of k steps never leaves its light cone [-k, k], so the table is
+exactly that: 2k + 1 rows, row i holding position i - k, the origin in
+the middle row.  Amplitude sits only on the live sites x = -k, -k + 2,
+..., k, the even rows, and ``evolve`` touches nothing else.  Both coins
+are real matrices [[t, r], [r, -t]].  Each step reads the live sites of
+one parity of x, and ``evolve`` gives every parity one of three step
+classes.  On a Hadamard parity no live site scatters (even q, odd x):
+t = r = 1/sqrt 2, so a step takes two products instead of four.  On an
+all-scattering parity every site does (q = 1, or q = 2 on even x): t and
+r are the scalars sin and cos theta.  Only a mixed parity holds per-site
+coefficients t(x) and r(x), built once per call as one contiguous array.
+Between its first and last step ``evolve`` keeps the k + 1 live sites
+packed, site j (x = -k + 2j) in column j of a contiguous DOWN row and UP
+row, alternating between two such buffers of its own.  ``step`` is
+``evolve`` for one step.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "NORM_DRIFT_TOL",
-    "CapacityError",
     "CoinDirection",
     "DOWN",
     "NormDriftError",
@@ -78,10 +76,6 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return number
-
-
-class CapacityError(RuntimeError):
-    """A step would push amplitude past the edge of the allocated table."""
 
 
 class NormDriftError(RuntimeError):
@@ -129,40 +123,37 @@ class PotentialProfile:
 
 @dataclass(frozen=True)
 class WalkState:
-    """Dense amplitude table over (position, coin direction).
+    """Dense amplitude table over (position, coin direction): a walk's light cone.
 
-    Row ``i`` holds the (DOWN, UP) amplitudes of position ``i - capacity``,
-    so the table spans positions -capacity .. +capacity, and ``capacity``
-    is also the number of steps that fit.  ``steps_taken`` doubles as the
-    support bound: all amplitude lies within |x| <= steps_taken, on sites
-    of the same parity as steps_taken reachable from the start.
-    ValueError unless the table has shape (2 * capacity + 1, 2) and
-    0 <= steps_taken <= capacity.
+    A table of 2k + 1 rows holds a walk of k = ``steps_taken`` steps: row
+    ``i`` holds the (DOWN, UP) amplitudes of position ``i - k``, so it
+    spans |x| <= k, every site such a walk can reach.  ValueError unless
+    the table is a complex128 array of shape (2k + 1, 2).
 
-    ``evolve`` reads only the rows with |x| <= steps_taken whose parity is
-    that of steps_taken, so a hand-built state must keep that support bound:
-    amplitude outside it, or of the other parity, is ignored.  States from
-    ``initial_state``, ``point_state`` and ``evolve`` keep it.
+    ``evolve`` reads only the even rows, the sites of the parity of k, so
+    a hand-built state must keep its amplitude there: amplitude in an odd
+    row is ignored.  States from ``initial_state``, ``point_state`` and
+    ``evolve`` keep it.
     """
 
     amplitudes: np.ndarray
-    steps_taken: int
 
     def __post_init__(self) -> None:
-        shape = self.amplitudes.shape
-        if len(shape) != 2 or shape != (2 * self.capacity + 1, 2):
-            raise ValueError(f"amplitudes must have shape (2 * capacity + 1, 2), got {shape}")
-        if not 0 <= self.steps_taken <= self.capacity:
-            raise ValueError(f"steps_taken must lie in 0..{self.capacity}, got {self.steps_taken!r}")
+        table = self.amplitudes
+        shape = table.shape
+        if len(shape) != 2 or shape[1] != 2 or not shape[0] % 2:
+            raise ValueError(f"amplitudes must have shape (2k + 1, 2), got {shape}")
+        if table.dtype != np.complex128:
+            raise ValueError(f"amplitudes must be complex128, got {table.dtype}")
 
     @property
-    def capacity(self) -> int:
-        """Row of the origin, which is also the number of steps the table can absorb."""
+    def steps_taken(self) -> int:
+        """Steps the walk has taken, k, read off the table's 2k + 1 rows."""
         return (self.amplitudes.shape[0] - 1) // 2
 
     def amplitude(self, x: int, direction: CoinDirection) -> complex:
         """Amplitude of the (x, direction) basis state; zero outside the table."""
-        i = x + self.capacity
+        i = x + self.steps_taken
         if 0 <= i < self.amplitudes.shape[0]:
             return complex(self.amplitudes[i, direction])
         return 0j
@@ -173,59 +164,46 @@ class WalkState:
         return math.sqrt(np.vdot(a, a).real)
 
 
-def initial_state(capacity_steps: int) -> WalkState:
+def initial_state() -> WalkState:
     """Walker at the origin with coin state (|DOWN> + i|UP>) / sqrt 2.
 
     This coin choice gives a position distribution symmetric about the
     origin for every profile, because both coins are real matrices of the
     form [[a, b], [b, -a]].
-
-    Parameters
-    ----------
-    capacity_steps:
-        Number of steps the state must be able to absorb; sizes the table.
     """
-    capacity = _whole(capacity_steps, "capacity_steps", 1)
-    amps = np.zeros((2 * capacity + 1, 2), dtype=np.complex128)
-    amps[capacity, DOWN] = _SQRT_HALF
-    amps[capacity, UP] = 1j * _SQRT_HALF
-    return WalkState(amplitudes=amps, steps_taken=0)
+    amps = np.zeros((1, 2), dtype=np.complex128)
+    amps[0, DOWN] = _SQRT_HALF
+    amps[0, UP] = 1j * _SQRT_HALF
+    return WalkState(amps)
 
 
-def point_state(position: int, direction: CoinDirection, capacity_steps: int) -> WalkState:
+def point_state(position: int, direction: CoinDirection) -> WalkState:
     """Unit amplitude on a single (position, direction) cell.
 
-    steps_taken is primed to |position| so the support bound holds for a
-    walker that reached ``position`` from the origin.  ValueError unless
-    both are whole numbers and |position| <= capacity_steps.
+    The table is the light cone of a walker that reached ``position`` from
+    the origin, 2|position| + 1 rows, so steps_taken is |position|.
+    ValueError unless ``position`` is a whole number.
     """
-    capacity = _whole(capacity_steps, "capacity_steps", 1)
-    position = _whole(position, "position", -capacity)
-    if position > capacity:
-        raise ValueError(f"position {position} lies outside a table of capacity {capacity}")
-    amps = np.zeros((2 * capacity + 1, 2), dtype=np.complex128)
-    amps[position + capacity, CoinDirection(direction)] = 1.0
-    return WalkState(amplitudes=amps, steps_taken=abs(position))
+    k = _whole(abs(position), "|position|", 0)
+    amps = np.zeros((2 * k + 1, 2), dtype=np.complex128)
+    amps[k + int(position), CoinDirection(direction)] = 1.0
+    return WalkState(amps)
 
 
 def step(state: WalkState, profile: PotentialProfile) -> WalkState:
-    """Advance the walk by one step; the same as ``evolve(state, profile, 1)``.
-
-    Raises CapacityError when the table has no room left; amplitude is
-    never silently truncated at the edges.
-    """
+    """Advance the walk by one step; the same as ``evolve(state, profile, 1)``."""
     return evolve(state, profile, 1)
 
 
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Apply ``n_steps`` steps and return the final state.
 
-    Reads only the live rows of ``state.amplitudes``, those with
-    |x| <= steps_taken and the parity of steps_taken (see ``WalkState``),
-    and writes only a fresh zeroed table of the same shape, which it
-    returns.  The input table is never written, and the returned table is
-    never shared with the input or with another call's result; only
-    ``n_steps == 0`` returns ``state`` itself.
+    Reads only the live rows of ``state.amplitudes``, the even ones (see
+    ``WalkState``), and writes only a fresh zeroed table, which it returns:
+    the light cone of steps_taken + n_steps steps, 2 * n_steps rows longer
+    than the input.  The input table is never written, and the returned
+    table is never shared with the input or with another call's result;
+    only ``n_steps == 0`` returns ``state`` itself.
 
     Identical inputs give bit-identical outputs: the kernel is pure numpy
     with a fixed operation order and no randomness.
@@ -234,15 +212,12 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     ------
     ValueError
         If n_steps is not a whole number >= 0.
-    CapacityError
-        If steps_taken + n_steps would exceed the table capacity.
     """
     n = _whole(n_steps, "n_steps", 0)
     if n == 0:
         return state
-    amps, origin, k = state.amplitudes, state.capacity, state.steps_taken
-    if k + n > origin:
-        raise CapacityError(f"{n} more steps after {k} would exceed capacity {origin}")
+    amps = state.amplitudes
+    k0 = k = state.steps_taken
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
     # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read, and step
     # i reads only those of parity p = (n - 1 - i) % 2, over x = x0 + 2m,
@@ -292,13 +267,13 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         pairs = np.zeros((min(n - 1, 2), 2, k + n), dtype=amps.dtype)
         buffers = [tuple(pair) for pair in pairs]
     # np.zeros, not zeros_like: about 1.3 us less per call at 2001 rows.
-    out = np.zeros(amps.shape, amps.dtype)
+    out = np.zeros((2 * (k + n) + 1, 2), amps.dtype)
     scratch = np.empty(reach + 1, dtype=amps.dtype)
-    src = amps[origin - k : origin + k + 1 : 2, DOWN], amps[origin - k : origin + k + 1 : 2, UP]
+    src = amps[::2, DOWN], amps[::2, UP]
     for i in range(n):
         # The coin acts at the pre-shift position; then DOWN slides one site
         # toward -x and UP one site toward +x.
-        k = state.steps_taken + i
+        k = k0 + i
         m0, p = divmod(n - 1 - i, 2)
         d, u = src
         b = scratch[: k + 1]
@@ -309,8 +284,7 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         else:
             # Straight into the stride-2 columns of the returned table: a
             # step into a buffer and a copy-out nearly doubled a one-step call.
-            lo, hi = origin - k, origin + k + 1
-            down, up = out[lo - 1 : hi - 1 : 2, DOWN], out[lo + 1 : hi + 1 : 2, UP]
+            down, up = out[:-2:2, DOWN], out[2::2, UP]
         if coins[p] is None:
             # down = h d + h u and up = h d - h u with each product taken
             # once: h d lands in down, and up is taken before down is summed.
@@ -329,7 +303,7 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         np.multiply(rk, d, up)
         np.multiply(tk, u, b)
         np.subtract(up, b, up)
-    return WalkState(amplitudes=out, steps_taken=state.steps_taken + n)
+    return WalkState(out)
 
 
 def check_norm(state: WalkState) -> None:

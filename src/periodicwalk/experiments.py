@@ -128,7 +128,7 @@ def _sigma(state: WalkState) -> float:
 def _sigmas_after(profiles: Iterable[PotentialProfile], n_steps: int) -> np.ndarray:
     """sigma after n_steps from the origin, one per profile."""
     n = _whole(n_steps, "n_steps", 1)
-    return np.array([_sigma(evolve(initial_state(n), p, n)) for p in profiles])
+    return np.array([_sigma(evolve(initial_state(), p, n)) for p in profiles])
 
 
 def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.ndarray:
@@ -140,10 +140,10 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     grid = _grid(n_values, "n_values")
     ns = [_whole(n, "n_values", 1) for n in grid.tolist()]
     profile = PotentialProfile(q, theta)
-    state = initial_state(max(ns))
+    state = initial_state()
     wanted = set(ns)
     sigma_at: dict[int, float] = {}
-    for k in range(1, state.capacity + 1):
+    for k in range(1, max(ns) + 1):
         state = step(state, profile)
         if k in wanted:
             sigma_at[k] = _sigma(state)

@@ -28,27 +28,35 @@ class Moments:
     sigma: float
 
 
+def _half_width(p: np.ndarray) -> int:
+    """N for a window of 2N + 1 entries; ValueError unless ``p`` is 1-D of odd length."""
+    shape = p.shape
+    if len(shape) != 1 or not shape[0] % 2:
+        raise ValueError(f"p must be a 1-D window of 2N + 1 entries, got shape {shape}")
+    return shape[0] // 2
+
+
 def distribution(state: WalkState) -> np.ndarray:
     """Trace out the coin: P(x) = |a(x, DOWN)|^2 + |a(x, UP)|^2 for x = -N .. N.
 
-    N is ``state.steps_taken``, so entry i is P(i - N).  Zero entries are
-    kept on purpose, parity zeros included, so the same step count always
-    gives the same window.
+    N is ``state.steps_taken``, so entry i is P(i - N), one per row of the
+    table.  Zero entries are kept on purpose, parity zeros included, so the
+    same step count always gives the same window.
     """
-    n, origin = state.steps_taken, state.capacity
-    window = state.amplitudes[origin - n : origin + n + 1]
-    sq = window.real * window.real + window.imag * window.imag
+    a = state.amplitudes
+    sq = a.real * a.real + a.imag * a.imag
     return sq[:, DOWN] + sq[:, UP]
 
 
 def moments(p: np.ndarray) -> Moments:
     """Weighted sums over P(x) for x = -N .. N; sigma = sqrt(<x^2> - <x>^2).
 
-    ``p`` is a window as ``distribution`` returns it, 2N + 1 entries long.
-    The variance is clamped at zero before the square root so that
-    rounding on a point mass cannot produce a NaN.
+    ``p`` is a window as ``distribution`` returns it, 2N + 1 entries long;
+    ValueError unless it is 1-D of odd length.  The variance is clamped at
+    zero before the square root so that rounding on a point mass cannot
+    produce a NaN.
     """
-    n = (len(p) - 1) // 2
+    n = _half_width(p)
     x = np.arange(-n, n + 1, dtype=np.float64)
     mean = float(p @ x)
     second = float(p @ (x * x))
@@ -77,5 +85,9 @@ def q2_law(theta: float, n_steps: int) -> float:
 
 
 def symmetry_residual(p: np.ndarray) -> float:
-    """Largest |P(x) - P(-x)| over a window x = -N .. N."""
+    """Largest |P(x) - P(-x)| over a window x = -N .. N.
+
+    ValueError unless ``p`` is 1-D of odd length, as ``moments``.
+    """
+    _half_width(p)
     return float(np.max(np.abs(p - p[::-1])))

@@ -9,9 +9,8 @@ most 2(k + 1) cells, and an N-step walk costs O(N^2) dict operations
 (about 55 ms at N = 200 on a 2-vCPU Xeon VM).  It shares no array code
 with the dense kernel and builds its own Hadamard and C(theta) entries
 from the profile, which makes it a genuinely independent cross-check.
-The expanded cells come back as a ``WalkState`` with the input's table
-shape, so they compare with ``evolve`` table to table; a cell that would
-land outside that table raises ``CapacityError``.
+The expanded cells come back as a ``WalkState`` on the light cone of the
+whole walk, as ``evolve`` returns it, so the two compare table to table.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import DOWN, UP, CapacityError, CoinDirection, PotentialProfile, WalkState, _SQRT_HALF, _whole
+from .core import DOWN, UP, CoinDirection, PotentialProfile, WalkState, _SQRT_HALF, _whole
 
 __all__ = ["MAX_ORACLE_STEPS", "path_sum_evolve"]
 
@@ -39,17 +38,11 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
     in content to enumerating all 2^n_steps coin-flip paths and summing
     their amplitude products by endpoint.
 
-    Every non-zero cell of ``initial`` is expanded, whatever its support
-    bound, into a fresh ``WalkState`` of the same shape, ``n_steps`` steps
-    further on.
-
-    Raises
-    ------
-    ValueError
-        If n_steps is not a whole number in 0..MAX_ORACLE_STEPS, or the
-        result would count more steps than the table holds.
-    CapacityError
-        If a cell lands outside the table.
+    Every non-zero cell of ``initial`` is expanded, whatever its row's
+    parity, into a fresh ``WalkState`` ``n_steps`` steps further on: a
+    table of 2 * n_steps more rows, which holds every cell a branch can
+    reach.  ValueError unless n_steps is a whole number in
+    0..MAX_ORACLE_STEPS.
     """
     n = _whole(n_steps, "n_steps", 0)
     if n > MAX_ORACLE_STEPS:
@@ -62,9 +55,9 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
         for a, b in ((_SQRT_HALF, _SQRT_HALF), (profile.transmission, profile.reflection))
     ]
     q = profile.period_q
-    table, origin = initial.amplitudes, initial.capacity
+    table, k = initial.amplitudes, initial.steps_taken
     amps = {
-        (int(i) - origin, CoinDirection(int(c))): complex(table[i, c])
+        (int(i) - k, CoinDirection(int(c))): complex(table[i, c])
         for i, c in np.argwhere(table)
     }
     for _ in range(n):
@@ -74,9 +67,7 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
             nxt[(x - 1, DOWN)] += a * m[DOWN][c]
             nxt[(x + 1, UP)] += a * m[UP][c]
         amps = dict(nxt)
-    out = np.zeros_like(table)
+    out = np.zeros((2 * (k + n) + 1, 2), dtype=np.complex128)
     for (x, c), a in amps.items():
-        if not 0 <= x + origin < out.shape[0]:
-            raise CapacityError(f"the walk reaches x = {x}, outside capacity {initial.capacity}")
-        out[x + origin, c] = a
-    return WalkState(amplitudes=out, steps_taken=initial.steps_taken + n)
+        out[x + k + n, c] = a
+    return WalkState(out)

@@ -55,7 +55,7 @@ def n100_grid():
     sigmas = {}
     for q in range(1, 11):
         for k in range(0, 49):
-            state = evolve(initial_state(100), PotentialProfile(q, k * math.pi / 24), 100)
+            state = evolve(initial_state(), PotentialProfile(q, k * math.pi / 24), 100)
             p = distribution(state)
             residuals[(q, k)] = symmetry_residual(p)
             sigmas[(q, k)] = moments(p).sigma
@@ -64,7 +64,7 @@ def n100_grid():
 
 def test_criterion_01_unitarity_marathon():
     profile = PotentialProfile(3, math.pi / 5)
-    state = initial_state(1000)
+    state = initial_state()
     started = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
@@ -85,7 +85,7 @@ def test_criterion_02_oracle_equivalence():
     for q in range(1, 6):
         for k in range(0, 25):
             profile = PotentialProfile(q, k * math.pi / 12)
-            initial = initial_state(12)
+            initial = initial_state()
             state = initial
             for n in range(1, 13):
                 state = step(state, profile)
@@ -103,7 +103,7 @@ def test_criterion_03_hadamard_collapse():
     reference = hadamard_reference(n)
     worst = 0.0
     for q in (1, 2, 5, 10):
-        state = evolve(initial_state(n), PotentialProfile(q, math.pi / 4), n)
+        state = evolve(initial_state(), PotentialProfile(q, math.pi / 4), n)
         worst = max(worst, max_amp_diff(state, reference))
     report(
         "criterion-03 hadamard-collapse",
@@ -114,7 +114,7 @@ def test_criterion_03_hadamard_collapse():
 
 def test_criterion_04_free_propagation():
     n = 100
-    state = evolve(initial_state(n), PotentialProfile(1, math.pi / 2), n)
+    state = evolve(initial_state(), PotentialProfile(1, math.pi / 2), n)
     p = distribution(state)
     p_left, p_right = p[0], p[-1]
     sigma = moments(p).sigma
@@ -150,11 +150,11 @@ def test_criterion_05_symmetric_distributions(n100_grid):
 def test_criterion_06_sigma_ordering_in_q():
     qs = (2, 3, 5, 10)
     slow = [
-        moments(distribution(evolve(initial_state(200), PotentialProfile(q, math.pi / 6), 200))).sigma
+        moments(distribution(evolve(initial_state(), PotentialProfile(q, math.pi / 6), 200))).sigma
         for q in qs
     ]
     fast = [
-        moments(distribution(evolve(initial_state(200), PotentialProfile(q, math.pi / 3), 200))).sigma
+        moments(distribution(evolve(initial_state(), PotentialProfile(q, math.pi / 3), 200))).sigma
         for q in qs
     ]
     increasing = all(a < b for a, b in zip(slow, slow[1:]))

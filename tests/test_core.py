@@ -9,7 +9,6 @@ import periodicwalk
 from periodicwalk import (
     DOWN,
     UP,
-    CapacityError,
     CoinDirection,
     NormDriftError,
     PotentialProfile,
@@ -43,7 +42,7 @@ def site_coin(walk, profile, x):
     """
     columns = []
     for c in (DOWN, UP):
-        after = walk(point_state(x, c, abs(x) + 1), profile, 1)
+        after = walk(point_state(x, c), profile, 1)
         columns.append([after.amplitude(x - 1, DOWN), after.amplitude(x + 1, UP)])
     return np.array(columns).T
 
@@ -132,52 +131,41 @@ def test_is_scattering_site_vectorized():
     profile = PotentialProfile(3, 0.3)
     for walk in WALKS:
         for k in (5, 6):
-            amps = np.zeros((2 * k + 3, 2), dtype=np.complex128)
-            amps[1 : 2 * k + 2 : 2, DOWN] = 1.0  # x = -k, -k + 2, ..., k
-            after = walk(WalkState(amplitudes=amps, steps_taken=k), profile, 1)
+            amps = np.zeros((2 * k + 1, 2), dtype=np.complex128)
+            amps[::2, DOWN] = 1.0  # x = -k, -k + 2, ..., k
+            after = walk(WalkState(amps), profile, 1)
             xs = range(-k, k + 1, 2)
             transmitted = [after.amplitude(x - 1, DOWN) for x in xs]
             assert transmitted == [math.sin(0.3) if x % 3 == 0 else SQRT_HALF for x in xs]
 
 
 def test_initial_state_contents():
-    state = initial_state(5)
+    state = initial_state()
     assert state.steps_taken == 0
-    assert state.capacity == 5
-    assert state.amplitudes.shape == (11, 2)
+    assert state.amplitudes.shape == (1, 2)
     assert state.amplitude(0, DOWN) == SQRT_HALF
     assert state.amplitude(0, UP) == 1j * SQRT_HALF
     assert np.count_nonzero(state.amplitudes) == 2
     assert abs(state.norm() - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, math.inf])
-def test_initial_state_rejects_bad_capacity(bad):
-    with pytest.raises(ValueError):
-        initial_state(bad)
-
-
 def test_point_state_contents():
-    state = point_state(-3, UP, 6)
+    state = point_state(-3, UP)
     assert state.steps_taken == 3
+    assert state.amplitudes.shape == (7, 2)
     assert state.amplitude(-3, UP) == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
     assert abs(state.norm() - 1.0) < 1e-15
 
 
-def test_point_state_rejects_position_outside_capacity():
+@pytest.mark.parametrize("position", [2.5, math.inf, math.nan])
+def test_point_state_rejects_fractional_or_infinite_arguments(position):
     with pytest.raises(ValueError):
-        point_state(7, DOWN, 6)
-
-
-@pytest.mark.parametrize("position,capacity", [(2.5, 5), (0, math.inf)])
-def test_point_state_rejects_fractional_or_infinite_arguments(position, capacity):
-    with pytest.raises(ValueError):
-        point_state(position, UP, capacity)
+        point_state(position, UP)
 
 
 def test_amplitude_outside_table_is_zero():
-    state = initial_state(2)
+    state = initial_state()
     assert state.amplitude(99, DOWN) == 0j
     assert state.amplitude(-99, UP) == 0j
 
@@ -185,44 +173,52 @@ def test_amplitude_outside_table_is_zero():
 def test_step_at_scattering_site():
     # origin is a scatterer for every q; transmission keeps the direction
     profile = PotentialProfile(4, math.pi / 6)
-    after = step(point_state(0, DOWN, 2), profile)
+    after = step(point_state(0, DOWN), profile)
     assert abs(after.amplitude(-1, DOWN) - math.sin(math.pi / 6)) < 1e-15
     assert abs(after.amplitude(1, UP) - math.cos(math.pi / 6)) < 1e-15
     assert after.steps_taken == 1
 
-    after_up = step(point_state(0, UP, 2), profile)
+    after_up = step(point_state(0, UP), profile)
     assert abs(after_up.amplitude(-1, DOWN) - math.cos(math.pi / 6)) < 1e-15
     assert abs(after_up.amplitude(1, UP) + math.sin(math.pi / 6)) < 1e-15
 
 
 def test_step_at_hadamard_site():
     profile = PotentialProfile(4, math.pi / 6)
-    after = step(point_state(1, DOWN, 3), profile)
+    after = step(point_state(1, DOWN), profile)
     assert abs(after.amplitude(0, DOWN) - SQRT_HALF) < 1e-15
     assert abs(after.amplitude(2, UP) - SQRT_HALF) < 1e-15
 
-    after_up = step(point_state(1, UP, 3), profile)
+    after_up = step(point_state(1, UP), profile)
     assert abs(after_up.amplitude(0, DOWN) - SQRT_HALF) < 1e-15
     assert abs(after_up.amplitude(2, UP) + SQRT_HALF) < 1e-15
 
 
-def test_step_capacity_exhaustion():
+def test_each_step_grows_the_table_by_two_rows():
+    # The table is the light cone: two steps from the origin reach |x| <= 2.
     profile = PotentialProfile(2, 0.4)
-    state = step(initial_state(1), profile)
-    with pytest.raises(CapacityError):
-        step(state, profile)
+    state = step(step(initial_state(), profile), profile)
+    assert state.amplitudes.shape == (5, 2)
+    assert state.steps_taken == 2
+    assert abs(state.norm() - 1.0) < 1e-15
 
 
-def test_evolve_capacity_checked_up_front():
-    profile = PotentialProfile(2, 0.4)
-    with pytest.raises(CapacityError):
-        evolve(initial_state(3), profile, 4)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_evolve_returns_the_light_cone_of_every_start(n):
+    # A start of k steps and n more steps give a table of 2(k + n) + 1 rows.
+    profile = PotentialProfile(3, 0.9)
+    rng = np.random.default_rng(n)
+    for start in (initial_state(), point_state(-3, UP), point_state(2, DOWN), random_walk_state(rng, 4)):
+        k = start.steps_taken
+        after = evolve(start, profile, n)
+        assert after.amplitudes.shape == (2 * (k + n) + 1, 2)
+        assert after.steps_taken == k + n
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, math.inf])
 def test_evolve_rejects_negative_steps(bad):
     with pytest.raises(ValueError):
-        evolve(initial_state(3), PotentialProfile(1, 0.4), bad)
+        evolve(initial_state(), PotentialProfile(1, 0.4), bad)
 
 
 @pytest.mark.parametrize("shape", [(6, 2), (7, 3), (7,)])
@@ -230,27 +226,26 @@ def test_walk_state_rejects_a_table_not_shaped_for_its_capacity(shape):
     # An even row count has no middle row for the origin, and a row holds
     # exactly the DOWN and UP amplitudes of one site.
     with pytest.raises(ValueError, match="shape"):
-        WalkState(amplitudes=np.zeros(shape, dtype=np.complex128), steps_taken=0)
+        WalkState(np.zeros(shape, dtype=np.complex128))
 
 
-@pytest.mark.parametrize("steps_taken", [-1, 4])
-def test_walk_state_rejects_steps_taken_outside_its_capacity(steps_taken):
-    # A count outside 0..capacity names a window |x| <= steps_taken that the
-    # table does not hold: empty for -1, wider than the 7 rows for 4.
-    amps = initial_state(3).amplitudes
-    with pytest.raises(ValueError, match="steps_taken"):
-        WalkState(amplitudes=amps, steps_taken=steps_taken)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+def test_walk_state_rejects_a_table_that_is_not_complex128(dtype):
+    # A float64 table would stop evolve with a casting error, and a
+    # complex64 one would evolve silently in single precision.
+    with pytest.raises(ValueError, match="complex128"):
+        WalkState(np.ones((3, 2), dtype=dtype))
 
 
 def test_evolve_zero_steps_is_identity():
-    state = initial_state(3)
+    state = initial_state()
     assert evolve(state, PotentialProfile(1, 0.4), 0) is state
 
 
 def test_evolve_matches_repeated_step_bitwise():
     profile = PotentialProfile(3, 0.9)
-    fast = evolve(initial_state(9), profile, 9)
-    slow = initial_state(9)
+    fast = evolve(initial_state(), profile, 9)
+    slow = initial_state()
     for _ in range(9):
         slow = step(slow, profile)
     assert np.array_equal(fast.amplitudes, slow.amplitudes)
@@ -262,7 +257,7 @@ def test_evolve_never_writes_or_shares_its_input(n):
     # evolve works in buffers of its own and returns a fresh table, which may
     # alias neither the caller's table nor the table of another call's result
     profile = PotentialProfile(3, 0.9)
-    start = random_walk_state(np.random.default_rng(5), capacity=12, support_steps=3)
+    start = random_walk_state(np.random.default_rng(5), 3)
     before = start.amplitudes.tobytes()
     first = evolve(start, profile, n)
     second = evolve(start, profile, n)
@@ -274,8 +269,8 @@ def test_evolve_never_writes_or_shares_its_input(n):
 
 def test_evolve_deterministic_bit_identical():
     profile = PotentialProfile(4, 1.1)
-    a = evolve(initial_state(40), profile, 40)
-    b = evolve(initial_state(40), profile, 40)
+    a = evolve(initial_state(), profile, 40)
+    b = evolve(initial_state(), profile, 40)
     assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
 
 
@@ -283,7 +278,7 @@ def test_evolve_deterministic_bit_identical():
 def test_evolve_accepts_periods_beyond_int64(q):
     # A 10-step walk reads |x| <= 9, where any period above 9 marks only the
     # origin, so every such period gives the walk of q = 10.
-    start = initial_state(10)
+    start = initial_state()
     expected = evolve(start, PotentialProfile(10, 1.0), 10).amplitudes
     profile = PotentialProfile(q, 1.0)
     assert np.array_equal(evolve(start, profile, 10).amplitudes, expected)
@@ -299,7 +294,7 @@ def test_coefficient_fill_for_every_period(n):
     # the reach + 1 cap on q; the starts have even and odd steps_taken, and
     # the splits put every step at the head of a call.  The second angle has
     # sin and cos both negative, so the scalar coins carry a sign.
-    starts = (initial_state(n), random_walk_state(np.random.default_rng(n), capacity=3 + n, support_steps=3))
+    starts = (initial_state(), random_walk_state(np.random.default_rng(n), 3))
     for theta in (1.0, -2.5):
         for q in [*range(1, 2 * n + 4), 2**62]:
             profile = PotentialProfile(q, theta)
@@ -317,7 +312,7 @@ def test_4000_step_walk_equals_strided_parity_kernel(theta_pi):
     # a walk of a few hundred steps never reaches.  Every step of q = 1 is all
     # scattering and every step of q = 2 all scattering or all Hadamard;
     # q = 4 alternates Hadamard and mixed steps.
-    start = initial_state(4000)
+    start = initial_state()
     for q in (1, 2, 4):
         profile = PotentialProfile(q, theta_pi * math.pi)
         expected = strided_parity_evolve(start, profile, 4000).amplitudes.tobytes()
@@ -329,20 +324,20 @@ def test_step_preserves_norm_on_random_states(q, theta):
     rng = np.random.default_rng(7)
     profile = PotentialProfile(q, theta)
     for support in (0, 3, 6):
-        state = random_walk_state(rng, capacity=12, support_steps=support)
+        state = random_walk_state(rng, support)
         after = step(state, profile)
         assert abs(after.norm() - 1.0) < 1e-12
 
 
 def test_support_and_parity_stay_exact_zeros():
     profile = PotentialProfile(3, 0.8)
-    state = initial_state(31)
-    size = state.amplitudes.shape[0]
-    xs = np.arange(size) - state.capacity
+    state = initial_state()
     for n in range(1, 32):
         state = step(state, profile)
-        outside = (np.abs(xs) > n) | ((xs - n) % 2 != 0)
-        block = state.amplitudes[outside]
+        # The table is the light cone |x| <= n; its odd rows hold the sites
+        # of the other parity.
+        assert state.amplitudes.shape == (2 * n + 1, 2)
+        block = state.amplitudes[1::2]
         # exact zeros, not merely small: nothing ever writes these cells
         assert np.all(block.real == 0.0)
         assert np.all(block.imag == 0.0)
@@ -350,8 +345,8 @@ def test_support_and_parity_stay_exact_zeros():
 
 def test_trapping_at_theta_zero():
     # pure reflection at every site pins the walker next to the origin
-    state = evolve(initial_state(40), PotentialProfile(1, 0.0), 40)
-    xs = np.arange(state.amplitudes.shape[0]) - state.capacity
+    state = evolve(initial_state(), PotentialProfile(1, 0.0), 40)
+    xs = np.arange(state.amplitudes.shape[0]) - state.steps_taken
     inside = np.abs(xs) <= 1
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
     assert abs(probs[inside].sum() - 1.0) < 1e-12
@@ -359,8 +354,8 @@ def test_trapping_at_theta_zero():
 
 
 def test_trapping_at_theta_pi():
-    state = evolve(initial_state(40), PotentialProfile(1, math.pi), 40)
-    xs = np.arange(state.amplitudes.shape[0]) - state.capacity
+    state = evolve(initial_state(), PotentialProfile(1, math.pi), 40)
+    xs = np.arange(state.amplitudes.shape[0]) - state.steps_taken
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
     assert probs[np.abs(xs) <= 1].sum() > 1.0 - 1e-12
 
@@ -368,21 +363,21 @@ def test_trapping_at_theta_pi():
 @pytest.mark.parametrize("n", [7, 8])
 def test_free_propagation_amplitudes(n):
     # theta = pi/2 transmits perfectly; the UP branch picks up (-1)^n
-    state = evolve(initial_state(n), PotentialProfile(1, math.pi / 2), n)
+    state = evolve(initial_state(), PotentialProfile(1, math.pi / 2), n)
     sign = -1.0 if n % 2 else 1.0
     assert abs(state.amplitude(-n, DOWN) - SQRT_HALF) < 1e-12
     assert abs(state.amplitude(n, UP) - 1j * sign * SQRT_HALF) < 1e-12
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    assert abs(probs[state.capacity - n] - 0.5) < 1e-12
-    assert abs(probs[state.capacity + n] - 0.5) < 1e-12
+    assert abs(probs[state.steps_taken - n] - 0.5) < 1e-12
+    assert abs(probs[state.steps_taken + n] - 0.5) < 1e-12
 
 
 def test_two_step_walk_from_point_seed():
     # hand expansion: |0,DOWN> -> h(|-1,DOWN> + |1,UP>)
     #                -> h^2(|-2,DOWN> + |0,UP>) + h^2(|0,DOWN> - |2,UP>)
-    state = evolve(point_state(0, DOWN, 2), PotentialProfile(1, math.pi / 4), 2)
+    state = evolve(point_state(0, DOWN), PotentialProfile(1, math.pi / 4), 2)
     probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    by_x = {x: probs[x + state.capacity] for x in range(-2, 3)}
+    by_x = {x: probs[x + state.steps_taken] for x in range(-2, 3)}
     assert abs(by_x[-2] - 0.25) < 1e-12
     assert abs(by_x[0] - 0.5) < 1e-12
     assert abs(by_x[2] - 0.25) < 1e-12
@@ -395,17 +390,17 @@ def test_quarter_pi_collapses_to_hadamard_walk(q):
     # the scattering coin equals Hadamard at theta = pi/4, so the period
     # cannot matter; check against a dict-based reference walk
     n = 60
-    state = evolve(initial_state(n), PotentialProfile(q, math.pi / 4), n)
+    state = evolve(initial_state(), PotentialProfile(q, math.pi / 4), n)
     assert max_amp_diff(state, hadamard_reference(n)) < 1e-12
 
 
 def test_check_norm_passes_fresh_state():
-    check_norm(initial_state(4))
+    check_norm(initial_state())
 
 
 def test_check_norm_raises_on_drift():
-    state = initial_state(4)
-    broken = WalkState(amplitudes=state.amplitudes * 2.0, steps_taken=state.steps_taken)
+    state = initial_state()
+    broken = WalkState(state.amplitudes * 2.0)
     with pytest.raises(NormDriftError):
         check_norm(broken)
 
@@ -422,7 +417,6 @@ def test_public_surface():
     assert sorted(periodicwalk.__all__) == sorted([
         "__version__",
         "NORM_DRIFT_TOL",
-        "CapacityError",
         "CoinDirection",
         "DOWN",
         "NormDriftError",

@@ -62,7 +62,7 @@ def test_sweep_steps_ballistic_sigma_equals_n():
 def test_sweep_steps_snapshots_match_fresh_runs():
     profile = PotentialProfile(3, 0.9)
     for n, sigma in zip([5, 9], sweep_sigma_vs_steps(3, 0.9, [5, 9])):
-        fresh = moments(distribution(evolve(initial_state(n), profile, n))).sigma
+        fresh = moments(distribution(evolve(initial_state(), profile, n))).sigma
         assert sigma == fresh
 
 

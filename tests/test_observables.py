@@ -19,14 +19,14 @@ from walkref import random_walk_state
 
 
 def test_distribution_of_fresh_state():
-    p = distribution(initial_state(4))
+    p = distribution(initial_state())
     assert p.shape == (1,)
     assert abs(p[0] - 1.0) < 1e-12
 
 
 def test_distribution_window_and_parity_zeros():
     n = 9
-    state = evolve(initial_state(n), PotentialProfile(4, math.pi / 6), n)
+    state = evolve(initial_state(), PotentialProfile(4, math.pi / 6), n)
     p = distribution(state)
     assert p.shape == (2 * n + 1,)
     # odd step count: the even positions, x = -n + i for odd i, are
@@ -38,21 +38,21 @@ def test_distribution_window_and_parity_zeros():
 
 @pytest.mark.parametrize("support", [0, 1, 2, 7, 50])
 def test_distribution_bytes_equal_axis_sum_of_squares(support):
-    state = random_walk_state(np.random.default_rng(support), capacity=60, support_steps=support)
-    window = state.amplitudes[60 - support : 60 + support + 1]
-    expected = np.sum(window.real * window.real + window.imag * window.imag, axis=1)
+    state = random_walk_state(np.random.default_rng(support), support)
+    a = state.amplitudes
+    expected = np.sum(a.real * a.real + a.imag * a.imag, axis=1)
     assert distribution(state).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.4), (2, math.pi / 3), (5, 2.2), (7, math.pi / 4)])
 def test_distribution_sums_to_one(q, theta):
-    state = evolve(initial_state(50), PotentialProfile(q, theta), 50)
+    state = evolve(initial_state(), PotentialProfile(q, theta), 50)
     assert abs(distribution(state).sum() - 1.0) < 1e-12
 
 
 def test_free_propagation_distribution():
     n = 5
-    state = evolve(initial_state(n), PotentialProfile(1, math.pi / 2), n)
+    state = evolve(initial_state(), PotentialProfile(1, math.pi / 2), n)
     p = distribution(state)
     assert abs(p[0] - 0.5) < 1e-12  # x = -n
     assert abs(p[-1] - 0.5) < 1e-12  # x = +n
@@ -81,15 +81,29 @@ def test_moments_hand_cases():
     assert abs(m.sigma - math.sqrt(3.0)) < 1e-12
 
 
+@pytest.mark.parametrize("f", [moments, symmetry_residual])
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(np.array([]), id="empty"),
+        pytest.param(np.ones(4) / 4, id="even"),
+        pytest.param(np.ones((3, 3)), id="2d"),
+    ],
+)
+def test_window_functions_reject_a_non_window(f, p):
+    with pytest.raises(ValueError, match="2N \\+ 1"):
+        f(p)
+
+
 def test_moments_variance_identity_on_simulated_state():
-    state = evolve(initial_state(60), PotentialProfile(3, 0.8), 60)
+    state = evolve(initial_state(), PotentialProfile(3, 0.8), 60)
     m = moments(distribution(state))
     assert abs(m.sigma**2 + m.mean**2 - m.second_moment) < 1e-10
 
 
 def test_hadamard_sigma_golden_value():
     # frozen regression value; the coarse 0.5412 ratio guards the physics
-    state = evolve(initial_state(200), PotentialProfile(1, math.pi / 4), 200)
+    state = evolve(initial_state(), PotentialProfile(1, math.pi / 4), 200)
     sigma = moments(distribution(state)).sigma
     assert abs(sigma / 200 - 0.5412) < 0.03
     assert abs(sigma - 108.24153901533569) < 1e-9
@@ -128,5 +142,5 @@ def test_symmetry_residual_detects_asymmetry():
 
 
 def test_symmetry_residual_of_simulated_walk():
-    state = evolve(initial_state(51), PotentialProfile(4, math.pi / 6), 51)
+    state = evolve(initial_state(), PotentialProfile(4, math.pi / 6), 51)
     assert symmetry_residual(distribution(state)) < 1e-12

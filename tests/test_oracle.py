@@ -9,7 +9,6 @@ from periodicwalk import (
     DOWN,
     UP,
     MAX_ORACLE_STEPS,
-    CapacityError,
     PotentialProfile,
     WalkState,
     evolve,
@@ -17,11 +16,11 @@ from periodicwalk import (
     point_state,
 )
 from periodicwalk.oracle import path_sum_evolve
-from walkref import hadamard_reference, max_amp_diff
+from walkref import SQRT_HALF, hadamard_reference, max_amp_diff
 
 
 def test_zero_steps_returns_the_seed():
-    state = initial_state(3)
+    state = initial_state()
     result = path_sum_evolve(state, PotentialProfile(2, 0.5), 0)
     assert result.steps_taken == 0
     assert np.array_equal(result.amplitudes, state.amplitudes)
@@ -29,12 +28,12 @@ def test_zero_steps_returns_the_seed():
 
 
 def test_absent_cells_read_as_zero():
-    result = path_sum_evolve(initial_state(3), PotentialProfile(2, 0.5), 0)
+    result = path_sum_evolve(initial_state(), PotentialProfile(2, 0.5), 0)
     assert result.amplitude(17, DOWN) == 0j
 
 
 def test_single_step_from_scattering_origin():
-    result = path_sum_evolve(point_state(0, DOWN, 2), PotentialProfile(1, math.pi / 6), 1)
+    result = path_sum_evolve(point_state(0, DOWN), PotentialProfile(1, math.pi / 6), 1)
     assert result.steps_taken == 1
     assert np.count_nonzero(result.amplitudes) == 2
     assert abs(result.amplitude(-1, DOWN) - math.sin(math.pi / 6)) < 1e-15
@@ -42,7 +41,7 @@ def test_single_step_from_scattering_origin():
 
 
 def test_step_count_guard():
-    state = initial_state(MAX_ORACLE_STEPS + 1)
+    state = initial_state()
     profile = PotentialProfile(2, 0.5)
     with pytest.raises(ValueError):
         path_sum_evolve(state, profile, MAX_ORACLE_STEPS + 1)
@@ -55,32 +54,24 @@ def test_step_count_guard():
     assert result.steps_taken == MAX_ORACLE_STEPS
 
 
-def test_cells_past_the_table_raise_capacity_error():
-    with pytest.raises(CapacityError):
-        path_sum_evolve(initial_state(3), PotentialProfile(2, 0.5), 5)
-
-
-def test_amplitude_outside_the_support_bound_raises_rather_than_wraps():
-    # x = -3 at the table's first row, though steps_taken = 0 bounds the
-    # support to x = 0: one step sends its DOWN branch to x = -4, which a
-    # negative row index would wrap to the table's last row.
+def test_edge_rows_land_in_the_edge_rows_of_the_result():
+    # x = -3 and x = 3 fill the first and last rows of a 7-row table.  One
+    # step sends the DOWN branch of x = -3 to x = -4 and the UP branch of
+    # x = 3 to x = 4, the first and last rows of the 9-row result; a wrong
+    # origin offset would send one of them off the table or wrap it round.
     amps = np.zeros((7, 2), dtype=np.complex128)
-    amps[0, DOWN] = 1.0
-    with pytest.raises(CapacityError):
-        path_sum_evolve(WalkState(amplitudes=amps, steps_taken=0), PotentialProfile(2, 0.5), 1)
-
-
-def test_a_step_count_past_the_capacity_raises():
-    # Only the origin holds amplitude, so two steps stay inside the 7-row
-    # table, but the result would count 2 + 2 steps against a capacity of 3.
-    start = WalkState(amplitudes=initial_state(3).amplitudes, steps_taken=2)
-    with pytest.raises(ValueError, match="steps_taken"):
-        path_sum_evolve(start, PotentialProfile(2, 0.5), 2)
+    amps[0, DOWN] = 0.6
+    amps[-1, UP] = 0.8
+    result = path_sum_evolve(WalkState(amps), PotentialProfile(2, 0.5), 1)
+    assert result.amplitudes.shape == (9, 2)
+    assert result.amplitudes[0, DOWN] == 0.6 * SQRT_HALF
+    assert result.amplitudes[-1, UP] == -0.8 * SQRT_HALF
+    assert abs(result.norm() - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (4, math.pi / 4), (3, 2.0)])
 def test_norm_stays_unity(q, theta):
-    result = path_sum_evolve(initial_state(10), PotentialProfile(q, theta), 10)
+    result = path_sum_evolve(initial_state(), PotentialProfile(q, theta), 10)
     assert abs(result.norm() - 1.0) < 1e-10
 
 
@@ -89,7 +80,7 @@ def test_norm_stays_unity(q, theta):
 @pytest.mark.parametrize("n", [1, 6, 12])
 def test_agreement_with_dense_kernel(q, theta, n):
     profile = PotentialProfile(q, theta)
-    initial = initial_state(n)
+    initial = initial_state()
     dense = evolve(initial, profile, n)
     reference = path_sum_evolve(initial, profile, n)
     assert np.array_equal(dense.amplitudes, reference.amplitudes)
@@ -98,7 +89,7 @@ def test_agreement_with_dense_kernel(q, theta, n):
 @pytest.mark.parametrize("position,direction", [(3, UP), (-2, DOWN)])
 def test_agreement_from_offset_seeds(position, direction):
     profile = PotentialProfile(3, 0.7)
-    initial = point_state(position, direction, 12)
+    initial = point_state(position, direction)
     dense = evolve(initial, profile, 8)
     reference = path_sum_evolve(initial, profile, 8)
     assert np.array_equal(dense.amplitudes, reference.amplitudes)
@@ -110,7 +101,7 @@ def test_agreement_with_second_independent_reference():
     # test suite carries its own dict-based implementation; all three
     # codepaths must land on the same amplitudes
     n = 10
-    reference = path_sum_evolve(initial_state(n), PotentialProfile(1, math.pi / 4), n)
+    reference = path_sum_evolve(initial_state(), PotentialProfile(1, math.pi / 4), n)
     assert max_amp_diff(reference, hadamard_reference(n)) < 1e-12
 
 
@@ -121,7 +112,7 @@ def test_evolve_equals_oracle_at_its_cap(q, theta):
     # the oracle allows.  Both add the same two products per cell, so the
     # amplitudes are equal, not close.
     profile = PotentialProfile(q, theta)
-    start = initial_state(MAX_ORACLE_STEPS)
+    start = initial_state()
     walked = evolve(start, profile, MAX_ORACLE_STEPS)
     expanded = path_sum_evolve(start, profile, MAX_ORACLE_STEPS)
     assert np.array_equal(walked.amplitudes, expanded.amplitudes)

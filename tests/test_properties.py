@@ -37,7 +37,7 @@ walks = settings(max_examples=50, deadline=None)
 @given(profiles, splits)
 def test_evolve_composes_and_equals_repeated_step(profile, split):
     a, n = split
-    start = initial_state(max(n, 1))
+    start = initial_state()
     whole = evolve(start, profile, n)
     halves = evolve(evolve(start, profile, a), profile, n - a)
     assert np.array_equal(whole.amplitudes, halves.amplitudes)
@@ -62,9 +62,9 @@ def test_windowed_evolve_equals_full_table_kernel(profile, split, position, dire
     # steps_taken, so the stride-2 reads must start on the right row.
     a, n = split
     starts = (
-        initial_state(max(n, 1)),
-        point_state(position, direction, abs(position) + max(n, 1)),
-        random_walk_state(np.random.default_rng(seed), support + max(n, 1), support),
+        initial_state(),
+        point_state(position, direction),
+        random_walk_state(np.random.default_rng(seed), support),
     )
     for start in starts:
         full = full_table_evolve(start, profile, n)
@@ -90,7 +90,7 @@ def test_windowed_evolve_equals_full_table_kernel(profile, split, position, dire
 def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction):
     # The oracle adds the same two products per cell in a different order;
     # two-term sums commute exactly, so the amplitudes are equal, not close.
-    starts = (initial_state(max(n, 1)), point_state(position, direction, abs(position) + max(n, 1)))
+    starts = (initial_state(), point_state(position, direction))
     for start in starts:
         walked = evolve(start, profile, n)
         expanded = path_sum_evolve(start, profile, n)
@@ -108,8 +108,8 @@ FULL_TURN_CEILING = 1e-12
 @given(profiles, st.integers(min_value=1, max_value=300))
 def test_full_turn_of_theta_keeps_the_distribution(profile, n):
     turned = PotentialProfile(profile.period_q, profile.theta + 2 * math.pi)
-    p = distribution(evolve(initial_state(n), profile, n))
-    p_turned = distribution(evolve(initial_state(n), turned, n))
+    p = distribution(evolve(initial_state(), profile, n))
+    p_turned = distribution(evolve(initial_state(), turned, n))
     assert np.max(np.abs(p - p_turned)) <= FULL_TURN_CEILING
 
 
@@ -132,7 +132,7 @@ def test_sigma_angle_symmetries(profile, n):
 @walks
 @given(profiles, st.integers(min_value=1, max_value=300))
 def test_norm_and_symmetry_hold(profile, n):
-    state = evolve(initial_state(n), profile, n)
+    state = evolve(initial_state(), profile, n)
     assert abs(state.norm() - 1.0) <= 1e-12
     assert symmetry_residual(distribution(state)) <= 1e-12
 
@@ -140,8 +140,9 @@ def test_norm_and_symmetry_hold(profile, n):
 @walks
 @given(profiles, st.integers(min_value=1, max_value=300))
 def test_cells_outside_light_cone_or_of_wrong_parity_are_exact_zeros(profile, n):
-    state = evolve(initial_state(n), profile, n)
-    xs = np.arange(state.amplitudes.shape[0]) - state.capacity
+    state = evolve(initial_state(), profile, n)
+    assert state.amplitudes.shape == (2 * n + 1, 2)
+    xs = np.arange(state.amplitudes.shape[0]) - state.steps_taken
     dead = state.amplitudes[(np.abs(xs) > n) | ((xs - n) % 2 != 0)]
     assert np.all(dead.real == 0.0)
     assert np.all(dead.imag == 0.0)

@@ -41,28 +41,25 @@ def max_amp_diff(state: WalkState, amplitude_map) -> float:
     """Largest |dense - reference| amplitude over the union of supports."""
     keys = {(int(x), int(c)) for (x, c) in amplitude_map}
     nz = np.argwhere((state.amplitudes.real != 0) | (state.amplitudes.imag != 0))
-    keys.update((int(i) - state.capacity, int(c)) for i, c in nz)
+    keys.update((int(i) - state.steps_taken, int(c)) for i, c in nz)
     return max(
         abs(state.amplitude(x, CoinDirection(c)) - complex(amplitude_map.get((x, c), 0j)))
         for x, c in keys
     )
 
 
-def random_walk_state(rng: np.random.Generator, capacity: int, support_steps: int) -> WalkState:
+def random_walk_state(rng: np.random.Generator, support_steps: int) -> WalkState:
     """Normalized state with random amplitudes on the reachable sites.
 
-    Support is restricted to |x| <= support_steps on sites of matching
-    parity, so the result satisfies the same envelope a real walk of
-    support_steps steps would.
+    The table is the light cone of support_steps steps, with amplitude on
+    the sites of matching parity only, so the result satisfies the same
+    envelope a real walk of support_steps steps would.
     """
-    amps = np.zeros((2 * capacity + 1, 2), dtype=np.complex128)
-    xs = np.arange(-support_steps, support_steps + 1)
-    rows = xs + capacity
-    block = rng.standard_normal((xs.size, 2)) + 1j * rng.standard_normal((xs.size, 2))
-    block[(xs + support_steps) % 2 == 1] = 0.0
-    amps[rows] = block
+    size = 2 * support_steps + 1
+    amps = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
+    amps[1::2] = 0.0
     amps /= np.linalg.norm(amps)
-    return WalkState(amplitudes=amps, steps_taken=support_steps)
+    return WalkState(amps)
 
 
 def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
@@ -70,10 +67,11 @@ def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int)
 
     The same expressions in the same order as the windowed kernel, so the
     two agree under ``np.array_equal``; only the signs of zero amplitudes
-    may differ.
+    may differ.  The input is padded with n_steps zero rows on each side,
+    so the table is already the light cone of the result.
     """
-    amps = state.amplitudes
-    xs = np.arange(amps.shape[0]) - state.capacity
+    amps = np.pad(state.amplitudes, ((n_steps, n_steps), (0, 0)))
+    xs = np.arange(amps.shape[0]) - (state.steps_taken + n_steps)
     scattering = xs % profile.period_q == 0
     t = np.where(scattering, profile.transmission, SQRT_HALF)
     r = np.where(scattering, profile.reflection, SQRT_HALF)
@@ -83,7 +81,7 @@ def full_table_evolve(state: WalkState, profile: PotentialProfile, n_steps: int)
         out[:-1, DOWN] = t[1:] * d[1:] + r[1:] * u[1:]
         out[1:, UP] = r[:-1] * d[:-1] - t[:-1] * u[:-1]
         amps = out
-    return WalkState(amplitudes=amps, steps_taken=state.steps_taken + n_steps)
+    return WalkState(amps)
 
 
 def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
@@ -93,13 +91,14 @@ def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: 
     buffers, step loop unchanged: each step reads the live rows x = -k,
     -k + 2, ..., k of the table and writes the other parity.  It performs
     the same multiplies and adds on the same values, so its amplitudes
-    equal ``evolve``'s byte for byte.
+    equal ``evolve``'s byte for byte.  The tables are the input padded with
+    n_steps zero rows on each side, the light cone of the result.
     """
     n = n_steps
     if n == 0:
         return state
-    amps = state.amplitudes
-    origin = state.capacity
+    amps = np.pad(state.amplitudes, ((n, n), (0, 0)))
+    origin = state.steps_taken + n
     reach = state.steps_taken + n - 1
     xs = np.arange(-reach, reach + 1)
     scattering = xs % profile.period_q == 0
@@ -117,4 +116,4 @@ def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: 
         np.add(np.multiply(tk, d, out=a), np.multiply(rk, u, out=b), out=out[lo - 1 : hi - 1 : 2, DOWN])
         np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1 : 2, UP])
         amps = out
-    return WalkState(amplitudes=amps, steps_taken=state.steps_taken + n)
+    return WalkState(amps)
