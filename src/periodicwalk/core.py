@@ -128,7 +128,7 @@ class WalkState:
     A table of 2k + 1 rows holds a walk of k = ``steps_taken`` steps: row
     ``i`` holds the (DOWN, UP) amplitudes of position ``i - k``, so it
     spans |x| <= k, every site such a walk can reach.  ValueError unless
-    the table is a complex128 array of shape (2k + 1, 2).
+    the table is a complex128 numpy array of shape (2k + 1, 2).
 
     ``evolve`` reads only the even rows, the sites of the parity of k, so
     a hand-built state must keep its amplitude there: amplitude in an odd
@@ -140,6 +140,8 @@ class WalkState:
 
     def __post_init__(self) -> None:
         table = self.amplitudes
+        if not isinstance(table, np.ndarray):
+            raise ValueError(f"amplitudes must be a numpy array, got {type(table).__name__}")
         shape = table.shape
         if len(shape) != 2 or shape[1] != 2 or not shape[0] % 2:
             raise ValueError(f"amplitudes must have shape (2k + 1, 2), got {shape}")
@@ -152,7 +154,8 @@ class WalkState:
         return (self.amplitudes.shape[0] - 1) // 2
 
     def amplitude(self, x: int, direction: CoinDirection) -> complex:
-        """Amplitude of the (x, direction) basis state; zero outside the table."""
+        """Amplitude of (x, direction), zero outside the table; ValueError unless direction is DOWN or UP."""
+        direction = CoinDirection(direction)
         i = x + self.steps_taken
         if 0 <= i < self.amplitudes.shape[0]:
             return complex(self.amplitudes[i, direction])
@@ -307,7 +310,7 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
 
 
 def check_norm(state: WalkState) -> None:
-    """Raise NormDriftError if the state's norm has drifted beyond NORM_DRIFT_TOL."""
+    """Raise NormDriftError unless the norm is within NORM_DRIFT_TOL of 1, as a NaN norm never is."""
     drift = abs(state.norm() - 1.0)
-    if drift > NORM_DRIFT_TOL:
+    if not drift <= NORM_DRIFT_TOL:
         raise NormDriftError(f"norm drifted from 1 by {drift:.3e} after {state.steps_taken} steps")

@@ -28,12 +28,13 @@ class Moments:
     sigma: float
 
 
-def _half_width(p: np.ndarray) -> int:
-    """N for a window of 2N + 1 entries; ValueError unless ``p`` is 1-D of odd length."""
+def _window(p) -> tuple[np.ndarray, int]:
+    """``p`` as an array and N for its 2N + 1 entries; ValueError unless it is 1-D of odd length."""
+    p = np.asarray(p)
     shape = p.shape
     if len(shape) != 1 or not shape[0] % 2:
         raise ValueError(f"p must be a 1-D window of 2N + 1 entries, got shape {shape}")
-    return shape[0] // 2
+    return p, shape[0] // 2
 
 
 def distribution(state: WalkState) -> np.ndarray:
@@ -48,15 +49,15 @@ def distribution(state: WalkState) -> np.ndarray:
     return sq[:, DOWN] + sq[:, UP]
 
 
-def moments(p: np.ndarray) -> Moments:
+def moments(p) -> Moments:
     """Weighted sums over P(x) for x = -N .. N; sigma = sqrt(<x^2> - <x>^2).
 
-    ``p`` is a window as ``distribution`` returns it, 2N + 1 entries long;
-    ValueError unless it is 1-D of odd length.  The variance is clamped at
-    zero before the square root so that rounding on a point mass cannot
-    produce a NaN.
+    ``p`` is a window as ``distribution`` returns it, 2N + 1 entries long,
+    or any array-like that converts to one; ValueError unless it is 1-D of
+    odd length.  The variance is clamped at zero before the square root so
+    that rounding on a point mass cannot produce a NaN.
     """
-    n = _half_width(p)
+    p, n = _window(p)
     x = np.arange(-n, n + 1, dtype=np.float64)
     mean = float(p @ x)
     second = float(p @ (x * x))
@@ -84,10 +85,10 @@ def q2_law(theta: float, n_steps: int) -> float:
     return math.sqrt(1.0 - max(abs(math.cos(theta)), _SQRT_HALF)) * n_steps
 
 
-def symmetry_residual(p: np.ndarray) -> float:
+def symmetry_residual(p) -> float:
     """Largest |P(x) - P(-x)| over a window x = -N .. N.
 
-    ValueError unless ``p`` is 1-D of odd length, as ``moments``.
+    Takes ``p`` as ``moments`` does; ValueError unless it is 1-D of odd length.
     """
-    _half_width(p)
+    p, _ = _window(p)
     return float(np.max(np.abs(p - p[::-1])))

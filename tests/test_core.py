@@ -170,6 +170,15 @@ def test_amplitude_outside_table_is_zero():
     assert state.amplitude(-99, UP) == 0j
 
 
+@pytest.mark.parametrize("direction", [-1, 2])
+def test_amplitude_rejects_a_direction_that_is_not_down_or_up(direction):
+    # numpy would read -1 as the UP column and 2 as an IndexError.
+    with pytest.raises(ValueError):
+        initial_state().amplitude(0, direction)
+    with pytest.raises(ValueError):
+        initial_state().amplitude(99, direction)
+
+
 def test_step_at_scattering_site():
     # origin is a scatterer for every q; transmission keeps the direction
     profile = PotentialProfile(4, math.pi / 6)
@@ -235,6 +244,12 @@ def test_walk_state_rejects_a_table_that_is_not_complex128(dtype):
     # complex64 one would evolve silently in single precision.
     with pytest.raises(ValueError, match="complex128"):
         WalkState(np.ones((3, 2), dtype=dtype))
+
+
+def test_walk_state_rejects_a_table_that_is_not_a_numpy_array():
+    # Rejected, not converted: the table a state holds is the one it was given.
+    with pytest.raises(ValueError, match="numpy array"):
+        WalkState([[1 + 0j, 0j]])
 
 
 def test_evolve_zero_steps_is_identity():
@@ -405,6 +420,17 @@ def test_check_norm_raises_on_drift():
         check_norm(broken)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_check_norm_raises_on_a_non_finite_table(bad):
+    # Either makes the norm NaN, and NaN compares false against any tolerance.
+    nan_table = np.full((3, 2), complex(bad, 0))
+    one_bad = initial_state().amplitudes.copy()
+    one_bad[0, UP] = bad
+    for table in (nan_table, one_bad):
+        with pytest.raises(NormDriftError):
+            check_norm(WalkState(table))
+
+
 def test_coin_direction_values():
     assert CoinDirection.DOWN == 0
     assert CoinDirection.UP == 1
@@ -434,7 +460,6 @@ def test_public_surface():
         "q1_law",
         "q2_law",
         "symmetry_residual",
-        "MAX_ORACLE_STEPS",
         "path_sum_evolve",
     ])
     for name in periodicwalk.__all__:

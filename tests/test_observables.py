@@ -95,6 +95,14 @@ def test_window_functions_reject_a_non_window(f, p):
         f(p)
 
 
+def test_window_functions_take_a_list_as_the_array():
+    p = distribution(evolve(initial_state(), PotentialProfile(3, 0.8), 20))
+    assert moments(p.tolist()) == moments(p)
+    assert symmetry_residual(p.tolist()) == symmetry_residual(p)
+    assert moments([0.0, 1.0, 0.0]) == moments(np.array([0.0, 1.0, 0.0]))
+    assert symmetry_residual([0.1, 0.8, 0.1]) == 0.0
+
+
 def test_moments_variance_identity_on_simulated_state():
     state = evolve(initial_state(), PotentialProfile(3, 0.8), 60)
     m = moments(distribution(state))

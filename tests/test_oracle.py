@@ -8,7 +8,6 @@ import pytest
 from periodicwalk import (
     DOWN,
     UP,
-    MAX_ORACLE_STEPS,
     PotentialProfile,
     WalkState,
     evolve,
@@ -44,14 +43,9 @@ def test_step_count_guard():
     state = initial_state()
     profile = PotentialProfile(2, 0.5)
     with pytest.raises(ValueError):
-        path_sum_evolve(state, profile, MAX_ORACLE_STEPS + 1)
-    with pytest.raises(ValueError):
         path_sum_evolve(state, profile, -1)
     with pytest.raises(ValueError):
         path_sum_evolve(state, profile, math.inf)
-    # the cap itself is allowed
-    result = path_sum_evolve(state, profile, MAX_ORACLE_STEPS)
-    assert result.steps_taken == MAX_ORACLE_STEPS
 
 
 def test_edge_rows_land_in_the_edge_rows_of_the_result():
@@ -105,14 +99,17 @@ def test_agreement_with_second_independent_reference():
     assert max_amp_diff(reference, hadamard_reference(n)) < 1e-12
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
-@pytest.mark.parametrize("theta", [math.pi / 6, 2.0])
-def test_evolve_equals_oracle_at_its_cap(q, theta):
-    # The hypothesis property stops at 100 steps; this runs the longest walk
-    # the oracle allows.  Both add the same two products per cell, so the
-    # amplitudes are equal, not close.
+@pytest.mark.parametrize(
+    "theta,q,n",
+    [(theta, q, 200) for theta in (math.pi / 6, 2.0) for q in (1, 2, 3, 4, 7)]
+    + [(math.pi / 6, q, 1000) for q in (1, 2, 4)],
+)
+def test_evolve_equals_oracle_on_long_walks(theta, q, n):
+    # The hypothesis property stops at 100 steps; these walks go further, up
+    # to about a second each for the oracle at 1000 steps.  Both add the same
+    # two products per cell, so the amplitudes are equal, not close.
     profile = PotentialProfile(q, theta)
     start = initial_state()
-    walked = evolve(start, profile, MAX_ORACLE_STEPS)
-    expanded = path_sum_evolve(start, profile, MAX_ORACLE_STEPS)
+    walked = evolve(start, profile, n)
+    expanded = path_sum_evolve(start, profile, n)
     assert np.array_equal(walked.amplitudes, expanded.amplitudes)

@@ -86,11 +86,18 @@ def test_windowed_evolve_equals_full_table_kernel(profile, split, position, dire
     st.integers(min_value=0, max_value=100),
     st.integers(min_value=-5, max_value=5),
     st.sampled_from([DOWN, UP]),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction):
+def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction, support, seed):
     # The oracle adds the same two products per cell in a different order;
     # two-term sums commute exactly, so the amplitudes are equal, not close.
-    starts = (initial_state(), point_state(position, direction))
+    # A random start fills every live row, half the time at odd steps_taken.
+    starts = (
+        initial_state(),
+        point_state(position, direction),
+        random_walk_state(np.random.default_rng(seed), support),
+    )
     for start in starts:
         walked = evolve(start, profile, n)
         expanded = path_sum_evolve(start, profile, n)
