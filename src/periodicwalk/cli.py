@@ -36,7 +36,6 @@ from .core import (
     initial_state,
 )
 from .experiments import (
-    DEFAULT_STEPS,
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
     sweep_sigma_vs_steps,
@@ -67,6 +66,9 @@ EXIT_INVARIANT = 3
 #: angle or range value is a walk.  Any period q >= N gives the same N-step
 #: walk, so the period cap loses none.
 MAX_STEPS = 100_000
+
+#: Default walk length, long enough for asymptotic trends.
+DEFAULT_STEPS = 200
 
 
 class UsageError(Exception):
@@ -291,10 +293,11 @@ def _build_parser() -> _Parser:
             entry.q.add_to(sp, "--q")
         else:
             sp.set_defaults(q=1)
-        group = sp.add_mutually_exclusive_group()
+        grid = entry.theta_grid is not None
+        group = sp.add_mutually_exclusive_group(required=not grid)
         for flag, unit, scale in (("--theta", "radians", 1.0), ("--theta-pi", "multiples of pi", math.pi)):
-            parse = functools.partial(_parse_angles, flag=flag, scale=scale, grid=entry.theta_grid is not None)
-            help = f"coin angle in {unit}; grids as START:STOP:COUNT"
+            parse = functools.partial(_parse_angles, flag=flag, scale=scale, grid=grid)
+            help = f"coin angle in {unit}" + ("; grids as START:STOP:COUNT" if grid else "")
             group.add_argument(flag, dest="theta", default=entry.theta_grid, type=parse, metavar="T", help=help)
         entry.steps.add_to(sp, "--steps")
         sp.add_argument("--out", metavar="PATH", help=f"output CSV path (default {name}.csv)")
@@ -304,8 +307,6 @@ def _build_parser() -> _Parser:
 def parse_args(argv: Sequence[str]) -> RunConfig:
     """Turn raw arguments into a RunConfig.  Raises UsageError on bad input."""
     ns = _build_parser().parse_args(list(argv))
-    if ns.theta is None:  # a command without a default grid needs one angle
-        raise UsageError("one of --theta or --theta-pi is required")
     out = Path(ns.out or f"{ns.command}.csv")
     return RunConfig(command=ns.command, q=ns.q, theta=ns.theta, steps=ns.steps, out=out)
 

@@ -56,25 +56,28 @@ NORM_DRIFT_TOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _whole(value, name: str, minimum: int) -> int:
-    """``value`` as an int; ValueError unless it is a whole number >= ``minimum``."""
+def _whole(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is a whole number, and >= ``minimum`` if one is given."""
     try:
         whole = int(value)
     except (OverflowError, TypeError, ValueError):
         whole = None
-    if whole is None or whole != value or whole < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if whole is None or whole != value or (minimum is not None and whole < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return whole
 
 
 def _finite(value, name: str) -> float:
-    """``value`` as a float; ValueError unless it is finite."""
+    """``value`` as a float; ValueError unless it is a finite real number."""
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
         number = math.inf
+    except (TypeError, ValueError):  # a complex or non-numeric value
+        number = math.nan
     if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return number
 
 
@@ -154,9 +157,12 @@ class WalkState:
         return (self.amplitudes.shape[0] - 1) // 2
 
     def amplitude(self, x: int, direction: CoinDirection) -> complex:
-        """Amplitude of (x, direction), zero outside the table; ValueError unless direction is DOWN or UP."""
+        """Amplitude of (x, direction), zero outside the table.
+
+        ValueError unless x is a whole number and direction is DOWN or UP.
+        """
+        i = _whole(x, "x") + self.steps_taken
         direction = CoinDirection(direction)
-        i = x + self.steps_taken
         if 0 <= i < self.amplitudes.shape[0]:
             return complex(self.amplitudes[i, direction])
         return 0j
@@ -187,9 +193,10 @@ def point_state(position: int, direction: CoinDirection) -> WalkState:
     the origin, 2|position| + 1 rows, so steps_taken is |position|.
     ValueError unless ``position`` is a whole number.
     """
-    k = _whole(abs(position), "|position|", 0)
+    x = _whole(position, "position")
+    k = abs(x)
     amps = np.zeros((2 * k + 1, 2), dtype=np.complex128)
-    amps[k + int(position), CoinDirection(direction)] = 1.0
+    amps[k + x, CoinDirection(direction)] = 1.0
     return WalkState(amps)
 
 

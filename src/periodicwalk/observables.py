@@ -29,11 +29,12 @@ class Moments:
 
 
 def _window(p) -> tuple[np.ndarray, int]:
-    """``p`` as an array and N for its 2N + 1 entries; ValueError unless it is 1-D of odd length."""
+    """``p`` as an array and N for its 2N + 1 entries; ValueError unless it is 1-D of odd length and real."""
     p = np.asarray(p)
     shape = p.shape
-    if len(shape) != 1 or not shape[0] % 2:
-        raise ValueError(f"p must be a 1-D window of 2N + 1 entries, got shape {shape}")
+    # dtype kinds b, i, u and f: boolean, integer and real floating.
+    if len(shape) != 1 or not shape[0] % 2 or p.dtype.kind not in "biuf":
+        raise ValueError(f"p must be a 1-D window of 2N + 1 real entries, got shape {shape} and dtype {p.dtype}")
     return p, shape[0] // 2
 
 
@@ -54,8 +55,8 @@ def moments(p) -> Moments:
 
     ``p`` is a window as ``distribution`` returns it, 2N + 1 entries long,
     or any array-like that converts to one; ValueError unless it is 1-D of
-    odd length.  The variance is clamped at zero before the square root so
-    that rounding on a point mass cannot produce a NaN.
+    odd length and real.  The variance is clamped at zero before the square
+    root so that rounding on a point mass cannot produce a NaN.
     """
     p, n = _window(p)
     x = np.arange(-n, n + 1, dtype=np.float64)
@@ -88,7 +89,8 @@ def q2_law(theta: float, n_steps: int) -> float:
 def symmetry_residual(p) -> float:
     """Largest |P(x) - P(-x)| over a window x = -N .. N.
 
-    Takes ``p`` as ``moments`` does; ValueError unless it is 1-D of odd length.
+    Takes ``p`` as ``moments`` does; ValueError unless it is 1-D of odd length and real.
     """
     p, _ = _window(p)
-    return float(np.max(np.abs(p - p[::-1])))
+    # Subtracted as float64: numpy has no boolean subtract, and unsigned ones wrap.
+    return float(np.max(np.abs(np.subtract(p, p[::-1], dtype=np.float64))))

@@ -32,6 +32,7 @@ from periodicwalk.experiments import (
     Q2_LAZY_SPREAD_CEILING,
     R_SQUARED_INVERSE_PERIOD_MIN,
     R_SQUARED_STEPS_TREND_MIN,
+    R_SQUARED_THETA_TREND_MIN,
     check_q1_closed_form,
     linear_fit,
     relative_spread,
@@ -260,4 +261,33 @@ def test_criterion_12_cli_determinism(tmp_path):
         "criterion-12 cli-determinism",
         ok,
         f"two identical runs, {out_a.stat().st_size} bytes each, byte-identical={identical}",
+    )
+
+
+def test_criterion_13_sigma_linear_in_theta_below_quarter_pi():
+    # The abstract: sigma increases approximately linearly with theta for
+    # theta in (0, pi/4).  Past pi/4 the trend splits by period, and the
+    # split is pinned too: q = 1 keeps rising, q = 2 is lazy, q >= 3 falls.
+    n = 200
+    below = [i * math.pi / 52 for i in range(1, 13)]
+    above = [i * math.pi / 52 for i in range(13, 26)]
+    ok = True
+    details = []
+    for q in (1, 2, 3, 4, 10):
+        fit = linear_fit(below, sweep_sigma_vs_theta(q, below, n) / n)
+        ok = ok and fit.slope > 0 and fit.r_squared >= R_SQUARED_THETA_TREND_MIN
+        details.append(f"q={q} slope/N={fit.slope:.3f} r2={fit.r_squared:.5f}")
+    above_sigma = {q: sweep_sigma_vs_theta(q, above, n) for q in (1, 2, 3, 4, 10)}
+    above_slope = {q: linear_fit(above, s / n).slope for q, s in above_sigma.items()}
+    spread_q2 = relative_spread(above_sigma[2])
+    ok = ok and above_slope[1] > 0 and spread_q2 < Q2_LAZY_SPREAD_CEILING
+    ok = ok and all(above_slope[q] < 0 for q in (3, 4, 10))
+    report(
+        "criterion-13 sigma-linear-in-theta",
+        ok,
+        "on (0, pi/4): " + "; ".join(details) + f" (slope>0, r^2>={R_SQUARED_THETA_TREND_MIN}); "
+        f"on [pi/4, pi/2): q=1 slope/N={above_slope[1]:.3f} (>0), q=2 spread {spread_q2:.1e} "
+        f"(<{Q2_LAZY_SPREAD_CEILING:.1e}), "
+        + ", ".join(f"q={q} slope/N={above_slope[q]:.3f}" for q in (3, 4, 10))
+        + " (<0)",
     )

@@ -21,6 +21,7 @@ from periodicwalk.cli import (
     MAX_STEPS,
     RunConfig,
     UsageError,
+    _COMMANDS,
     _write_csv,
     main,
     parse_args,
@@ -183,8 +184,8 @@ def test_oversized_inputs_are_usage_errors(argv, tmp_path, capsys):
             "--theta: grid -1e+308:1e+308 spans more than a float can hold",
         ),
         (["sweep-theta", "--q", "2", "--theta-pi", "0:1e308:3"], "--theta-pi: angle 1e+308 is not finite in radians"),
-        (["simulate", "--q", "4"], "one of --theta or --theta-pi is required"),
-        (["sweep-period", "--steps", "10"], "one of --theta or --theta-pi is required"),
+        (["simulate", "--q", "4"], "one of the arguments --theta --theta-pi is required"),
+        (["sweep-period", "--steps", "10"], "one of the arguments --theta --theta-pi is required"),
         # Two errors: each flag is converted as argparse reads it, so the
         # first bad value in argv order is reported, before the exclusion.
         (["simulate", "--q", "0", "--theta", "1", "--theta-pi", "1"], "--q: must be >= 1, got 0"),
@@ -196,6 +197,26 @@ def test_oversized_inputs_are_usage_errors(argv, tmp_path, capsys):
 def test_usage_error_messages(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == f"periodicwalk: usage error: {message}\n"
+
+
+def _parses(argv) -> bool:
+    try:
+        parse_args(argv)
+    except UsageError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_help_states_the_angle_rules_the_parser_applies(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        parse_args([name, "--help"])
+    help = capsys.readouterr().out
+    argv = [name, *(["--q", "5"] if _COMMANDS[name].q else []), "--steps", "100"]
+    assert ("START:STOP:COUNT" in help) == _parses(argv + ["--theta", "0:1:3"])
+    assert ("(--theta T | --theta-pi T)" in help) == (not _parses(argv))
+    assert _parses(argv + ["--theta-pi", "0.25"])
 
 
 def test_parser_is_reused_across_calls_and_after_a_usage_error():

@@ -94,6 +94,12 @@ def test_profile_rejects_nonfinite_theta(bad_theta):
         PotentialProfile(2, bad_theta)
 
 
+@pytest.mark.parametrize("bad_theta", [1j, 0.5 + 0j, "abc", None, [0.5]], ids=["1j", "0.5+0j", "abc", "None", "list"])
+def test_profile_rejects_complex_or_non_numeric_theta(bad_theta):
+    with pytest.raises(ValueError, match="theta must be a finite real number"):
+        PotentialProfile(2, bad_theta)
+
+
 def test_profile_accepts_numpy_scalars():
     profile = PotentialProfile(np.int64(4), np.float64(0.3))
     assert profile.period_q == 4
@@ -162,6 +168,22 @@ def test_point_state_contents():
 def test_point_state_rejects_fractional_or_infinite_arguments(position):
     with pytest.raises(ValueError):
         point_state(position, UP)
+
+
+@pytest.mark.parametrize("position", ["3", None], ids=["str", "None"])
+def test_point_state_rejects_a_position_that_is_not_a_number(position):
+    # abs() used to raise TypeError on these before the position was checked.
+    with pytest.raises(ValueError, match="position must be an integer, got"):
+        point_state(position, DOWN)
+
+
+@pytest.mark.parametrize("x", [0.5, "0", None], ids=["0.5", "str", "None"])
+def test_amplitude_rejects_a_position_that_is_not_whole(x):
+    # numpy used to raise IndexError on 0.5, and the offset TypeError on "0".
+    with pytest.raises(ValueError, match="x must be an integer, got"):
+        initial_state().amplitude(x, DOWN)
+    assert initial_state().amplitude(np.int64(0), DOWN) == SQRT_HALF
+    assert initial_state().amplitude(0.0, UP) == 1j * SQRT_HALF
 
 
 def test_amplitude_outside_table_is_zero():

@@ -49,6 +49,21 @@ def test_linear_fit_rejects_bad_shapes():
             linear_fit(xs, ys)
 
 
+@pytest.mark.parametrize(
+    "xs,ys,name",
+    [
+        (np.array([1, 2, 3 + 1j]), [1, 2, 3], "xs"),
+        ([1, 2, 3], np.array([1, 2, 3 + 1j]), "ys"),
+        (["1", "2", "3"], [1, 2, 3], "xs"),
+        ([1, 2, 3], [1, None, 3], "ys"),
+    ],
+)
+def test_linear_fit_rejects_samples_that_are_not_real(xs, ys, name):
+    # The complex case used to report slope 1 and r^2 1 with only a warning.
+    with pytest.raises(ValueError, match=f"{name} must be real numbers"):
+        linear_fit(xs, ys)
+
+
 def test_linear_fit_r_squared_within_bounds():
     fit = linear_fit([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0])
     assert 0.0 <= fit.r_squared < 1.0
@@ -89,6 +104,30 @@ def test_sweeps_reject_non_integer_periods_and_step_counts():
     for name, call in calls:
         with pytest.raises(ValueError, match=name):
             call()
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        pytest.param("period_q", lambda: sweep_sigma_vs_inverse_period(0.5, ["3"], 10), id="period-str"),
+        pytest.param("n_values", lambda: sweep_sigma_vs_steps(2, 0.5, ["5"]), id="steps-str"),
+        pytest.param("theta", lambda: sweep_sigma_vs_theta(2, np.array([0.5, 0.5 + 1j]), 10), id="theta-complex-array"),
+        pytest.param("theta", lambda: sweep_sigma_vs_theta(2, [0.5, 0.5 + 1j], 10), id="theta-complex-list"),
+        pytest.param("theta", lambda: check_q1_closed_form(np.array([0.5 + 1j]), 100), id="q1-complex-array"),
+        pytest.param("theta", lambda: check_q1_closed_form([0.5 + 1j], 100), id="q1-complex-list"),
+    ],
+)
+def test_sweep_grids_are_checked_value_by_value(name, call):
+    # Each grid value meets the check PotentialProfile or evolve gives it
+    # alone: the strings used to pass through float64, and a complex array
+    # used to be cut to its real part.
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_sweep_period_takes_a_period_beyond_int64():
+    # Any period above the walk's reach marks only the origin.
+    assert sweep_sigma_vs_inverse_period(0.5, [2**70], 10).tolist() == sweep_sigma_vs_inverse_period(0.5, [11], 10).tolist()
 
 
 def test_sweep_theta_shape_and_metadata():
@@ -207,6 +246,12 @@ def test_check_q1_rejects_short_walks():
         check_q1_closed_form([0.5], 99)
     with pytest.raises(ValueError):
         check_q1_closed_form([], 200)
+
+
+@pytest.mark.parametrize("sigma", [np.array([1, 2 + 1j]), ["1", "2"]], ids=["complex", "str"])
+def test_relative_spread_rejects_samples_that_are_not_real(sigma):
+    with pytest.raises(ValueError, match="sigma must be real numbers"):
+        relative_spread(sigma)
 
 
 def test_relative_spread_values():

@@ -95,6 +95,28 @@ def test_window_functions_reject_a_non_window(f, p):
         f(p)
 
 
+@pytest.mark.parametrize("f", [moments, symmetry_residual])
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(np.array([0, 1j, 0]), id="complex"),
+        pytest.param(np.array([1j, 0, 0]), id="complex-asymmetric"),
+        pytest.param(np.array(["0", "1", "0"]), id="str"),
+        pytest.param([None, 1.0, None], id="object"),
+    ],
+)
+def test_window_functions_reject_a_window_that_is_not_real(f, p):
+    # A complex window used to be read as its real part, and strings died in matmul.
+    with pytest.raises(ValueError, match="2N \\+ 1 real entries"):
+        f(p)
+
+
+def test_window_functions_take_booleans_and_integers():
+    assert moments(np.array([0, 1, 0])) == moments(np.array([0.0, 1.0, 0.0]))
+    assert symmetry_residual(np.array([True, False, False])) == 1.0
+    assert symmetry_residual(np.array([1, 0, 0], dtype=np.uint8)) == 1.0
+
+
 def test_window_functions_take_a_list_as_the_array():
     p = distribution(evolve(initial_state(), PotentialProfile(3, 0.8), 20))
     assert moments(p.tolist()) == moments(p)
