@@ -134,9 +134,7 @@ def _parse_int_list(text: str, flag: str, minimum: int) -> tuple[int, ...]:
         if hi < lo:
             raise UsageError(f"{flag}: range end {hi} is below start {lo}")
         return tuple(range(lo, hi + 1))
-    if "," in text:
-        return tuple(_parse_int(part, flag, minimum) for part in text.split(","))
-    return (_parse_int(text, flag, minimum),)
+    return tuple(_parse_int(part, flag, minimum) for part in text.split(","))
 
 
 def _parse_angles(text: str, flag: str, scale: float, grid: bool) -> float | tuple[float, ...]:
@@ -372,8 +370,9 @@ def run(config: RunConfig) -> int:
     elapsed = time.perf_counter() - started
     # Both files are written to temporaries beside their targets and moved
     # into place only once both writes succeed, the manifest first and the
-    # CSV last.  If a move fails, the targets already moved are removed too,
-    # so a failed run leaves neither file without the other.
+    # CSV last.  Whatever a write or move raises, the temporaries and the
+    # targets already moved are removed, so a failed run leaves neither file
+    # without the other; anything but an OSError is then raised again.
     manifest = Path(f"{config.out}.manifest.json")
     temporaries = {target: Path(f"{target}.{os.getpid()}.tmp") for target in (manifest, config.out)}
     moved = []
@@ -383,10 +382,12 @@ def run(config: RunConfig) -> int:
         for target, temporary in temporaries.items():
             os.replace(temporary, target)
             moved.append(target)
-    except OSError as exc:
+    except BaseException as exc:
         for path in [*temporaries.values(), *moved]:
             with contextlib.suppress(OSError):
                 path.unlink()
+        if not isinstance(exc, OSError):
+            raise
         print(f"periodicwalk: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -55,12 +55,17 @@ NORM_DRIFT_TOL = 1e-9
 
 _SQRT_HALF = math.sqrt(0.5)
 
+#: What counts as a real number, for a scalar and for an array's dtype kind:
+#: the same set, a bool, an integer or a float, from Python or numpy.
+_REAL_TYPES = (int, float, np.bool_, np.integer, np.floating)
+_REAL_KINDS = "biuf"
+
 
 def _whole(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int; ValueError unless it is a whole number, and >= ``minimum`` if one is given."""
+    """``value`` as an int; ValueError unless it is a whole real number, and >= ``minimum`` if one is given."""
     try:
-        whole = int(value)
-    except (OverflowError, TypeError, ValueError):
+        whole = int(value) if isinstance(value, _REAL_TYPES) else None
+    except (OverflowError, ValueError):  # an infinite or NaN float
         whole = None
     if whole is None or whole != value or (minimum is not None and whole < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
@@ -71,11 +76,9 @@ def _whole(value, name: str, minimum: int | None = None) -> int:
 def _finite(value, name: str) -> float:
     """``value`` as a float; ValueError unless it is a finite real number."""
     try:
-        number = float(value)
+        number = float(value) if isinstance(value, _REAL_TYPES) else math.nan
     except OverflowError:  # an int beyond the float range
         number = math.inf
-    except (TypeError, ValueError):  # a complex or non-numeric value
-        number = math.nan
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return number
@@ -133,10 +136,10 @@ class WalkState:
     spans |x| <= k, every site such a walk can reach.  ValueError unless
     the table is a complex128 numpy array of shape (2k + 1, 2).
 
-    ``evolve`` reads only the even rows, the sites of the parity of k, so
-    a hand-built state must keep its amplitude there: amplitude in an odd
-    row is ignored.  States from ``initial_state``, ``point_state`` and
-    ``evolve`` keep it.
+    ``evolve`` and the oracle read only the even rows, the sites of the
+    parity of k, so a hand-built state must keep its amplitude there:
+    both ignore amplitude in an odd row.  States from ``initial_state``,
+    ``point_state`` and ``evolve`` keep it.
     """
 
     amplitudes: np.ndarray
@@ -162,7 +165,7 @@ class WalkState:
         ValueError unless x is a whole number and direction is DOWN or UP.
         """
         i = _whole(x, "x") + self.steps_taken
-        direction = CoinDirection(direction)
+        direction = CoinDirection(_whole(direction, "direction"))
         if 0 <= i < self.amplitudes.shape[0]:
             return complex(self.amplitudes[i, direction])
         return 0j
@@ -191,12 +194,13 @@ def point_state(position: int, direction: CoinDirection) -> WalkState:
 
     The table is the light cone of a walker that reached ``position`` from
     the origin, 2|position| + 1 rows, so steps_taken is |position|.
-    ValueError unless ``position`` is a whole number.
+    ValueError unless ``position`` is a whole number and ``direction`` is
+    DOWN or UP.
     """
     x = _whole(position, "position")
     k = abs(x)
     amps = np.zeros((2 * k + 1, 2), dtype=np.complex128)
-    amps[k + x, CoinDirection(direction)] = 1.0
+    amps[k + x, CoinDirection(_whole(direction, "direction"))] = 1.0
     return WalkState(amps)
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import PotentialProfile, WalkState, _whole, check_norm, evolve, initial_state, step
+from .core import _REAL_KINDS, PotentialProfile, WalkState, _whole, check_norm, evolve, initial_state, step
 from .observables import distribution, moments
 
 __all__ = [
@@ -84,9 +84,9 @@ class Q1LawCheck:
 
 
 def _reals(values: Sequence[float], name: str) -> np.ndarray:
-    """``values`` as a float64 array; ValueError unless they are real numbers (dtype kind b, i, u or f)."""
+    """``values`` as a float64 array; ValueError unless they are real numbers."""
     array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in _REAL_KINDS:
         raise ValueError(f"{name} must be real numbers, got {array.dtype}")
     return array.astype(np.float64)
 
@@ -124,11 +124,10 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 
 
 def _grid(values: Sequence, name: str) -> list:
-    """``values`` as a list, each entry left for its own check; ValueError unless it is a non-empty 1-D sequence."""
-    grid = np.asarray(values)
-    if grid.ndim != 1 or grid.size == 0:
+    """``values`` as a list, each value as given for its own check; ValueError unless it is a non-empty 1-D sequence."""
+    if np.ndim(values) != 1 or len(values) == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    return grid.tolist()
+    return list(values)
 
 
 def _sigma(state: WalkState) -> float:

@@ -34,11 +34,12 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
     in content to enumerating all 2^n_steps coin-flip paths and summing
     their amplitude products by endpoint.
 
-    Every non-zero cell of ``initial`` is expanded, whatever its row's
-    parity, into a fresh ``WalkState`` ``n_steps`` steps further on: a
-    table of 2 * n_steps more rows, which holds every cell a branch can
-    reach.  ValueError unless n_steps is a whole number >= 0; as for
-    ``evolve``, there is no upper limit.
+    Every non-zero cell in the even rows of ``initial``, the live ones that
+    ``evolve`` reads too (see ``WalkState``), is expanded into a fresh
+    ``WalkState`` ``n_steps`` steps further on: a table of 2 * n_steps
+    more rows, which holds every cell a branch can reach.  ValueError
+    unless n_steps is a whole number >= 0; as for ``evolve``, there is no
+    upper limit.
     """
     n = _whole(n_steps, "n_steps", 0)
 
@@ -49,10 +50,10 @@ def path_sum_evolve(initial: WalkState, profile: PotentialProfile, n_steps: int)
         for a, b in ((_SQRT_HALF, _SQRT_HALF), (profile.transmission, profile.reflection))
     ]
     q = profile.period_q
-    table, k = initial.amplitudes, initial.steps_taken
+    live, k = initial.amplitudes[::2], initial.steps_taken
     amps = {
-        (int(i) - k, CoinDirection(int(c))): complex(table[i, c])
-        for i, c in np.argwhere(table)
+        (2 * int(i) - k, CoinDirection(int(c))): complex(live[i, c])
+        for i, c in np.argwhere(live)
     }
     for _ in range(n):
         nxt: defaultdict[tuple[int, CoinDirection], complex] = defaultdict(complex)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import periodicwalk.cli as cli
 import periodicwalk.core as core
 import periodicwalk.experiments as experiments
 from periodicwalk.cli import (
@@ -393,6 +394,18 @@ def test_failed_manifest_write_leaves_no_csv(tmp_path, capsys, blocked):
     assert code == EXIT_IO
     assert capsys.readouterr().err.startswith("periodicwalk: i/o error: ")
     assert [path.name for path in tmp_path.iterdir()] == [blocked]
+
+
+def test_a_write_that_raises_anything_else_leaves_no_file(tmp_path, monkeypatch):
+    # The CSV temporary is already written when the manifest write raises;
+    # it goes too, and the error is raised as it came, not as exit status 2.
+    def fail(*args, **kwargs):
+        raise TypeError("not JSON serializable")
+
+    monkeypatch.setattr(cli, "_write_manifest", fail)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["simulate", "--q", "1", "--theta", "1", "--steps", "5", "--out", str(tmp_path / "x.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_invariant_violation(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """Kernel-level behavior: coins, profiles, states, stepping, invariants."""
 
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +22,12 @@ from periodicwalk import (
     path_sum_evolve,
     point_state,
     step,
+)
+from periodicwalk.experiments import (
+    check_q1_closed_form,
+    sweep_sigma_vs_inverse_period,
+    sweep_sigma_vs_steps,
+    sweep_sigma_vs_theta,
 )
 from walkref import SQRT_HALF, hadamard_reference, max_amp_diff, random_walk_state, strided_parity_evolve
 
@@ -82,29 +91,84 @@ def test_scattering_coin_unitary_for_any_angle(walk, k):
     assert np.allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
 
 
-@pytest.mark.parametrize("bad_q", [0, -1, -7, 1.5, math.inf, math.nan])
-def test_profile_rejects_bad_period(bad_q):
-    with pytest.raises(ValueError):
-        PotentialProfile(bad_q, 0.3)
+#: Not a bool, an integer or a float from Python or numpy, so no entry point
+#: takes them: strings, bytes, complex numbers even with no imaginary part,
+#: Fraction, Decimal and 0-d arrays.
+NOT_REAL = ["3", b"3", "abc", None, 3 + 0j, 1j, np.complex128(3), np.complex128(1j), Fraction(3), Decimal(3), np.array(3)]
+INF, NAN, H, C = math.inf, math.nan, SQRT_HALF + 0j, np.complex128(0.5 + 1j)
+START, PROFILE = initial_state(), PotentialProfile(2, 0.5)
+PERIOD = "period_q must be an integer >= 1, got {got}"
+ANGLE = "theta must be a finite real number, got {got}"
+STEPS = "n_steps must be an integer >= {}, got {{got}}"
+DIRECTION = "direction must be an integer, got {got}|{got} is not a valid CoinDirection"
+
+#: entry point: (a call on one value, the whole message of its ValueError with
+#: {got} for the value's repr, the values it refuses, the (value, result) pairs
+#: it accepts).  A list grid puts the value after a good one, so the message
+#: must name the value itself; an array grid puts it first, since a complex
+#: entry makes every entry complex.  The direction is checked before the site.
+RULE = {
+    "PotentialProfile.period_q": (
+        lambda v: PotentialProfile(v, 0.3).period_q, PERIOD, [0, -1, -7, False, 1.5, INF, NAN, *NOT_REAL],
+        [(np.int64(4), 4), (4.0, 4), (np.float32(4), 4), (True, 1), (np.uint64(2**63), 2**63), (10**23, 10**23)]),
+    "PotentialProfile.theta": (
+        lambda v: PotentialProfile(2, v).theta, ANGLE, [INF, -INF, NAN, 10**400, 0.5 + 0j, [0.5], "0.5", b"0.5", *NOT_REAL],
+        [(np.float64(0.3), 0.3), (np.float16(0.5), 0.5), (np.longdouble(0.25), 0.25), (np.int8(-3), -3.0), (np.True_, 1.0)]),
+    "point_state.position": (
+        lambda v: point_state(v, UP).steps_taken, "position must be an integer, got {got}",
+        [2.5, INF, NAN, *NOT_REAL], [(np.int64(-3), 3), (2.0, 2), (False, 0)]),
+    "point_state.direction": (
+        lambda v: point_state(0, v).amplitude(0, UP), DIRECTION, [-1, 2, 0.5, *NOT_REAL],
+        [(UP, 1 + 0j), (np.int64(1), 1 + 0j), (1.0, 1 + 0j), (True, 1 + 0j), (np.uint8(0), 0j)]),
+    "WalkState.amplitude.x": (
+        lambda v: (START.amplitude(v, DOWN), START.amplitude(v, UP)), "x must be an integer, got {got}",
+        [0.5, "0", *NOT_REAL], [(np.int64(0), (H, 1j * H)), (0.0, (H, 1j * H))]),
+    "WalkState.amplitude.direction": (
+        lambda v: (START.amplitude(99, v), START.amplitude(0, v)), DIRECTION,
+        [-1, 2, *NOT_REAL], [(np.int64(1), (0j, 1j * H)), (0.0, (0j, H))]),
+    "evolve.n_steps": (
+        lambda v: evolve(START, PROFILE, v).steps_taken, STEPS.format(0),
+        [-1, 1.5, INF, *NOT_REAL], [(np.int64(3), 3), (3.0, 3), (True, 1)]),
+    "path_sum_evolve.n_steps": (
+        lambda v: path_sum_evolve(START, PROFILE, v).steps_taken, STEPS.format(0),
+        [-1, INF, *NOT_REAL], [(np.uint8(2), 2), (2.0, 2)]),
+    "sweep_sigma_vs_inverse_period.q_values": (
+        lambda v: len(sweep_sigma_vs_inverse_period(0.5, [3, v, 10], 10)), PERIOD,
+        [2.5, "4", *NOT_REAL], [(np.int64(4), 3), (4.0, 3), (2**70, 3)]),
+    "sweep_sigma_vs_steps.n_values": (
+        lambda v: len(sweep_sigma_vs_steps(1, 0.5, [5, v, 10])), "n_values must be an integer >= 1, got {got}",
+        [5.7, 2.5, "5", 0, *NOT_REAL], [(np.int64(7), 3), (7.0, 3)]),
+    "sweep_sigma_vs_theta.theta_grid": (
+        lambda v: len(sweep_sigma_vs_theta(2, [0.5, v], 10)), ANGLE, [0.5 + 1j, INF, *NOT_REAL], [(np.float32(0.25), 2)]),
+    "sweep_sigma_vs_theta.theta_grid_array": (lambda v: sweep_sigma_vs_theta(2, np.array([v, 0.5]), 10), ANGLE, [C], []),
+    "sweep_sigma_vs_theta.n_steps": (
+        lambda v: len(sweep_sigma_vs_theta(2, [0.5], v)), STEPS.format(1), [20.9, 0, *NOT_REAL], [(10.0, 1)]),
+    "check_q1_closed_form.theta_grid": (
+        lambda v: len(check_q1_closed_form([0.5, v], 100).law), ANGLE, [0.5 + 1j, *NOT_REAL], [(np.float64(1.0), 2)]),
+    "check_q1_closed_form.theta_grid_array": (lambda v: check_q1_closed_form(np.array([v, 0.5]), 100), ANGLE, [C], []),
+    "check_q1_closed_form.n_steps": (
+        lambda v: len(check_q1_closed_form([0.5], v).law), STEPS.format(100), [100.9, 99, *NOT_REAL], [(np.int64(100), 1)]),
+}
+REFUSED = object()
 
 
-@pytest.mark.parametrize("bad_theta", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
-def test_profile_rejects_nonfinite_theta(bad_theta):
-    with pytest.raises(ValueError):
-        PotentialProfile(2, bad_theta)
-
-
-@pytest.mark.parametrize("bad_theta", [1j, 0.5 + 0j, "abc", None, [0.5]], ids=["1j", "0.5+0j", "abc", "None", "list"])
-def test_profile_rejects_complex_or_non_numeric_theta(bad_theta):
-    with pytest.raises(ValueError, match="theta must be a finite real number"):
-        PotentialProfile(2, bad_theta)
-
-
-def test_profile_accepts_numpy_scalars():
-    profile = PotentialProfile(np.int64(4), np.float64(0.3))
-    assert profile.period_q == 4
-    assert isinstance(profile.period_q, int)
-    assert profile.theta == 0.3
+@pytest.mark.parametrize(
+    "entry,value,expected",
+    [
+        pytest.param(entry, value, expected, id=f"{entry}-{repr(value) if len(repr(value)) < 30 else type(value).__name__}")
+        for entry, (_, _, refused, accepted) in RULE.items()
+        for value, expected in [*((v, REFUSED) for v in refused), *accepted]
+    ],
+)
+def test_every_argument_meets_the_one_real_number_rule(entry, value, expected):
+    call, message, _, _ = RULE[entry]
+    if expected is REFUSED:
+        with pytest.raises(ValueError, match=f"^(?:{message.format(got=re.escape(repr(value)))})$"):
+            call(value)
+    else:
+        result = call(value)
+        assert result == expected
+        assert type(result) is type(expected)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 2.0, math.pi, 5.5, -1.2, 9.0])
@@ -164,41 +228,10 @@ def test_point_state_contents():
     assert abs(state.norm() - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("position", [2.5, math.inf, math.nan])
-def test_point_state_rejects_fractional_or_infinite_arguments(position):
-    with pytest.raises(ValueError):
-        point_state(position, UP)
-
-
-@pytest.mark.parametrize("position", ["3", None], ids=["str", "None"])
-def test_point_state_rejects_a_position_that_is_not_a_number(position):
-    # abs() used to raise TypeError on these before the position was checked.
-    with pytest.raises(ValueError, match="position must be an integer, got"):
-        point_state(position, DOWN)
-
-
-@pytest.mark.parametrize("x", [0.5, "0", None], ids=["0.5", "str", "None"])
-def test_amplitude_rejects_a_position_that_is_not_whole(x):
-    # numpy used to raise IndexError on 0.5, and the offset TypeError on "0".
-    with pytest.raises(ValueError, match="x must be an integer, got"):
-        initial_state().amplitude(x, DOWN)
-    assert initial_state().amplitude(np.int64(0), DOWN) == SQRT_HALF
-    assert initial_state().amplitude(0.0, UP) == 1j * SQRT_HALF
-
-
 def test_amplitude_outside_table_is_zero():
     state = initial_state()
     assert state.amplitude(99, DOWN) == 0j
     assert state.amplitude(-99, UP) == 0j
-
-
-@pytest.mark.parametrize("direction", [-1, 2])
-def test_amplitude_rejects_a_direction_that_is_not_down_or_up(direction):
-    # numpy would read -1 as the UP column and 2 as an IndexError.
-    with pytest.raises(ValueError):
-        initial_state().amplitude(0, direction)
-    with pytest.raises(ValueError):
-        initial_state().amplitude(99, direction)
 
 
 def test_step_at_scattering_site():
@@ -244,12 +277,6 @@ def test_evolve_returns_the_light_cone_of_every_start(n):
         after = evolve(start, profile, n)
         assert after.amplitudes.shape == (2 * (k + n) + 1, 2)
         assert after.steps_taken == k + n
-
-
-@pytest.mark.parametrize("bad", [-1, 1.5, math.inf])
-def test_evolve_rejects_negative_steps(bad):
-    with pytest.raises(ValueError):
-        evolve(initial_state(), PotentialProfile(1, 0.4), bad)
 
 
 @pytest.mark.parametrize("shape", [(6, 2), (7, 3), (7,)])

@@ -89,42 +89,6 @@ def test_sweep_steps_validation():
             sweep_sigma_vs_steps(1, 0.5, bad)
 
 
-def test_sweeps_reject_non_integer_periods_and_step_counts():
-    # each of these used to be truncated: q=2, n=5, n=5, 20 and 100 steps
-    calls = [
-        ("period_q", lambda: sweep_sigma_vs_inverse_period(0.5, [2.5], 20)),
-        ("n_values", lambda: sweep_sigma_vs_steps(1, 0.5, [5.7])),
-        ("n_values", lambda: sweep_sigma_vs_steps(1, 0.5, [5.7, 10])),
-        ("n_values", lambda: sweep_sigma_vs_steps(1, 0.5, [2.5])),
-        ("n_steps", lambda: sweep_sigma_vs_theta(2, [0.5], 20.9)),
-        ("n_steps", lambda: sweep_sigma_vs_theta(2, [0.5], "abc")),
-        ("n_steps", lambda: check_q1_closed_form([0.5], 100.9)),
-        ("n_steps", lambda: check_q1_closed_form([0.5], "abc")),
-    ]
-    for name, call in calls:
-        with pytest.raises(ValueError, match=name):
-            call()
-
-
-@pytest.mark.parametrize(
-    "name,call",
-    [
-        pytest.param("period_q", lambda: sweep_sigma_vs_inverse_period(0.5, ["3"], 10), id="period-str"),
-        pytest.param("n_values", lambda: sweep_sigma_vs_steps(2, 0.5, ["5"]), id="steps-str"),
-        pytest.param("theta", lambda: sweep_sigma_vs_theta(2, np.array([0.5, 0.5 + 1j]), 10), id="theta-complex-array"),
-        pytest.param("theta", lambda: sweep_sigma_vs_theta(2, [0.5, 0.5 + 1j], 10), id="theta-complex-list"),
-        pytest.param("theta", lambda: check_q1_closed_form(np.array([0.5 + 1j]), 100), id="q1-complex-array"),
-        pytest.param("theta", lambda: check_q1_closed_form([0.5 + 1j], 100), id="q1-complex-list"),
-    ],
-)
-def test_sweep_grids_are_checked_value_by_value(name, call):
-    # Each grid value meets the check PotentialProfile or evolve gives it
-    # alone: the strings used to pass through float64, and a complex array
-    # used to be cut to its real part.
-    with pytest.raises(ValueError, match=name):
-        call()
-
-
 def test_sweep_period_takes_a_period_beyond_int64():
     # Any period above the walk's reach marks only the origin.
     assert sweep_sigma_vs_inverse_period(0.5, [2**70], 10).tolist() == sweep_sigma_vs_inverse_period(0.5, [11], 10).tolist()

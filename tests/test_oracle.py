@@ -39,15 +39,6 @@ def test_single_step_from_scattering_origin():
     assert abs(result.amplitude(1, UP) - math.cos(math.pi / 6)) < 1e-15
 
 
-def test_step_count_guard():
-    state = initial_state()
-    profile = PotentialProfile(2, 0.5)
-    with pytest.raises(ValueError):
-        path_sum_evolve(state, profile, -1)
-    with pytest.raises(ValueError):
-        path_sum_evolve(state, profile, math.inf)
-
-
 def test_edge_rows_land_in_the_edge_rows_of_the_result():
     # x = -3 and x = 3 fill the first and last rows of a 7-row table.  One
     # step sends the DOWN branch of x = -3 to x = -4 and the UP branch of

@@ -3,13 +3,16 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import from_dtype
 
 from periodicwalk import (
     DOWN,
     UP,
     PotentialProfile,
+    WalkState,
     distribution,
     evolve,
     initial_state,
@@ -31,6 +34,14 @@ splits = st.integers(min_value=0, max_value=300).flatmap(
     lambda n: st.tuples(st.integers(min_value=0, max_value=n), st.just(n))
 )
 walks = settings(max_examples=50, deadline=None)
+
+#: Every bool, integer and float dtype numpy has: the dtype kinds b, i, u and f.
+REAL_DTYPES = sorted({np.dtype(c) for c in "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]}, key=str)
+
+
+def real_scalars(**kwargs):
+    """Numpy scalars of every real dtype; ``kwargs`` go to ``from_dtype``."""
+    return st.sampled_from(REAL_DTYPES).flatmap(lambda d: from_dtype(d, **kwargs).map(d.type))
 
 
 @walks
@@ -93,16 +104,38 @@ def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction, 
     # The oracle adds the same two products per cell in a different order;
     # two-term sums commute exactly, so the amplitudes are equal, not close.
     # A random start fills every live row, half the time at odd steps_taken.
-    starts = (
-        initial_state(),
-        point_state(position, direction),
-        random_walk_state(np.random.default_rng(seed), support),
-    )
+    rng = np.random.default_rng(seed)
+    starts = (initial_state(), point_state(position, direction), random_walk_state(rng, support))
+    if n:
+        # Every row filled: both walks read only the even rows, so they agree
+        # from the first step on.  At n = 0 evolve returns its input as it is.
+        rows = 2 * support + 1
+        starts += (WalkState(rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))),)
     for start in starts:
         walked = evolve(start, profile, n)
         expanded = path_sum_evolve(start, profile, n)
         assert np.array_equal(walked.amplitudes, expanded.amplitudes)
         assert walked.steps_taken == expanded.steps_taken
+
+
+@given(real_scalars(allow_nan=False, allow_infinity=False))
+def test_a_finite_real_of_any_dtype_is_an_angle(x):
+    assert PotentialProfile(2, x).theta == float(x)
+
+
+@given(real_scalars())
+def test_a_real_of_any_dtype_is_a_period_exactly_when_it_is_whole_and_positive(x):
+    if np.isfinite(x) and x >= 1 and x == int(x):
+        assert PotentialProfile(x, 0.3).period_q == int(x)
+    else:
+        with pytest.raises(ValueError, match="period_q must be an integer >= 1"):
+            PotentialProfile(x, 0.3)
+
+
+@given(st.one_of(st.text(), st.binary(), st.complex_numbers(), st.floats().map(complex), real_scalars().map(np.complex128)))
+def test_text_bytes_and_complex_numbers_are_never_angles(x):
+    with pytest.raises(ValueError, match="theta must be a finite real number"):
+        PotentialProfile(2, x)
 
 
 #: Largest |P(x) at theta - P(x) at theta + 2 pi| allowed.  sin and cos of the
