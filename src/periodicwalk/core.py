@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,17 @@ __all__ = [
 NORM_DRIFT_TOL = 1e-9
 
 _SQRT_HALF = math.sqrt(0.5)
+
+
+def _coin_scalar(value: float) -> np.ndarray:
+    """``value`` as a read-only complex 0-d array, a coin entry ``evolve`` multiplies by."""
+    scalar = np.array(complex(value))
+    scalar.flags.writeable = False
+    return scalar
+
+
+#: 1/sqrt 2, the magnitude of every Hadamard coin entry, as ``evolve`` multiplies by it.
+_HADAMARD = _coin_scalar(_SQRT_HALF)
 
 #: What counts as a real number, for a scalar and for an array's dtype kind:
 #: the same set, a bool, an integer or a float, from Python or numpy.
@@ -99,6 +111,13 @@ DOWN = CoinDirection.DOWN
 UP = CoinDirection.UP
 
 
+def _direction(value) -> CoinDirection:
+    """``value`` as a CoinDirection; ValueError unless it is a real number equal to 0 or 1."""
+    if isinstance(value, _REAL_TYPES) and value in (0, 1):
+        return CoinDirection(int(value))
+    raise ValueError(f"direction must be 0 (DOWN) or 1 (UP), got {value!r}")
+
+
 @dataclass(frozen=True)
 class PotentialProfile:
     """Periodic arrangement of coins: C(theta) wherever x % q == 0, Hadamard elsewhere.
@@ -125,6 +144,15 @@ class PotentialProfile:
     def reflection(self) -> float:
         """Amplitude for bouncing back at a scattering site, cos(theta)."""
         return math.cos(self.theta)
+
+    @cached_property
+    def _coin(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sin, cos) theta as read-only complex 0-d arrays, built on first use by ``evolve``.
+
+        Kept in the instance dict, outside the dataclass fields, so equality,
+        hash and repr do not see it.
+        """
+        return _coin_scalar(self.transmission), _coin_scalar(self.reflection)
 
 
 @dataclass(frozen=True)
@@ -165,7 +193,7 @@ class WalkState:
         ValueError unless x is a whole number and direction is DOWN or UP.
         """
         i = _whole(x, "x") + self.steps_taken
-        direction = CoinDirection(_whole(direction, "direction"))
+        direction = _direction(direction)
         if 0 <= i < self.amplitudes.shape[0]:
             return complex(self.amplitudes[i, direction])
         return 0j
@@ -200,7 +228,7 @@ def point_state(position: int, direction: CoinDirection) -> WalkState:
     x = _whole(position, "position")
     k = abs(x)
     amps = np.zeros((2 * k + 1, 2), dtype=np.complex128)
-    amps[k + x, CoinDirection(_whole(direction, "direction"))] = 1.0
+    amps[k + x, _direction(direction)] = 1.0
     return WalkState(amps)
 
 
@@ -243,17 +271,19 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     # scattering when stride is 1 (q = 1, or q = 2 on even x0), and mixed
     # otherwise.  Only a mixed parity needs per-site coefficients, built as
     # 1/sqrt 2 with the scattering rows overwritten through one strided
-    # slice.  The other two hold their coin as 0-d arrays: numpy would
-    # convert a Python complex on every call, about 0.2 us each.  Every
-    # class forms the same products and sums in the same order, so the
-    # amplitudes do not depend on the class.  Coefficients are complex so
-    # that no multiply casts them to the amplitudes' type; the values, and
-    # so the products, are the same.  Any period above reach marks only
-    # x = 0, so capping it there loses nothing and keeps the stride within
-    # the indices numpy takes.
+    # slice.  The other two multiply by read-only 0-d arrays, since numpy
+    # would convert a Python complex on every multiply, about 0.2 us each.
+    # Those are built once, not per call: the Hadamard entry at import and
+    # (sin, cos) theta on a profile's first walk, so a walk advanced one
+    # step at a time builds them once, not once per step.  Every class
+    # forms the same products and sums in the same order, so the amplitudes
+    # do not depend on the class.  Coefficients are complex so that no
+    # multiply casts them to the amplitudes' type; the values, and so the
+    # products, are the same.  Any period above reach marks only x = 0, so
+    # capping it there loses nothing and keeps the stride within the
+    # indices numpy takes.
     reach = k + n - 1
     q = min(profile.period_q, reach + 1)
-    hadamard = np.array(complex(_SQRT_HALF))
     coins = []
     for p in range(min(n, 2)):
         x0, size = p - reach, reach + 1 - p
@@ -264,11 +294,10 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         if first >= size:
             coins.append(None)
         elif stride == 1:
-            coins.append((np.array(complex(profile.transmission)), np.array(complex(profile.reflection))))
+            coins.append(profile._coin)
         else:
             coefficients = np.full((2, size), complex(_SQRT_HALF))
-            coefficients[0, first::stride] = complex(profile.transmission)
-            coefficients[1, first::stride] = complex(profile.reflection)
+            coefficients[0, first::stride], coefficients[1, first::stride] = profile._coin
             coins.append((coefficients[0], coefficients[1]))
     # The buffers start zeroed: the step from k writes DOWN to columns 0..k
     # and UP to 1..k + 1, and the next step reads columns 0..k + 1 of both.
@@ -302,8 +331,8 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         if coins[p] is None:
             # down = h d + h u and up = h d - h u with each product taken
             # once: h d lands in down, and up is taken before down is summed.
-            np.multiply(hadamard, d, down)
-            np.multiply(hadamard, u, b)
+            np.multiply(_HADAMARD, d, down)
+            np.multiply(_HADAMARD, u, b)
             np.subtract(down, b, up)
             np.add(down, b, down)
             continue

@@ -125,7 +125,11 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 
 def _grid(values: Sequence, name: str) -> list:
     """``values`` as a list, each value as given for its own check; ValueError unless it is a non-empty 1-D sequence."""
-    if np.ndim(values) != 1 or len(values) == 0:
+    try:
+        flat = np.ndim(values) == 1 and len(values) > 0
+    except ValueError:  # a ragged sequence, which numpy (>= 1.24) cannot shape
+        flat = False
+    if not flat:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
     return list(values)
 

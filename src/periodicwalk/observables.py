@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _REAL_KINDS, _SQRT_HALF, DOWN, UP, WalkState
+from .core import _REAL_KINDS, _SQRT_HALF, WalkState
 
 __all__ = [
     "Moments",
@@ -44,9 +44,11 @@ def distribution(state: WalkState) -> np.ndarray:
     table.  Zero entries are kept on purpose, parity zeros included, so the
     same step count always gives the same window.
     """
-    a = state.amplitudes
-    sq = a.real * a.real + a.imag * a.imag
-    return sq[:, DOWN] + sq[:, UP]
+    # One square over the table's float64 view, whose columns are re and im
+    # of DOWN, then of UP, summed as |DOWN|^2 + |UP|^2.  A C-contiguous
+    # table is viewed as it is; any other order is copied, as .view needs.
+    sq = np.square(np.ascontiguousarray(state.amplitudes).view(np.float64))
+    return (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
 
 
 def moments(p) -> Moments:

@@ -100,7 +100,7 @@ START, PROFILE = initial_state(), PotentialProfile(2, 0.5)
 PERIOD = "period_q must be an integer >= 1, got {got}"
 ANGLE = "theta must be a finite real number, got {got}"
 STEPS = "n_steps must be an integer >= {}, got {{got}}"
-DIRECTION = "direction must be an integer, got {got}|{got} is not a valid CoinDirection"
+DIRECTION = r"direction must be 0 \(DOWN\) or 1 \(UP\), got {got}"
 
 #: entry point: (a call on one value, the whole message of its ValueError with
 #: {got} for the value's repr, the values it refuses, the (value, result) pairs
@@ -336,6 +336,30 @@ def test_evolve_deterministic_bit_identical():
     a = evolve(initial_state(), profile, 40)
     b = evolve(initial_state(), profile, 40)
     assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_a_profile_reused_over_1000_steps_gives_the_bytes_of_a_fresh_one(q):
+    # q = 1 scatters on every step, q = 2 alternates all-scattering and
+    # Hadamard steps, and q = 4 mixes both on one parity.  evolve builds a
+    # profile's coins on its first walk and keeps them, read-only, for every
+    # later one; the profile's equality, hash and repr do not see them.
+    theta = math.pi / 3
+    reused = PotentialProfile(q, theta)
+    walked = fresh = initial_state()
+    for _ in range(1000):
+        walked = step(walked, reused)
+        fresh = step(fresh, PotentialProfile(q, theta))
+    assert walked.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+    coins = reused._coin
+    assert reused._coin is coins
+    for coin in coins:
+        assert not coin.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coin[()] = 0
+    assert reused == PotentialProfile(q, theta)
+    assert hash(reused) == hash(PotentialProfile(q, theta))
+    assert repr(reused) == f"PotentialProfile(period_q={q}, theta={theta!r})"
 
 
 @pytest.mark.parametrize("q", [10**23, 2**63])

@@ -20,6 +20,26 @@ from periodicwalk.experiments import (
 )
 
 
+SWEEPS = {
+    "theta_grid": lambda grid: sweep_sigma_vs_theta(2, grid, 10),
+    "q_values": lambda grid: sweep_sigma_vs_inverse_period(0.5, grid, 10),
+    "n_values": lambda grid: sweep_sigma_vs_steps(2, 0.5, grid),
+    "check_q1_closed_form.theta_grid": lambda grid: check_q1_closed_form(grid, 100),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+@pytest.mark.parametrize(
+    "grid",
+    [[], (), np.array([]), 0.5, np.array(3), [[0.5]], np.zeros((2, 2)), [[0.5], [0.1, 0.2]], [1, [2, 3]]],
+    ids=["empty", "empty tuple", "empty array", "scalar", "0-d", "2-D", "2-D array", "ragged", "ragged in place"],
+)
+def test_sweeps_refuse_a_grid_that_is_not_a_non_empty_1d_sequence(sweep, grid):
+    name = sweep.rpartition(".")[2]
+    with pytest.raises(ValueError, match=f"^{name} must be a non-empty 1-D sequence$"):
+        SWEEPS[sweep](grid)
+
+
 def test_linear_fit_exact_line():
     x = np.arange(10.0)
     fit = linear_fit(x, 2.0 * x + 1.0)

@@ -22,7 +22,12 @@ from periodicwalk import (
     symmetry_residual,
 )
 from periodicwalk.experiments import sweep_sigma_vs_theta
-from walkref import full_table_evolve, random_walk_state, strided_parity_evolve
+from walkref import (
+    full_table_evolve,
+    random_walk_state,
+    strided_distribution,
+    strided_parity_evolve,
+)
 
 profiles = st.builds(
     PotentialProfile,
@@ -186,3 +191,33 @@ def test_cells_outside_light_cone_or_of_wrong_parity_are_exact_zeros(profile, n)
     dead = state.amplitudes[(np.abs(xs) > n) | ((xs - n) % 2 != 0)]
     assert np.all(dead.real == 0.0)
     assert np.all(dead.imag == 0.0)
+
+
+#: The same table in the memory layouts a ``WalkState`` accepts.
+TABLE_LAYOUTS = {
+    "C": lambda table: table,
+    "Fortran": np.asfortranarray,
+    "reversed": lambda table: table[::-1],
+    "row-strided": lambda table: np.repeat(table, 2, axis=0)[::2],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(sorted(TABLE_LAYOUTS)),
+)
+def test_distribution_keeps_the_bytes_of_the_strided_formula(k, zeros, seed, layout):
+    # Real and imaginary parts up to 1 in magnitude, each at unit scale, at
+    # 1e-160, whose squares are subnormal, or at 1e150, whose squares come
+    # within a factor 1e8 of overflow; a share ``zeros`` of them are zeros
+    # of either sign.
+    rng = np.random.default_rng(seed)
+    shape = (2 * k + 1, 4)
+    parts = rng.uniform(-1, 1, shape) * rng.choice([1.0, 1e-160, 1e150], shape)
+    parts[rng.random(shape) < zeros] = 0.0
+    parts = np.copysign(parts, rng.choice([-1.0, 1.0], shape))
+    state = WalkState(TABLE_LAYOUTS[layout](parts.view(np.complex128)))
+    assert distribution(state).tobytes() == strided_distribution(state).tobytes()

@@ -1,10 +1,11 @@
 """Shared reference implementations for the test suite.
 
-Everything here except ``full_table_evolve`` and ``strided_parity_evolve``
-is written against plain dicts and scalars, without the package's array
-kernel, so agreement between the two is meaningful.  Those two are earlier
-forms of that kernel, the full-table and the strided parity-compacted
-one, kept to pin their successors.
+The walk references are written against plain dicts and scalars, without
+the package's array kernel, so agreement between the two is meaningful.
+``full_table_evolve`` and ``strided_parity_evolve`` are the exceptions:
+earlier forms of that kernel, the full-table and the strided
+parity-compacted one, kept to pin their successors.  So is
+``strided_distribution``, the earlier form of ``distribution``.
 """
 
 from __future__ import annotations
@@ -117,3 +118,10 @@ def strided_parity_evolve(state: WalkState, profile: PotentialProfile, n_steps: 
         np.subtract(np.multiply(rk, d, out=a), np.multiply(tk, u, out=b), out=out[lo + 1 : hi + 1 : 2, UP])
         amps = out
     return WalkState(amps)
+
+
+def strided_distribution(state: WalkState) -> np.ndarray:
+    """P(x) squared through the strided ``.real`` and ``.imag`` views: re^2 + im^2 per cell, then DOWN + UP."""
+    a = state.amplitudes
+    sq = a.real * a.real + a.imag * a.imag
+    return sq[:, DOWN] + sq[:, UP]
