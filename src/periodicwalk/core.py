@@ -24,6 +24,15 @@ Between its first and last step ``evolve`` keeps the k + 1 live sites
 packed, site j (x = -k + 2j) in column j of a contiguous DOWN row and UP
 row, alternating between two such buffers of its own.  ``step`` is
 ``evolve`` for one step.
+
+``simulate`` walks with ``_mirror_walk`` instead, which gives
+``evolve(initial_state(), ...)`` for about half the work: from that
+symmetric start the sites x > 0 mirror the sites x < 0, so it steps only
+the columns x <= 0, with ``evolve``'s step classes and operation order,
+and writes the other half at the end.  Its table equals ``evolve``'s in
+value, not byte for byte (a mirrored zero may carry the other sign), so
+``evolve`` keeps the full light cone and its byte contract with the
+oracle, and the sweeps keep ``evolve``.
 """
 
 from __future__ import annotations
@@ -237,6 +246,53 @@ def step(state: WalkState, profile: PotentialProfile) -> WalkState:
     return evolve(state, profile, 1)
 
 
+def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
+    """The coins of a walk of ``n`` steps that reads only the sites |x| <= ``reach``.
+
+    Step i reads the sites of parity p = (n - 1 - i) % 2 and takes entry p:
+    None for a Hadamard step, (t, r) as 0-d arrays for an all-scattering
+    one, and (t, r) as rows over x = p - reach + 2m for a mixed one.
+    """
+    # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
+    # 1/sqrt 2 elsewhere.  Parity p covers x = x0 + 2m, x0 = p - reach, and
+    # x % q == 0 holds at every stride-th m from m = first: stride q and
+    # first -x0 (q + 1) / 2 mod q for odd q (as (q + 1) / 2 inverts 2 mod
+    # q), stride q / 2 and first -x0 / 2 mod q / 2 for even q
+    # and even x0, and nowhere for even q and odd x0.  That gives each parity
+    # one of three step classes: Hadamard when none of its rows scatters, all
+    # scattering when stride is 1 (q = 1, or q = 2 on even x0), and mixed
+    # otherwise.  Only a mixed parity needs per-site coefficients, built as
+    # 1/sqrt 2 with the scattering rows overwritten through one strided
+    # slice.  The other two multiply by read-only 0-d arrays, since numpy
+    # would convert a Python complex on every multiply, about 0.2 us each.
+    # Those are built once, not per call: the Hadamard entry at import and
+    # (sin, cos) theta on a profile's first walk, so a walk advanced one
+    # step at a time builds them once, not once per step.  Every class
+    # forms the same products and sums in the same order, so the amplitudes
+    # do not depend on the class.  Coefficients are complex so that no
+    # multiply casts them to the amplitudes' type; the values, and so the
+    # products, are the same.  Any period above reach marks only x = 0, so
+    # capping it there loses nothing and keeps the stride within the
+    # indices numpy takes.
+    q = min(profile.period_q, reach + 1)
+    coins = []
+    for p in range(min(n, 2)):
+        x0, size = p - reach, reach + 1 - p
+        first, stride = size, 1
+        if q % 2 or x0 % 2 == 0:
+            stride = q if q % 2 else q // 2
+            first = (-x0 * ((q + 1) // 2) if q % 2 else -x0 // 2) % stride
+        if first >= size:
+            coins.append(None)
+        elif stride == 1:
+            coins.append(profile._coin)
+        else:
+            coefficients = np.full((2, size), complex(_SQRT_HALF))
+            coefficients[0, first::stride], coefficients[1, first::stride] = profile._coin
+            coins.append((coefficients[0], coefficients[1]))
+    return coins
+
+
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Apply ``n_steps`` steps and return the final state.
 
@@ -260,45 +316,8 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         return state
     amps = state.amplitudes
     k0 = k = state.steps_taken
-    # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
-    # 1/sqrt 2 elsewhere.  Only the rows |x| <= reach are ever read, and step
-    # i reads only those of parity p = (n - 1 - i) % 2, over x = x0 + 2m,
-    # x0 = p - reach.  x % q == 0 holds at every stride-th m from m = first:
-    # stride q and first -x0 (q + 1) / 2 mod q for odd q (as (q + 1) / 2
-    # inverts 2 mod q), stride q / 2 and first -x0 / 2 mod q / 2 for even q
-    # and even x0, and nowhere for even q and odd x0.  That gives each parity
-    # one of three step classes: Hadamard when none of its rows scatters, all
-    # scattering when stride is 1 (q = 1, or q = 2 on even x0), and mixed
-    # otherwise.  Only a mixed parity needs per-site coefficients, built as
-    # 1/sqrt 2 with the scattering rows overwritten through one strided
-    # slice.  The other two multiply by read-only 0-d arrays, since numpy
-    # would convert a Python complex on every multiply, about 0.2 us each.
-    # Those are built once, not per call: the Hadamard entry at import and
-    # (sin, cos) theta on a profile's first walk, so a walk advanced one
-    # step at a time builds them once, not once per step.  Every class
-    # forms the same products and sums in the same order, so the amplitudes
-    # do not depend on the class.  Coefficients are complex so that no
-    # multiply casts them to the amplitudes' type; the values, and so the
-    # products, are the same.  Any period above reach marks only x = 0, so
-    # capping it there loses nothing and keeps the stride within the
-    # indices numpy takes.
     reach = k + n - 1
-    q = min(profile.period_q, reach + 1)
-    coins = []
-    for p in range(min(n, 2)):
-        x0, size = p - reach, reach + 1 - p
-        first, stride = size, 1
-        if q % 2 or x0 % 2 == 0:
-            stride = q if q % 2 else q // 2
-            first = (-x0 * ((q + 1) // 2) if q % 2 else -x0 // 2) % stride
-        if first >= size:
-            coins.append(None)
-        elif stride == 1:
-            coins.append(profile._coin)
-        else:
-            coefficients = np.full((2, size), complex(_SQRT_HALF))
-            coefficients[0, first::stride], coefficients[1, first::stride] = profile._coin
-            coins.append((coefficients[0], coefficients[1]))
+    coins = _step_classes(profile, reach, n)
     # The buffers start zeroed: the step from k writes DOWN to columns 0..k
     # and UP to 1..k + 1, and the next step reads columns 0..k + 1 of both.
     # Each row is prebuilt as a 1-d array, because slicing those costs less
@@ -346,6 +365,86 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         np.multiply(rk, d, up)
         np.multiply(tk, u, b)
         np.subtract(up, b, up)
+    return WalkState(out)
+
+
+def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
+    """``evolve(initial_state(), profile, n_steps)`` in value, from about half the work.
+
+    Both coins are real and symmetric, x % q == 0 exactly when -x % q == 0,
+    and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps
+    D(-x) = c U(x) and U(x) = -c D(-x), with c = -i for even k and +i for
+    odd k.  Each step therefore advances only the live sites x <= 0,
+    columns j = 0..k // 2 of the source (x = -k + 2j), with ``evolve``'s
+    step classes, products and sums in its order, so those sites get
+    ``evolve``'s values.  Into an even k the origin is live, and its D,
+    which would need x = 1, is set to -i U(0) instead.  At the end the
+    sites x > 0 are written from the mirror by swapping real and imaginary
+    parts and negating, with no complex multiply.  The values equal
+    ``evolve``'s (``np.array_equal``), but a zero on x > 0 may carry the
+    other sign, so the table's bytes can differ; P(x) keeps its bytes.
+
+    ValueError unless n_steps is a whole number >= 0.
+    """
+    n = _whole(n_steps, "n_steps", 0)
+    start = initial_state()
+    if n == 0:
+        return start
+    coins = _step_classes(profile, n - 1, n)
+    # The step from k writes DOWN to columns 0..k // 2, UP to 1..k // 2 + 1
+    # (one site past the origin into an odd k + 1, which nothing reads) and,
+    # into an even k + 1, D(0) to column (k + 1) // 2.  UP's column 0 stays
+    # zero.
+    pairs = np.zeros((min(n, 2), 2, n // 2 + 2), dtype=np.complex128)
+    buffers = [tuple(pair) for pair in pairs]
+    origin_down, origin_up = pairs[-1].view(np.float64)  # (re, im) pairs
+    scratch = np.empty(n // 2 + 1, dtype=np.complex128)
+    src = start.amplitudes[:, DOWN], start.amplitudes[:, UP]
+    for k in range(n):
+        m = k // 2 + 1
+        m0, p = divmod(n - 1 - k, 2)
+        d, u = src
+        b = scratch[:m]
+        down_row, up_row = buffers[k % 2]
+        down, up = down_row[:m], up_row[1 : m + 1]
+        if coins[p] is None:
+            np.multiply(_HADAMARD, d, down)
+            np.multiply(_HADAMARD, u, b)
+            np.subtract(down, b, up)
+            np.add(down, b, down)
+        else:
+            tk, rk = coins[p]
+            if tk.ndim:
+                tk, rk = tk[m0 : m0 + m], rk[m0 : m0 + m]
+            np.multiply(tk, d, down)
+            np.multiply(rk, u, b)
+            np.add(down, b, down)
+            np.multiply(rk, d, up)
+            np.multiply(tk, u, b)
+            np.subtract(up, b, up)
+        if k % 2:
+            # Into an even k + 1, column m is the origin: D(0) = -i U(0),
+            # that is (U.im, -U.re).
+            origin_down[2 * m] = origin_up[2 * m + 1]
+            origin_down[2 * m + 1] = -origin_up[2 * m]
+        src = down_row[: (k + 1) // 2 + 1], up_row[: (k + 1) // 2 + 1]
+    # The table is allocated only now: allocated before the buffers, as
+    # evolve does, it raised the benchmark's peak RSS on long-walk by about
+    # 0.65 MiB against 0.1 MiB.
+    out = np.zeros((2 * n + 1, 2), dtype=np.complex128)
+    down_row, up_row = buffers[(n - 1) % 2]
+    live = n // 2 + 1
+    out[: 2 * live : 2, DOWN] = down_row[:live]
+    out[: 2 * live : 2, UP] = up_row[:live]
+    # Columns (D.re, D.im, U.re, U.im).  Site x > 0 is row 2n - 2j for the
+    # site -x in row 2j, j < (n + 1) // 2.  Its (D, U) is (c U(-x), -c D(-x)):
+    # (U.im, -U.re, -D.im, D.re) for c = -i, the negation of both ends of
+    # the reversed row for c = +i.
+    parts = out.view(np.float64)
+    right = parts[2 * n : n : -2]
+    right[:] = parts[: 2 * len(right) : 2, ::-1]
+    negated = right[:, 1:3] if n % 2 == 0 else right[:, ::3]
+    np.negative(negated, out=negated)
     return WalkState(out)
 
 

@@ -17,12 +17,14 @@ from periodicwalk import (
     PotentialProfile,
     WalkState,
     check_norm,
+    distribution,
     evolve,
     initial_state,
     path_sum_evolve,
     point_state,
     step,
 )
+from periodicwalk.core import _mirror_walk
 from periodicwalk.experiments import (
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
@@ -405,6 +407,27 @@ def test_4000_step_walk_equals_strided_parity_kernel(theta_pi):
         profile = PotentialProfile(q, theta_pi * math.pi)
         expected = strided_parity_evolve(start, profile, 4000).amplitudes.tobytes()
         assert evolve(start, profile, 4000).amplitudes.tobytes() == expected, q
+
+
+@pytest.mark.parametrize(
+    "q,theta_pi",
+    [
+        pytest.param(4, 0.16666666666666666, id="long-walk"),
+        pytest.param(2, 0.3333333333333333, id="step-sweep"),
+        # A heavier band of subnormal amplitudes at the walk's front.
+        pytest.param(4, 13.833333333333334, id="subnormal-band"),
+    ],
+)
+def test_4000_step_mirror_walk_equals_evolve(q, theta_pi):
+    profile = PotentialProfile(q, theta_pi * math.pi)
+    mirrored = _mirror_walk(profile, 4000)
+    walked = evolve(initial_state(), profile, 4000)
+    assert np.array_equal(mirrored.amplitudes, walked.amplitudes)
+    assert distribution(mirrored).tobytes() == distribution(walked).tobytes()
+
+
+def test_mirror_walk_of_zero_steps_is_the_initial_state():
+    assert _mirror_walk(PotentialProfile(4, 0.5), 0).amplitudes.tobytes() == initial_state().amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])

@@ -21,6 +21,7 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
+from periodicwalk.core import _mirror_walk
 from periodicwalk.experiments import sweep_sigma_vs_theta
 from walkref import (
     full_table_evolve,
@@ -121,6 +122,25 @@ def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction, 
         expanded = path_sum_evolve(start, profile, n)
         assert np.array_equal(walked.amplitudes, expanded.amplitudes)
         assert walked.steps_taken == expanded.steps_taken
+
+
+@walks
+@given(
+    st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from([50, 10**6, 2**62])),
+    st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50)),
+    st.integers(min_value=0, max_value=300),
+)
+def test_mirror_walk_equals_evolve_from_the_symmetric_start(q, theta, n):
+    # The right half is written from the left, so a zero there may carry
+    # the other sign than evolve's: the tables are compared by value, and
+    # only the distributions by bytes.
+    profile = PotentialProfile(q, theta)
+    mirrored = _mirror_walk(profile, n)
+    walked = evolve(initial_state(), profile, n)
+    assert np.array_equal(mirrored.amplitudes, walked.amplitudes)
+    p = distribution(mirrored)
+    assert p.tobytes() == distribution(walked).tobytes()
+    assert p.tobytes() == p[::-1].tobytes()
 
 
 @given(real_scalars(allow_nan=False, allow_infinity=False))
