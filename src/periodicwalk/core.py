@@ -23,16 +23,17 @@ coefficients t(x) and r(x), built once per call as one contiguous array.
 Between its first and last step ``evolve`` keeps the k + 1 live sites
 packed, site j (x = -k + 2j) in column j of a contiguous DOWN row and UP
 row, alternating between two such buffers of its own.  ``step`` is
-``evolve`` for one step.
+``evolve`` for one step; no sweep calls it.
 
-``simulate`` walks with ``_mirror_walk`` instead, which gives
-``evolve(initial_state(), ...)`` for about half the work: from that
-symmetric start the sites x > 0 mirror the sites x < 0, so it steps only
-the columns x <= 0, with ``evolve``'s step classes and operation order,
-and writes the other half at the end.  Its table equals ``evolve``'s in
-value, not byte for byte (a mirrored zero may carry the other sign), so
-``evolve`` keeps the full light cone and its byte contract with the
-oracle, and the sweeps keep ``evolve``.
+From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
+``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
+classes and operation order, for about half the work.  ``simulate``
+takes its table from ``_mirror_walk``, which writes the other half at
+the end, and ``sweep-steps`` reads every snapshot's P(x) off the one
+half-cone walk.  The mirrored table equals ``evolve``'s in value, not
+byte for byte (a mirrored zero may carry the other sign), so ``evolve``
+keeps the full light cone and its byte contract with the oracle, and
+the other sweeps keep ``evolve``.
 """
 
 from __future__ import annotations
@@ -368,28 +369,19 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     return WalkState(out)
 
 
-def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
-    """``evolve(initial_state(), profile, n_steps)`` in value, from about half the work.
+def _half_cone(profile: PotentialProfile, n: int):
+    """After each step k = 1..n >= 1 from ``initial_state()``, yield the (DOWN, UP) rows of the sites x <= 0.
 
-    Both coins are real and symmetric, x % q == 0 exactly when -x % q == 0,
-    and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps
-    D(-x) = c U(x) and U(x) = -c D(-x), with c = -i for even k and +i for
-    odd k.  Each step therefore advances only the live sites x <= 0,
-    columns j = 0..k // 2 of the source (x = -k + 2j), with ``evolve``'s
-    step classes, products and sums in its order, so those sites get
-    ``evolve``'s values.  Into an even k the origin is live, and its D,
-    which would need x = 1, is set to -i U(0) instead.  At the end the
-    sites x > 0 are written from the mirror by swapping real and imaginary
-    parts and negating, with no complex multiply.  The values equal
-    ``evolve``'s (``np.array_equal``), but a zero on x > 0 may carry the
-    other sign, so the table's bytes can differ; P(x) keeps its bytes.
-
-    ValueError unless n_steps is a whole number >= 0.
+    Column j holds x = -k + 2j; the rows are views that the step after next
+    overwrites.  Both coins are real and symmetric, x % q == 0 exactly when
+    -x % q == 0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k
+    steps D(-x) = c U(x) and U(x) = -c D(-x), with c = -i for even k and +i
+    for odd k.  The sites x <= 0 therefore advance alone, with ``evolve``'s
+    step classes, products and sums in its order, and get ``evolve``'s
+    values.  Into an even k the origin is live, and its D, which would need
+    x = 1, is set to -i U(0) instead.
     """
-    n = _whole(n_steps, "n_steps", 0)
     start = initial_state()
-    if n == 0:
-        return start
     coins = _step_classes(profile, n - 1, n)
     # The step from k writes DOWN to columns 0..k // 2, UP to 1..k // 2 + 1
     # (one site past the origin into an odd k + 1, which nothing reads) and,
@@ -428,14 +420,29 @@ def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
             origin_down[2 * m] = origin_up[2 * m + 1]
             origin_down[2 * m + 1] = -origin_up[2 * m]
         src = down_row[: (k + 1) // 2 + 1], up_row[: (k + 1) // 2 + 1]
+        yield src
+
+
+def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
+    """``evolve(initial_state(), profile, n_steps)`` in value, from the half of the work ``_half_cone`` does.
+
+    The sites x > 0 are written from their mirror at the end, by swapping
+    real and imaginary parts and negating.  The values equal ``evolve``'s
+    (``np.array_equal``), but a zero on x > 0 may carry the other sign, so
+    the table's bytes can differ; P(x) keeps its bytes.  ValueError unless
+    n_steps is a whole number >= 0.
+    """
+    n = _whole(n_steps, "n_steps", 0)
+    if n == 0:
+        return initial_state()
+    for down_row, up_row in _half_cone(profile, n):
+        pass
     # The table is allocated only now: allocated before the buffers, as
     # evolve does, it raised the benchmark's peak RSS on long-walk by about
     # 0.65 MiB against 0.1 MiB.
     out = np.zeros((2 * n + 1, 2), dtype=np.complex128)
-    down_row, up_row = buffers[(n - 1) % 2]
-    live = n // 2 + 1
-    out[: 2 * live : 2, DOWN] = down_row[:live]
-    out[: 2 * live : 2, UP] = up_row[:live]
+    out[: 2 * len(down_row) : 2, DOWN] = down_row
+    out[: 2 * len(up_row) : 2, UP] = up_row
     # Columns (D.re, D.im, U.re, U.im).  Site x > 0 is row 2n - 2j for the
     # site -x in row 2j, j < (n + 1) // 2.  Its (D, U) is (c U(-x), -c D(-x)):
     # (U.im, -U.re, -D.im, D.re) for c = -i, the negation of both ends of
@@ -448,8 +455,13 @@ def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
     return WalkState(out)
 
 
+def _check_drift(norm: float, steps: int) -> None:
+    """Raise NormDriftError unless ``norm`` is within NORM_DRIFT_TOL of 1, as a NaN norm never is."""
+    drift = abs(norm - 1.0)
+    if not drift <= NORM_DRIFT_TOL:
+        raise NormDriftError(f"norm drifted from 1 by {drift:.3e} after {steps} steps")
+
+
 def check_norm(state: WalkState) -> None:
     """Raise NormDriftError unless the norm is within NORM_DRIFT_TOL of 1, as a NaN norm never is."""
-    drift = abs(state.norm() - 1.0)
-    if not drift <= NORM_DRIFT_TOL:
-        raise NormDriftError(f"norm drifted from 1 by {drift:.3e} after {state.steps_taken} steps")
+    _check_drift(state.norm(), state.steps_taken)

@@ -16,8 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _REAL_KINDS, PotentialProfile, WalkState, _whole, check_norm, evolve, initial_state, step
-from .observables import distribution, moments
+from .core import _REAL_KINDS, PotentialProfile, WalkState, _check_drift, _half_cone, _whole, check_norm, evolve, initial_state
+from .core import step  # not called here; bench/test_bench.py pins this binding until the bench change
+from .observables import _moments, distribution, moments
 
 __all__ = [
     "Q1_LAW_RESIDUAL_CEILING",
@@ -149,17 +150,27 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     """sigma after each requested step count, all snapshots of one evolution.
 
     Reusing a single trajectory keeps the rows mutually consistent and
-    costs one walk of max(n_values) steps.
+    costs one walk of max(n_values) steps over the sites x <= 0
+    (``core._half_cone``), with no table and no position grid per snapshot.
     """
     ns = [_whole(n, "n_values", 1) for n in _grid(n_values, "n_values")]
     profile = PotentialProfile(q, theta)
-    state = initial_state()
+    last = max(ns)
+    x = np.arange(-last, last + 1, dtype=np.float64)
+    xx = x * x
     wanted = set(ns)
     sigma_at: dict[int, float] = {}
-    for k in range(1, max(ns) + 1):
-        state = step(state, profile)
+    for k, (down, up) in enumerate(_half_cone(profile, last), 1):
         if k in wanted:
-            sigma_at[k] = _sigma(state)
+            # P(x) summed as distribution sums it, and mirrored: P(-x) takes
+            # the same terms in another order, and IEEE addition commutes.
+            d, u = np.square(down.view(np.float64)), np.square(up.view(np.float64))
+            left = (d[::2] + d[1::2]) + (u[::2] + u[1::2])
+            p = np.zeros(2 * k + 1)
+            p[: k + 1 : 2], p[2 * k : k - 1 : -2] = left, left
+            _check_drift(np.sqrt(p.sum()), k)
+            window = slice(last - k, last + k + 1)
+            sigma_at[k] = _moments(p, x[window], xx[window]).sigma
     return np.array([sigma_at[n] for n in ns])
 
 

@@ -61,8 +61,13 @@ def moments(p) -> Moments:
     """
     p, n = _window(p)
     x = np.arange(-n, n + 1, dtype=np.float64)
+    return _moments(p, x, x * x)
+
+
+def _moments(p, x: np.ndarray, xx: np.ndarray) -> Moments:
+    """``moments`` of the window ``p`` over the positions ``x`` and their squares ``xx``."""
     mean = float(p @ x)
-    second = float(p @ (x * x))
+    second = float(p @ xx)
     variance = second - mean * mean
     return Moments(mean=mean, second_moment=second, sigma=math.sqrt(max(variance, 0.0)))
 

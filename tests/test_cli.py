@@ -408,11 +408,22 @@ def test_a_write_that_raises_anything_else_leaves_no_file(tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_exit_code_invariant_violation(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--q", "1", "--theta", "1", "--steps", "5"],
+        ["sweep-steps", "--q", "1", "--theta", "1", "--steps", "1:5"],
+        ["sweep-theta", "--q", "2", "--theta", "0.5:1:3", "--steps", "5"],
+        ["sweep-period", "--theta", "1", "--q", "1:3", "--steps", "5"],
+        ["check-q1", "--theta-pi", "0.25:0.5:3", "--steps", "100"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_exit_code_invariant_violation(tmp_path, monkeypatch, args):
     # force the norm gate shut so any evolution trips it
     monkeypatch.setattr(core, "NORM_DRIFT_TOL", -1.0)
     out = tmp_path / "x.csv"
-    code = main(["simulate", "--q", "1", "--theta", "1", "--steps", "5", "--out", str(out)])
+    code = main([*args, "--out", str(out)])
     assert code == EXIT_INVARIANT
     assert not out.exists()
 

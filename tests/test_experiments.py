@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from periodicwalk import PotentialProfile, distribution, evolve, initial_state, moments, q2_law
+import periodicwalk.core as core
+from periodicwalk import NormDriftError, PotentialProfile, distribution, initial_state, moments, q2_law, step
 from periodicwalk.experiments import (
     Q1_LAW_RESIDUAL_CEILING,
     Q2_LAW_RESIDUAL_CEILING,
@@ -94,11 +95,21 @@ def test_sweep_steps_ballistic_sigma_equals_n():
     assert np.allclose(sigma, [30.0, 10.0, 20.0], atol=1e-10)
 
 
-def test_sweep_steps_snapshots_match_fresh_runs():
-    profile = PotentialProfile(3, 0.9)
-    for n, sigma in zip([5, 9], sweep_sigma_vs_steps(3, 0.9, [5, 9])):
-        fresh = moments(distribution(evolve(initial_state(), profile, n))).sigma
-        assert sigma == fresh
+def test_sweep_steps_at_the_step_sweep_input_has_the_bytes_of_a_loop_of_steps():
+    # The benchmark's step-sweep input: q = 2, --theta-pi 0.3333333333333333, 1..1000.
+    theta = 0.3333333333333333 * math.pi
+    profile = PotentialProfile(2, theta)
+    state, expected = initial_state(), []
+    for _ in range(1000):
+        state = step(state, profile)
+        expected.append(moments(distribution(state)).sigma)
+    assert sweep_sigma_vs_steps(2, theta, list(range(1, 1001))).tobytes() == np.array(expected).tobytes()
+
+
+def test_sweep_steps_norm_gate_names_the_first_snapshot_walked(monkeypatch):
+    monkeypatch.setattr(core, "NORM_DRIFT_TOL", -1.0)
+    with pytest.raises(NormDriftError, match="after 3 steps"):
+        sweep_sigma_vs_steps(1, 0.5, [7, 3, 5])
 
 
 def test_sweep_steps_validation():

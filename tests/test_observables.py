@@ -15,6 +15,7 @@ from periodicwalk import (
     q2_law,
     symmetry_residual,
 )
+from periodicwalk.observables import _moments
 from walkref import random_walk_state
 
 
@@ -174,3 +175,21 @@ def test_symmetry_residual_detects_asymmetry():
 def test_symmetry_residual_of_simulated_walk():
     state = evolve(initial_state(), PotentialProfile(4, math.pi / 6), 51)
     assert symmetry_residual(distribution(state)) < 1e-12
+
+
+def test_moments_over_slices_of_one_grid_keep_the_bytes_of_moments():
+    # sweep-steps dots every snapshot with a slice of one grid built for its
+    # longest walk, so each window starts at another offset, and so at
+    # another alignment, than the grid moments builds for it.
+    last = 1000
+    x = np.arange(-last, last + 1, dtype=np.float64)
+    xx = x * x
+    rng = np.random.default_rng(21)
+    for k in range(1, 301):
+        p = rng.random(2 * k + 1)
+        p /= p.sum()
+        window = slice(last - k, last + k + 1)
+        sliced, fresh = _moments(p, x[window], xx[window]), moments(p)
+        assert np.array([sliced.mean, sliced.second_moment, sliced.sigma]).tobytes() == (
+            np.array([fresh.mean, fresh.second_moment, fresh.sigma]).tobytes()
+        ), k

@@ -16,13 +16,14 @@ from periodicwalk import (
     distribution,
     evolve,
     initial_state,
+    moments,
     path_sum_evolve,
     point_state,
     step,
     symmetry_residual,
 )
-from periodicwalk.core import _mirror_walk
-from periodicwalk.experiments import sweep_sigma_vs_theta
+from periodicwalk.core import _half_cone, _mirror_walk
+from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
     full_table_evolve,
     random_walk_state,
@@ -124,12 +125,14 @@ def test_evolve_equals_branch_expansion_oracle(profile, n, position, direction, 
         assert walked.steps_taken == expanded.steps_taken
 
 
+#: Periods and angles for the walks from the symmetric start: q = 1..12 and
+#: some beyond any walk's reach, theta exactly 0 and anywhere in [-50, 50].
+symmetric_periods = st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from([50, 10**6, 2**62]))
+symmetric_angles = st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50))
+
+
 @walks
-@given(
-    st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from([50, 10**6, 2**62])),
-    st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50)),
-    st.integers(min_value=0, max_value=300),
-)
+@given(symmetric_periods, symmetric_angles, st.integers(min_value=0, max_value=300))
 def test_mirror_walk_equals_evolve_from_the_symmetric_start(q, theta, n):
     # The right half is written from the left, so a zero there may carry
     # the other sign than evolve's: the tables are compared by value, and
@@ -141,6 +144,35 @@ def test_mirror_walk_equals_evolve_from_the_symmetric_start(q, theta, n):
     p = distribution(mirrored)
     assert p.tobytes() == distribution(walked).tobytes()
     assert p.tobytes() == p[::-1].tobytes()
+
+
+@walks
+@given(symmetric_periods, symmetric_angles, st.integers(min_value=1, max_value=300))
+def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, n):
+    # Compared by value: the origin's D is set from U there, so an exact
+    # zero may carry the other sign than evolve's.
+    profile = PotentialProfile(q, theta)
+    state, k = initial_state(), 0
+    for k, (down, up) in enumerate(_half_cone(profile, n), 1):
+        state = evolve(state, profile, 1)
+        live = state.amplitudes[: k + 1 : 2]
+        assert np.array_equal(down, live[:, DOWN]) and np.array_equal(up, live[:, UP]), k
+    assert k == n
+
+
+@walks
+@given(
+    symmetric_periods,
+    symmetric_angles,
+    # Unsorted, and with duplicates when a value is drawn twice or doubled.
+    st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=8).flatmap(
+        lambda ns: st.sampled_from([ns, ns + ns[:1]])
+    ),
+)
+def test_sweep_steps_has_the_bytes_of_a_fresh_walk_per_step_count(q, theta, ns):
+    profile = PotentialProfile(q, theta)
+    fresh = [moments(distribution(evolve(initial_state(), profile, n))).sigma for n in ns]
+    assert sweep_sigma_vs_steps(q, theta, ns).tobytes() == np.array(fresh).tobytes()
 
 
 @given(real_scalars(allow_nan=False, allow_infinity=False))
