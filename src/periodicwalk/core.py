@@ -27,13 +27,17 @@ row, alternating between two such buffers of its own.  ``step`` is
 
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
 ``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
-classes and operation order, for about half the work.  ``simulate``
-takes its table from ``_mirror_walk``, which writes the other half at
-the end, and ``sweep-steps`` reads every snapshot's P(x) off the one
-half-cone walk.  The mirrored table equals ``evolve``'s in value, not
-byte for byte (a mirrored zero may carry the other sign), so ``evolve``
-keeps the full light cone and its byte contract with the oracle, and
-the other sweeps keep ``evolve``.
+classes and operation order, for about half the work.  It writes step k
+into row (k - 1) % rows of a ring of row pairs and hands the ring over
+once per block of ``rows`` steps.  ``simulate`` takes its table from
+``_mirror_walk``, whose ring of two rows is ``evolve``'s two buffers, and
+which writes the other half at the end.  ``sweep-steps`` walks with a
+ring of six rows, squares and sums P over x <= 0 for the requested steps
+of a block at once, and mirrors each requested snapshot's P(x) from it.
+The mirrored table equals ``evolve``'s in value, not byte for byte (a
+mirrored zero may carry the other sign), so ``evolve`` keeps the full
+light cone and its byte contract with the oracle, and the other sweeps
+keep ``evolve``.
 """
 
 from __future__ import annotations
@@ -369,35 +373,48 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     return WalkState(out)
 
 
-def _half_cone(profile: PotentialProfile, n: int):
-    """After each step k = 1..n >= 1 from ``initial_state()``, yield the (DOWN, UP) rows of the sites x <= 0.
+def _half_cone(profile: PotentialProfile, n: int, rows: int):
+    """Walk n >= 1 steps from ``initial_state()`` over the sites x <= 0, ``rows`` >= 2 steps to a block.
 
-    Column j holds x = -k + 2j; the rows are views that the step after next
-    overwrites.  Both coins are real and symmetric, x % q == 0 exactly when
-    -x % q == 0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k
-    steps D(-x) = c U(x) and U(x) = -c D(-x), with c = -i for even k and +i
-    for odd k.  The sites x <= 0 therefore advance alone, with ``evolve``'s
-    step classes, products and sums in its order, and get ``evolve``'s
-    values.  Into an even k the origin is live, and its D, which would need
-    x = 1, is set to -i U(0) instead.
+    Step k writes the (DOWN, UP) rows ``ring[(k - 1) % rows]``, a complex
+    array of shape (min(n, rows), 2, n // 2 + 2), from the pair before it
+    (step 1 from ``initial_state()``'s table, which no ring row ever
+    holds).  After every ``rows`` steps, and after step n, it yields
+    ``(first, last, ring)``: the block of steps first..last sits in rows
+    0..last - first.  Column j of step k's row holds x = -k + 2j, and the
+    row is zero past its live columns 0..k // 2, except that for odd k
+    UP's column k // 2 + 1 holds U(+1); UP's column 0 is always zero.  The
+    next block overwrites the ring.
+
+    Both coins are real and symmetric, x % q == 0 exactly when -x % q ==
+    0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps D(-x)
+    = c U(x) and U(x) = -c D(-x), with c = -i for even k and +i for odd k.
+    The sites x <= 0 therefore advance alone, with ``evolve``'s step
+    classes, products and sums in its order, and get ``evolve``'s values.
+    Into an even k the origin is live, and its D, which would need x = 1,
+    is set to -i U(0) instead.
     """
-    start = initial_state()
+    start = initial_state().amplitudes
     coins = _step_classes(profile, n - 1, n)
-    # The step from k writes DOWN to columns 0..k // 2, UP to 1..k // 2 + 1
-    # (one site past the origin into an odd k + 1, which nothing reads) and,
-    # into an even k + 1, D(0) to column (k + 1) // 2.  UP's column 0 stays
-    # zero.
-    pairs = np.zeros((min(n, 2), 2, n // 2 + 2), dtype=np.complex128)
-    buffers = [tuple(pair) for pair in pairs]
-    origin_down, origin_up = pairs[-1].view(np.float64)  # (re, im) pairs
+    # The step into k writes DOWN to columns 0..(k - 1) // 2, UP to 1..(k -
+    # 1) // 2 + 1 (one site past the origin into an odd k) and, into an even
+    # k, D(0) to column k // 2.  A row's earlier step, k - rows, wrote no
+    # column past k // 2, so every column of a row past those its own step
+    # writes is still the zero it was allocated with.
+    ring = np.zeros((min(n, rows), 2, n // 2 + 2), dtype=np.complex128)
+    # Each row pair with its float64 views, (re, im) pairs, for the origin's D.
+    pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
     scratch = np.empty(n // 2 + 1, dtype=np.complex128)
-    src = start.amplitudes[:, DOWN], start.amplitudes[:, UP]
-    for k in range(n):
+    d, u = start[:, DOWN], start[:, UP]
+    # One flat loop over the steps: a loop per block, over zip(range(k0, n),
+    # pairs), lost about three of four alternating walks of 4000 steps on a
+    # ring of two rows.
+    for k in range(n):  # the step from k into k + 1
+        r = k % rows
+        down_row, up_row, origin_down, origin_up = pairs[r]
         m = k // 2 + 1
         m0, p = divmod(n - 1 - k, 2)
-        d, u = src
         b = scratch[:m]
-        down_row, up_row = buffers[k % 2]
         down, up = down_row[:m], up_row[1 : m + 1]
         if coins[p] is None:
             np.multiply(_HADAMARD, d, down)
@@ -419,8 +436,13 @@ def _half_cone(profile: PotentialProfile, n: int):
             # that is (U.im, -U.re).
             origin_down[2 * m] = origin_up[2 * m + 1]
             origin_down[2 * m + 1] = -origin_up[2 * m]
-        src = down_row[: (k + 1) // 2 + 1], up_row[: (k + 1) // 2 + 1]
-        yield src
+        width = (k + 1) // 2 + 1
+        d, u = down_row[:width], up_row[:width]
+        if r == rows - 1 or k == n - 1:
+            # The ring itself, not a view of the block: a view every two
+            # steps lost _mirror_walk about 3 in 4 alternating calls at 4000
+            # steps.
+            yield k - r + 1, k + 1, ring
 
 
 def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
@@ -435,8 +457,10 @@ def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
     n = _whole(n_steps, "n_steps", 0)
     if n == 0:
         return initial_state()
-    for down_row, up_row in _half_cone(profile, n):
+    # A ring of two rows: each step reads the one the step before wrote.
+    for first, _, ring in _half_cone(profile, n, 2):
         pass
+    down_row, up_row = ring[n - first, :, : n // 2 + 1]
     # The table is allocated only now: allocated before the buffers, as
     # evolve does, it raised the benchmark's peak RSS on long-walk by about
     # 0.65 MiB against 0.1 MiB.

@@ -61,15 +61,19 @@ def moments(p) -> Moments:
     """
     p, n = _window(p)
     x = np.arange(-n, n + 1, dtype=np.float64)
-    return _moments(p, x, x * x)
+    return Moments(*_moment_values(p, x, x * x))
 
 
-def _moments(p, x: np.ndarray, xx: np.ndarray) -> Moments:
-    """``moments`` of the window ``p`` over the positions ``x`` and their squares ``xx``."""
+def _moment_values(p, x: np.ndarray, xx: np.ndarray) -> tuple[float, float, float]:
+    """(mean, second moment, sigma) of the window ``p`` over the positions ``x`` and their squares ``xx``.
+
+    ``moments`` and ``sweep-steps`` both take sigma from here, so their
+    bytes agree by construction; the sweep builds no ``Moments``.
+    """
     mean = float(p @ x)
     second = float(p @ xx)
     variance = second - mean * mean
-    return Moments(mean=mean, second_moment=second, sigma=math.sqrt(max(variance, 0.0)))
+    return mean, second, math.sqrt(max(variance, 0.0))
 
 
 def q1_law(theta: float, n_steps: int) -> float:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import periodicwalk.core as core
-from periodicwalk import NormDriftError, PotentialProfile, distribution, initial_state, moments, q2_law, step
+from periodicwalk import NormDriftError, PotentialProfile, distribution, evolve, initial_state, moments, q2_law, step
 from periodicwalk.experiments import (
     Q1_LAW_RESIDUAL_CEILING,
     Q2_LAW_RESIDUAL_CEILING,
     Q2_LAZY_SPREAD_CEILING,
     R_SQUARED_INVERSE_PERIOD_MIN,
+    _SWEEP_RING_ROWS,
     check_q1_closed_form,
     linear_fit,
     relative_spread,
@@ -110,6 +111,45 @@ def test_sweep_steps_norm_gate_names_the_first_snapshot_walked(monkeypatch):
     monkeypatch.setattr(core, "NORM_DRIFT_TOL", -1.0)
     with pytest.raises(NormDriftError, match="after 3 steps"):
         sweep_sigma_vs_steps(1, 0.5, [7, 3, 5])
+
+
+def test_sweep_steps_norm_gate_names_the_first_snapshot_walked_in_a_later_block(monkeypatch):
+    # The sweep reduces a few steps to a block, and 40 lies in a later block
+    # than 20: the gate still names the first one walked.
+    assert 40 // _SWEEP_RING_ROWS > 20 // _SWEEP_RING_ROWS
+    monkeypatch.setattr(core, "NORM_DRIFT_TOL", -1.0)
+    with pytest.raises(NormDriftError, match="after 20 steps"):
+        sweep_sigma_vs_steps(1, 0.5, [40, 20])
+
+
+def test_sweep_steps_norm_gate_refuses_a_nan_tolerance(monkeypatch):
+    monkeypatch.setattr(core, "NORM_DRIFT_TOL", math.nan)
+    with pytest.raises(NormDriftError, match="after 5 steps"):
+        sweep_sigma_vs_steps(2, 0.5, [5, 33])
+
+
+#: Step counts at the edges of the sweep's blocks (the first and last steps
+#: of the first three blocks), the same reversed, a sweep that ends inside the
+#: first block, and one that asks for inner rows of some blocks and skips
+#: the blocks between them.
+_BLOCK_GRIDS = {
+    "ring-edges": [1, *(b * _SWEEP_RING_ROWS + d for b in (1, 2) for d in (-1, 0, 1)), 3 * _SWEEP_RING_ROWS],
+    "below-one-block": [_SWEEP_RING_ROWS - 1, 1, _SWEEP_RING_ROWS // 2],
+    "inner-rows": [4 * _SWEEP_RING_ROWS + 2, _SWEEP_RING_ROWS + 4, 2, _SWEEP_RING_ROWS + 2],
+}
+_BLOCK_GRIDS["ring-edges-reversed"] = _BLOCK_GRIDS["ring-edges"][::-1]
+
+
+@pytest.mark.parametrize(
+    "q, theta",
+    [(1, math.pi / 2), (1, 0.5), (2, math.pi / 3), (4, math.pi / 6)],
+    ids=["q1-ballistic", "q1", "q2", "q4"],
+)
+@pytest.mark.parametrize("ns", list(_BLOCK_GRIDS.values()), ids=list(_BLOCK_GRIDS))
+def test_sweep_steps_at_the_ring_edges_has_the_bytes_of_a_fresh_walk(q, theta, ns):
+    profile = PotentialProfile(q, theta)
+    fresh = [moments(distribution(evolve(initial_state(), profile, n))).sigma for n in ns]
+    assert sweep_sigma_vs_steps(q, theta, ns).tobytes() == np.array(fresh).tobytes()
 
 
 def test_sweep_steps_validation():

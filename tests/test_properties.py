@@ -146,17 +146,42 @@ def test_mirror_walk_equals_evolve_from_the_symmetric_start(q, theta, n):
     assert p.tobytes() == p[::-1].tobytes()
 
 
+#: Ring sizes of the half-cone walk, each with walk lengths below, at and
+#: between its multiples.
+ring_walks = st.sampled_from([2, 3, 6, 16]).flatmap(
+    lambda rows: st.tuples(
+        st.just(rows),
+        st.one_of(
+            st.integers(min_value=1, max_value=rows - 1),
+            st.integers(min_value=1, max_value=8).map(lambda blocks: blocks * rows),
+            st.integers(min_value=1, max_value=300),
+        ),
+    )
+)
+
+
 @walks
-@given(symmetric_periods, symmetric_angles, st.integers(min_value=1, max_value=300))
-def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, n):
+@given(symmetric_periods, symmetric_angles, ring_walks)
+def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, ring_walk):
     # Compared by value: the origin's D is set from U there, so an exact
-    # zero may carry the other sign than evolve's.
+    # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
+    # must be exactly zero in every row: a start kept in a ring row would
+    # leave i/sqrt 2 there once the row is reused.
+    rows, n = ring_walk
     profile = PotentialProfile(q, theta)
     state, k = initial_state(), 0
-    for k, (down, up) in enumerate(_half_cone(profile, n), 1):
-        state = evolve(state, profile, 1)
-        live = state.amplitudes[: k + 1 : 2]
-        assert np.array_equal(down, live[:, DOWN]) and np.array_equal(up, live[:, UP]), k
+    for first, last, ring in _half_cone(profile, n, rows):
+        assert first == k + 1 and last == min(k + rows, n) and ring.shape == (min(n, rows), 2, n // 2 + 2)
+        for k, (down, up) in enumerate(ring[: last - first + 1], first):
+            state = evolve(state, profile, 1)
+            live = state.amplitudes[: k + 1 : 2]
+            assert np.array_equal(down[: k // 2 + 1], live[:, DOWN]) and np.array_equal(up[: k // 2 + 1], live[:, UP]), k
+            assert up[0].tobytes() == bytes(16), k
+            # Past the live sites only zeros, but for U(+1) after an odd k.
+            past = k // 2 + 1 + k % 2
+            assert not down[k // 2 + 1 :].any() and not up[past:].any(), k
+            if k % 2:
+                assert up[k // 2 + 1] == state.amplitudes[k + 1, UP], k
     assert k == n
 
 
