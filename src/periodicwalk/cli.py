@@ -31,17 +31,15 @@ from .core import (
     NORM_DRIFT_TOL,
     NormDriftError,
     PotentialProfile,
-    _mirror_walk,
-    check_norm,
     evolve,  # not called here; bench/test_bench.py pins this binding until the bench change
 )
 from .experiments import (
+    _distributions,
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
     sweep_sigma_vs_steps,
     sweep_sigma_vs_theta,
 )
-from .observables import distribution
 
 __all__ = [
     "EXIT_INVARIANT",
@@ -197,9 +195,8 @@ class _Command:
 
 def _simulate(config: RunConfig) -> list[tuple]:
     n = config.steps
-    state = _mirror_walk(PotentialProfile(config.q, config.theta), n)
-    check_norm(state)
-    return list(zip(range(-n, n + 1), distribution(state).tolist()))
+    ((_, p),) = _distributions(PotentialProfile(config.q, config.theta), [n])
+    return list(zip(range(-n, n + 1), p.tolist()))
 
 
 def _sweep_steps(config: RunConfig) -> list[tuple]:

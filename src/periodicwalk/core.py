@@ -28,16 +28,16 @@ row, alternating between two such buffers of its own.  ``step`` is
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
 ``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
 classes and operation order, for about half the work.  It writes step k
-into row (k - 1) % rows of a ring of row pairs and hands the ring over
-once per block of ``rows`` steps.  ``simulate`` takes its table from
-``_mirror_walk``, whose ring of two rows is ``evolve``'s two buffers, and
-which writes the other half at the end.  ``sweep-steps`` walks with a
-ring of six rows, squares and sums P over x <= 0 for the requested steps
-of a block at once, and mirrors each requested snapshot's P(x) from it.
-The mirrored table equals ``evolve``'s in value, not byte for byte (a
-mirrored zero may carry the other sign), so ``evolve`` keeps the full
-light cone and its byte contract with the oracle, and the other sweeps
-keep ``evolve``.
+into row (k - 1) % 6 of a ring of six row pairs and hands the ring over
+once per block of six steps.  ``experiments._distributions`` is its one
+reader: it squares and sums P over x <= 0 for the requested steps of a
+block at once and mirrors each requested P(x) from it, with the bytes of
+``distribution``.  ``simulate`` and ``sweep-steps`` both take P(x) from
+there; no amplitude table of the right half is ever written.  The
+half-cone values equal ``evolve``'s, but not byte for byte (the origin's
+D, set from U there, may carry the other sign of zero), so ``evolve``
+keeps the full light cone and its byte contract with the oracle, and the
+other sweeps keep ``evolve``.
 """
 
 from __future__ import annotations
@@ -373,18 +373,28 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     return WalkState(out)
 
 
-def _half_cone(profile: PotentialProfile, n: int, rows: int):
-    """Walk n >= 1 steps from ``initial_state()`` over the sites x <= 0, ``rows`` >= 2 steps to a block.
+#: Steps per block of ``_half_cone``: ``experiments._distributions`` squares
+#: and sums P once per block that holds a requested step.  At the 1..1000
+#: ``sweep-steps``, 6 rows take about 0.16 MiB of ring and buffers and left
+#: the peak RSS of 20 calls where the per-step sweep had it; 8 and 16 rows
+#: were 3% and 7% faster but raised it by about 0.16 and 0.3-0.5 MiB, and 4
+#: rows were 6% slower.
+_RING_ROWS = 6
 
-    Step k writes the (DOWN, UP) rows ``ring[(k - 1) % rows]``, a complex
-    array of shape (min(n, rows), 2, n // 2 + 2), from the pair before it
-    (step 1 from ``initial_state()``'s table, which no ring row ever
-    holds).  After every ``rows`` steps, and after step n, it yields
-    ``(first, last, ring)``: the block of steps first..last sits in rows
-    0..last - first.  Column j of step k's row holds x = -k + 2j, and the
-    row is zero past its live columns 0..k // 2, except that for odd k
-    UP's column k // 2 + 1 holds U(+1); UP's column 0 is always zero.  The
-    next block overwrites the ring.
+
+def _half_cone(profile: PotentialProfile, n: int):
+    """Walk n >= 0 steps from ``initial_state()`` over the sites x <= 0, ``_RING_ROWS`` steps to a block.
+
+    Step k writes the (DOWN, UP) rows ``ring[(k - 1) % _RING_ROWS]``, a
+    complex array of shape (min(n, _RING_ROWS), 2, n // 2 + 2), from the
+    pair before it (step 1 from ``initial_state()``'s table, which no ring
+    row ever holds).  After every ``_RING_ROWS`` steps, and after step n,
+    it yields ``(first, last, ring)``: the block of steps first..last sits
+    in rows 0..last - first.  Column j of step k's row holds x = -k + 2j,
+    and the row is zero past its live columns 0..k // 2, except that for
+    odd k UP's column k // 2 + 1 holds U(+1); UP's column 0 is always
+    zero.  The next block overwrites the ring.  A walk of 0 steps yields
+    nothing.
 
     Both coins are real and symmetric, x % q == 0 exactly when -x % q ==
     0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps D(-x)
@@ -394,6 +404,7 @@ def _half_cone(profile: PotentialProfile, n: int, rows: int):
     Into an even k the origin is live, and its D, which would need x = 1,
     is set to -i U(0) instead.
     """
+    rows = _RING_ROWS
     start = initial_state().amplitudes
     coins = _step_classes(profile, n - 1, n)
     # The step into k writes DOWN to columns 0..(k - 1) // 2, UP to 1..(k -
@@ -439,44 +450,7 @@ def _half_cone(profile: PotentialProfile, n: int, rows: int):
         width = (k + 1) // 2 + 1
         d, u = down_row[:width], up_row[:width]
         if r == rows - 1 or k == n - 1:
-            # The ring itself, not a view of the block: a view every two
-            # steps lost _mirror_walk about 3 in 4 alternating calls at 4000
-            # steps.
             yield k - r + 1, k + 1, ring
-
-
-def _mirror_walk(profile: PotentialProfile, n_steps: int) -> WalkState:
-    """``evolve(initial_state(), profile, n_steps)`` in value, from the half of the work ``_half_cone`` does.
-
-    The sites x > 0 are written from their mirror at the end, by swapping
-    real and imaginary parts and negating.  The values equal ``evolve``'s
-    (``np.array_equal``), but a zero on x > 0 may carry the other sign, so
-    the table's bytes can differ; P(x) keeps its bytes.  ValueError unless
-    n_steps is a whole number >= 0.
-    """
-    n = _whole(n_steps, "n_steps", 0)
-    if n == 0:
-        return initial_state()
-    # A ring of two rows: each step reads the one the step before wrote.
-    for first, _, ring in _half_cone(profile, n, 2):
-        pass
-    down_row, up_row = ring[n - first, :, : n // 2 + 1]
-    # The table is allocated only now: allocated before the buffers, as
-    # evolve does, it raised the benchmark's peak RSS on long-walk by about
-    # 0.65 MiB against 0.1 MiB.
-    out = np.zeros((2 * n + 1, 2), dtype=np.complex128)
-    out[: 2 * len(down_row) : 2, DOWN] = down_row
-    out[: 2 * len(up_row) : 2, UP] = up_row
-    # Columns (D.re, D.im, U.re, U.im).  Site x > 0 is row 2n - 2j for the
-    # site -x in row 2j, j < (n + 1) // 2.  Its (D, U) is (c U(-x), -c D(-x)):
-    # (U.im, -U.re, -D.im, D.re) for c = -i, the negation of both ends of
-    # the reversed row for c = +i.
-    parts = out.view(np.float64)
-    right = parts[2 * n : n : -2]
-    right[:] = parts[: 2 * len(right) : 2, ::-1]
-    negated = right[:, 1:3] if n % 2 == 0 else right[:, ::3]
-    np.negative(negated, out=negated)
-    return WalkState(out)
 
 
 def _check_drift(norm: float, steps: int) -> None:

@@ -12,12 +12,13 @@ after it was validated against the branch-expansion oracle, then frozen.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DOWN, UP, _REAL_KINDS, PotentialProfile, WalkState, _check_drift, _half_cone, _whole, check_norm, evolve, initial_state
+from .core import DOWN, UP, _REAL_KINDS, _RING_ROWS, PotentialProfile, WalkState, _check_drift, _half_cone, _whole, check_norm, evolve, initial_state
 from .core import step  # not called here; bench/test_bench.py pins this binding until the bench change
 from .observables import _moment_values, distribution, moments
 
@@ -37,14 +38,6 @@ __all__ = [
     "sweep_sigma_vs_steps",
     "sweep_sigma_vs_theta",
 ]
-
-#: Steps per block of ``sweep_sigma_vs_steps``'s half-cone walk: its
-#: squares and sums run once per block that holds a requested step.  At the
-#: 1..1000 sweep, 6 rows take about 0.16 MiB of ring and buffers and left
-#: the peak RSS of 20 ``sweep-steps`` calls where the per-step sweep had
-#: it; 8 and 16 rows were 3% and 7% faster but raised it by about 0.16 and
-#: 0.3-0.5 MiB, and 4 rows were 6% slower.
-_SWEEP_RING_ROWS = 6
 
 #: Minimum r^2 for sigma-versus-steps linear growth.
 R_SQUARED_STEPS_TREND_MIN = 0.99
@@ -155,35 +148,38 @@ def _sigmas_after(profiles: Iterable[PotentialProfile], n_steps: int) -> np.ndar
     return np.array([_sigma(evolve(initial_state(), p, n)) for p in profiles])
 
 
-def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.ndarray:
-    """sigma after each requested step count, all snapshots of one evolution.
+def _distributions(profile: PotentialProfile, ns: Iterable[int]):
+    """Yield ``(k, p)`` for each step count k >= 0 in ``ns``, once each and in walk order.
 
-    Reusing a single trajectory keeps the rows mutually consistent and
-    costs one walk of max(n_values) steps over the sites x <= 0
-    (``core._half_cone``).  P over those sites is squared and summed a
-    block of ``_SWEEP_RING_ROWS`` steps at a time, over the rows of the
-    block's first to last requested step; each requested snapshot then
-    costs its mirrored window, its norm and two dots, with no table and no
-    position grid of its own.
+    p is P(x) over x = -k..k after k steps from ``initial_state()``, with
+    the bytes of ``distribution``, and its norm, sqrt(sum p), has passed
+    ``core._check_drift``.  One walk of max(ns) steps over the sites x <= 0
+    (``core._half_cone``) serves every k: P over those sites is squared and
+    summed a block of ``core._RING_ROWS`` steps at a time, over the rows of
+    the block's first to last requested step, and a block with none is
+    skipped.  Each p is then mirrored from its row into a plane kept per
+    parity of k, so it is a view that the next requested k of its parity
+    overwrites.
     """
-    ns = [_whole(n, "n_values", 1) for n in _grid(n_values, "n_values")]
-    profile = PotentialProfile(q, theta)
-    last = max(ns)
-    x = np.arange(-last, last + 1, dtype=np.float64)
-    xx = x * x
-    wanted = set(ns)
-    sigma_at: dict[int, float] = {}
+    ks = sorted(set(ns))
+    if ks[0] == 0:
+        p = distribution(initial_state())
+        _check_drift(math.sqrt(p.sum()), 0)
+        yield 0, p
+    last = ks[-1]  # with last = 0, _half_cone yields no block
     # Buffers for the largest block: the squares of one coin state's (re, im)
     # pairs, DOWN's and then UP's, so that one buffer serves both, and P over
     # x <= 0 per row.  P(x) over x = -last..last is kept as one plane per
     # parity of k; a plane's sites of the other parity are never written, so
     # they stay the zeros distribution keeps.
-    rows, columns = min(last, _SWEEP_RING_ROWS), last // 2 + 1
+    rows, columns = min(last, _RING_ROWS), last // 2 + 1
     squares = np.empty((rows, 2 * columns))
     left_buffer = np.empty((rows, columns))
     planes = np.zeros((2, 2 * last + 1))
-    for k0, k1, ring in _half_cone(profile, last, _SWEEP_RING_ROWS):
-        steps = [k for k in range(k0, k1 + 1) if k in wanted]
+    for k0, k1, ring in _half_cone(profile, last):
+        # Bisected, not tested step by step: simulate's one request leaves
+        # hundreds of blocks to skip.
+        steps = ks[bisect_left(ks, k0) : bisect_right(ks, k1)]
         if not steps:
             continue
         # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
@@ -199,11 +195,29 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
         np.add(left, up, out=left)
         for k in steps:
             live = left[k - lo, : k // 2 + 1]
-            window = slice(last - k, last + k + 1)
-            p = planes[k % 2, window]
+            p = planes[k % 2, last - k : last + k + 1]
             p[: k + 1 : 2], p[2 * k : k - 1 : -2] = live, live
             _check_drift(math.sqrt(p.sum()), k)  # the norm over the whole line
-            sigma_at[k] = _moment_values(p, x[window], xx[window])[2]
+            yield k, p
+
+
+def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.ndarray:
+    """sigma after each requested step count, all snapshots of one evolution.
+
+    Reusing a single trajectory keeps the rows mutually consistent and
+    costs one walk of max(n_values) steps over the sites x <= 0; each
+    requested snapshot then costs its P(x) from ``_distributions`` and two
+    dots with slices of one position grid, with no table of its own.
+    """
+    ns = [_whole(n, "n_values", 1) for n in _grid(n_values, "n_values")]
+    profile = PotentialProfile(q, theta)
+    last = max(ns)
+    x = np.arange(-last, last + 1, dtype=np.float64)
+    xx = x * x
+    sigma_at = {}
+    for k, p in _distributions(profile, ns):
+        window = slice(last - k, last + k + 1)
+        sigma_at[k] = _moment_values(p, x[window], xx[window])[2]
     return np.array([sigma_at[n] for n in ns])
 
 

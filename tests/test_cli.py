@@ -14,6 +14,7 @@ import pytest
 import periodicwalk.cli as cli
 import periodicwalk.core as core
 import periodicwalk.experiments as experiments
+from periodicwalk import distribution, initial_state
 from periodicwalk.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -412,6 +413,7 @@ def test_a_write_that_raises_anything_else_leaves_no_file(tmp_path, monkeypatch)
     "args",
     [
         ["simulate", "--q", "1", "--theta", "1", "--steps", "5"],
+        pytest.param(["simulate", "--q", "1", "--theta", "1", "--steps", "0"], id="simulate-zero-steps"),
         ["sweep-steps", "--q", "1", "--theta", "1", "--steps", "1:5"],
         ["sweep-theta", "--q", "2", "--theta", "0.5:1:3", "--steps", "5"],
         ["sweep-period", "--theta", "1", "--q", "1:3", "--steps", "5"],
@@ -426,6 +428,12 @@ def test_exit_code_invariant_violation(tmp_path, monkeypatch, args):
     code = main([*args, "--out", str(out)])
     assert code == EXIT_INVARIANT
     assert not out.exists()
+
+
+def test_simulate_of_zero_steps_writes_the_initial_distribution(tmp_path):
+    out = tmp_path / "zero.csv"
+    assert main(["simulate", "--q", "4", "--theta", "0.5", "--steps", "0", "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == "position,probability\n0,%.17g\n" % distribution(initial_state())[0]
 
 
 def test_run_accepts_handmade_config(tmp_path):

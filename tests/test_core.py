@@ -24,8 +24,9 @@ from periodicwalk import (
     point_state,
     step,
 )
-from periodicwalk.core import _mirror_walk
+from periodicwalk.core import _half_cone
 from periodicwalk.experiments import (
+    _distributions,
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
     sweep_sigma_vs_steps,
@@ -418,16 +419,26 @@ def test_4000_step_walk_equals_strided_parity_kernel(theta_pi):
         pytest.param(4, 13.833333333333334, id="subnormal-band"),
     ],
 )
-def test_4000_step_mirror_walk_equals_evolve(q, theta_pi):
+def test_4000_step_distributions_equal_evolve(q, theta_pi):
     profile = PotentialProfile(q, theta_pi * math.pi)
-    mirrored = _mirror_walk(profile, 4000)
-    walked = evolve(initial_state(), profile, 4000)
-    assert np.array_equal(mirrored.amplitudes, walked.amplitudes)
-    assert distribution(mirrored).tobytes() == distribution(walked).tobytes()
+    ((k, p),) = _distributions(profile, [4000])
+    assert k == 4000
+    assert p.tobytes() == distribution(evolve(initial_state(), profile, 4000)).tobytes()
+    assert p.tobytes() == p[::-1].tobytes()
 
 
-def test_mirror_walk_of_zero_steps_is_the_initial_state():
-    assert _mirror_walk(PotentialProfile(4, 0.5), 0).amplitudes.tobytes() == initial_state().amplitudes.tobytes()
+def test_distributions_of_zero_steps_is_the_initial_distribution():
+    profile = PotentialProfile(4, 0.5)
+    assert list(_half_cone(profile, 0)) == []
+    ((k, p),) = _distributions(profile, [0])
+    assert k == 0
+    assert p.tobytes() == distribution(evolve(initial_state(), profile, 0)).tobytes()
+    assert p.tobytes() == p[::-1].tobytes()
+
+
+def test_distributions_yields_each_requested_step_once_in_walk_order():
+    profile = PotentialProfile(2, 0.5)
+    assert [k for k, _ in _distributions(profile, [13, 0, 6, 13, 1])] == [0, 1, 6, 13]
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import periodicwalk.core as core
+from periodicwalk.core import _RING_ROWS
 from periodicwalk import NormDriftError, PotentialProfile, distribution, evolve, initial_state, moments, q2_law, step
 from periodicwalk.experiments import (
     Q1_LAW_RESIDUAL_CEILING,
     Q2_LAW_RESIDUAL_CEILING,
     Q2_LAZY_SPREAD_CEILING,
     R_SQUARED_INVERSE_PERIOD_MIN,
-    _SWEEP_RING_ROWS,
     check_q1_closed_form,
     linear_fit,
     relative_spread,
@@ -116,7 +116,7 @@ def test_sweep_steps_norm_gate_names_the_first_snapshot_walked(monkeypatch):
 def test_sweep_steps_norm_gate_names_the_first_snapshot_walked_in_a_later_block(monkeypatch):
     # The sweep reduces a few steps to a block, and 40 lies in a later block
     # than 20: the gate still names the first one walked.
-    assert 40 // _SWEEP_RING_ROWS > 20 // _SWEEP_RING_ROWS
+    assert 40 // _RING_ROWS > 20 // _RING_ROWS
     monkeypatch.setattr(core, "NORM_DRIFT_TOL", -1.0)
     with pytest.raises(NormDriftError, match="after 20 steps"):
         sweep_sigma_vs_steps(1, 0.5, [40, 20])
@@ -133,9 +133,9 @@ def test_sweep_steps_norm_gate_refuses_a_nan_tolerance(monkeypatch):
 #: first block, and one that asks for inner rows of some blocks and skips
 #: the blocks between them.
 _BLOCK_GRIDS = {
-    "ring-edges": [1, *(b * _SWEEP_RING_ROWS + d for b in (1, 2) for d in (-1, 0, 1)), 3 * _SWEEP_RING_ROWS],
-    "below-one-block": [_SWEEP_RING_ROWS - 1, 1, _SWEEP_RING_ROWS // 2],
-    "inner-rows": [4 * _SWEEP_RING_ROWS + 2, _SWEEP_RING_ROWS + 4, 2, _SWEEP_RING_ROWS + 2],
+    "ring-edges": [1, *(b * _RING_ROWS + d for b in (1, 2) for d in (-1, 0, 1)), 3 * _RING_ROWS],
+    "below-one-block": [_RING_ROWS - 1, 1, _RING_ROWS // 2],
+    "inner-rows": [4 * _RING_ROWS + 2, _RING_ROWS + 4, 2, _RING_ROWS + 2],
 }
 _BLOCK_GRIDS["ring-edges-reversed"] = _BLOCK_GRIDS["ring-edges"][::-1]
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import from_dtype
 
@@ -22,8 +22,8 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
-from periodicwalk.core import _half_cone, _mirror_walk
-from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
+from periodicwalk.core import _RING_ROWS, _half_cone
+from periodicwalk.experiments import _distributions, sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
     full_table_evolve,
     random_walk_state,
@@ -133,44 +133,40 @@ symmetric_angles = st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50
 
 @walks
 @given(symmetric_periods, symmetric_angles, st.integers(min_value=0, max_value=300))
-def test_mirror_walk_equals_evolve_from_the_symmetric_start(q, theta, n):
-    # The right half is written from the left, so a zero there may carry
-    # the other sign than evolve's: the tables are compared by value, and
-    # only the distributions by bytes.
+# Walk lengths at the edges of the half-cone ring's first two blocks.
+@example(1, math.pi / 2, 1)
+@example(4, math.pi / 6, 5)
+@example(2, math.pi / 3, 6)
+@example(3, 0.0, 7)
+@example(1, 0.5, 12)
+@example(10**6, 2.1, 13)
+def test_distributions_equal_evolve_from_the_symmetric_start(q, theta, n):
     profile = PotentialProfile(q, theta)
-    mirrored = _mirror_walk(profile, n)
-    walked = evolve(initial_state(), profile, n)
-    assert np.array_equal(mirrored.amplitudes, walked.amplitudes)
-    p = distribution(mirrored)
-    assert p.tobytes() == distribution(walked).tobytes()
+    ((k, p),) = _distributions(profile, [n])
+    assert k == n
+    assert p.tobytes() == distribution(evolve(initial_state(), profile, n)).tobytes()
     assert p.tobytes() == p[::-1].tobytes()
 
 
-#: Ring sizes of the half-cone walk, each with walk lengths below, at and
-#: between its multiples.
-ring_walks = st.sampled_from([2, 3, 6, 16]).flatmap(
-    lambda rows: st.tuples(
-        st.just(rows),
-        st.one_of(
-            st.integers(min_value=1, max_value=rows - 1),
-            st.integers(min_value=1, max_value=8).map(lambda blocks: blocks * rows),
-            st.integers(min_value=1, max_value=300),
-        ),
-    )
+#: Walk lengths below, at and between multiples of the half-cone ring's rows.
+ring_walks = st.one_of(
+    st.integers(min_value=1, max_value=_RING_ROWS - 1),
+    st.integers(min_value=1, max_value=8).map(lambda blocks: blocks * _RING_ROWS),
+    st.integers(min_value=1, max_value=300),
 )
 
 
 @walks
 @given(symmetric_periods, symmetric_angles, ring_walks)
-def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, ring_walk):
+def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, n):
     # Compared by value: the origin's D is set from U there, so an exact
     # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
     # must be exactly zero in every row: a start kept in a ring row would
     # leave i/sqrt 2 there once the row is reused.
-    rows, n = ring_walk
+    rows = _RING_ROWS
     profile = PotentialProfile(q, theta)
     state, k = initial_state(), 0
-    for first, last, ring in _half_cone(profile, n, rows):
+    for first, last, ring in _half_cone(profile, n):
         assert first == k + 1 and last == min(k + rows, n) and ring.shape == (min(n, rows), 2, n // 2 + 2)
         for k, (down, up) in enumerate(ring[: last - first + 1], first):
             state = evolve(state, profile, 1)
