@@ -320,56 +320,55 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     if n == 0:
         return state
     amps = state.amplitudes
-    k0 = k = state.steps_taken
-    reach = k + n - 1
-    coins = _step_classes(profile, reach, n)
-    # The buffers start zeroed: the step from k writes DOWN to columns 0..k
-    # and UP to 1..k + 1, and the next step reads columns 0..k + 1 of both.
-    # Each row is prebuilt as a 1-d array, because slicing those costs less
-    # per step than slicing a 2-d block or unpacking pairs[i % 2] (which won
+    k0 = state.steps_taken
+    coins = _step_classes(profile, k0 + n - 1, n)
+    # The buffers start zeroed: step i writes DOWN to columns 0..k0 + i and
+    # UP to 1..k0 + i + 1, and step i + 1 reads columns 0..k0 + i + 1 of
+    # both.  Each row is prebuilt as a 1-d array: slicing those costs less
+    # per step than slicing a 2-d block or unpacking pairs[i & 1] (which won
     # 0 and 2 of 14 alternating pairs at N = 200 and 4000).  The products
     # land in the output rows and one scratch row, so a step allocates
     # nothing; a one-step call needs no buffers at all.
     if n > 1:
-        pairs = np.zeros((min(n - 1, 2), 2, k + n), dtype=amps.dtype)
+        pairs = np.zeros((min(n - 1, 2), 2, k0 + n), dtype=amps.dtype)
         buffers = [tuple(pair) for pair in pairs]
     # np.zeros, not zeros_like: about 1.3 us less per call at 2001 rows.
-    out = np.zeros((2 * (k + n) + 1, 2), amps.dtype)
-    scratch = np.empty(reach + 1, dtype=amps.dtype)
-    src = amps[::2, DOWN], amps[::2, UP]
+    out = np.zeros((2 * (k0 + n) + 1, 2), amps.dtype)
+    scratch = np.empty(k0 + n, dtype=amps.dtype)
+    # The last step writes into the returned table's stride-2 columns, sliced
+    # as a buffer pair is: a buffer and a copy-out nearly doubled n = 1.
+    final = out[:-2:2, DOWN], out[::2, UP]
+    # A step runs only its ufuncs and slices, so they are bound once per call.
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    d, u = amps[::2, DOWN], amps[::2, UP]
     for i in range(n):
         # The coin acts at the pre-shift position; then DOWN slides one site
-        # toward -x and UP one site toward +x.
-        k = k0 + i
-        m0, p = divmod(n - 1 - i, 2)
-        d, u = src
-        b = scratch[: k + 1]
-        if i < n - 1:
-            down_row, up_row = buffers[i % 2]
-            down, up = down_row[: k + 1], up_row[1 : k + 2]
-            src = down_row[: k + 2], up_row[: k + 2]
-        else:
-            # Straight into the stride-2 columns of the returned table: a
-            # step into a buffer and a copy-out nearly doubled a one-step call.
-            down, up = out[:-2:2, DOWN], out[2::2, UP]
-        if coins[p] is None:
+        # toward -x and UP one site toward +x.  m sites are live before it.
+        m = k0 + i + 1
+        b = scratch[:m]
+        down_row, up_row = buffers[i & 1] if i < n - 1 else final
+        down, up = down_row[:m], up_row[1 : m + 1]
+        coin = coins[(n - 1 - i) & 1]
+        if coin is None:
             # down = h d + h u and up = h d - h u with each product taken
             # once: h d lands in down, and up is taken before down is summed.
-            np.multiply(_HADAMARD, d, down)
-            np.multiply(_HADAMARD, u, b)
-            np.subtract(down, b, up)
-            np.add(down, b, down)
-            continue
-        tk, rk = coins[p]
-        if tk.ndim:
-            tk, rk = tk[m0 : m0 + k + 1], rk[m0 : m0 + k + 1]
-        # down = tk * d + rk * u and up = rk * d - tk * u.
-        np.multiply(tk, d, down)
-        np.multiply(rk, u, b)
-        np.add(down, b, down)
-        np.multiply(rk, d, up)
-        np.multiply(tk, u, b)
-        np.subtract(up, b, up)
+            multiply(_HADAMARD, d, down)
+            multiply(_HADAMARD, u, b)
+            subtract(down, b, up)
+            add(down, b, down)
+        else:
+            tk, rk = coin
+            if tk.ndim:
+                m0 = (n - 1 - i) >> 1
+                tk, rk = tk[m0 : m0 + m], rk[m0 : m0 + m]
+            # down = tk * d + rk * u and up = rk * d - tk * u.
+            multiply(tk, d, down)
+            multiply(rk, u, b)
+            add(down, b, down)
+            multiply(rk, d, up)
+            multiply(tk, u, b)
+            subtract(up, b, up)
+        d, u = down_row[: m + 1], up_row[: m + 1]
     return WalkState(out)
 
 
@@ -416,6 +415,7 @@ def _half_cone(profile: PotentialProfile, n: int):
     # Each row pair with its float64 views, (re, im) pairs, for the origin's D.
     pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
     scratch = np.empty(n // 2 + 1, dtype=np.complex128)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     d, u = start[:, DOWN], start[:, UP]
     # One flat loop over the steps: a loop per block, over zip(range(k0, n),
     # pairs), lost about three of four alternating walks of 4000 steps on a
@@ -424,31 +424,31 @@ def _half_cone(profile: PotentialProfile, n: int):
         r = k % rows
         down_row, up_row, origin_down, origin_up = pairs[r]
         m = k // 2 + 1
-        m0, p = divmod(n - 1 - k, 2)
         b = scratch[:m]
         down, up = down_row[:m], up_row[1 : m + 1]
-        if coins[p] is None:
-            np.multiply(_HADAMARD, d, down)
-            np.multiply(_HADAMARD, u, b)
-            np.subtract(down, b, up)
-            np.add(down, b, down)
+        coin = coins[(n - 1 - k) & 1]
+        if coin is None:
+            multiply(_HADAMARD, d, down)
+            multiply(_HADAMARD, u, b)
+            subtract(down, b, up)
+            add(down, b, down)
         else:
-            tk, rk = coins[p]
+            tk, rk = coin
             if tk.ndim:
+                m0 = (n - 1 - k) >> 1
                 tk, rk = tk[m0 : m0 + m], rk[m0 : m0 + m]
-            np.multiply(tk, d, down)
-            np.multiply(rk, u, b)
-            np.add(down, b, down)
-            np.multiply(rk, d, up)
-            np.multiply(tk, u, b)
-            np.subtract(up, b, up)
+            multiply(tk, d, down)
+            multiply(rk, u, b)
+            add(down, b, down)
+            multiply(rk, d, up)
+            multiply(tk, u, b)
+            subtract(up, b, up)
         if k % 2:
             # Into an even k + 1, column m is the origin: D(0) = -i U(0),
             # that is (U.im, -U.re).
             origin_down[2 * m] = origin_up[2 * m + 1]
             origin_down[2 * m + 1] = -origin_up[2 * m]
-        width = (k + 1) // 2 + 1
-        d, u = down_row[:width], up_row[:width]
+        d, u = down_row[: m + (k & 1)], up_row[: m + (k & 1)]
         if r == rows - 1 or k == n - 1:
             yield k - r + 1, k + 1, ring
 

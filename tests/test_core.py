@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -32,7 +33,14 @@ from periodicwalk.experiments import (
     sweep_sigma_vs_steps,
     sweep_sigma_vs_theta,
 )
-from walkref import SQRT_HALF, hadamard_reference, max_amp_diff, random_walk_state, strided_parity_evolve
+from walkref import (
+    SQRT_HALF,
+    full_table_evolve,
+    hadamard_reference,
+    max_amp_diff,
+    random_walk_state,
+    strided_parity_evolve,
+)
 
 
 def coin_matrix(t, r):
@@ -394,6 +402,51 @@ def test_coefficient_fill_for_every_period(n):
                 for a in range(n + 1):
                     split = evolve(evolve(start, profile, a), profile, n - a)
                     assert split.amplitudes.tobytes() == expected, (theta, q, start.steps_taken, a)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evolve_at_every_step_class_edge(n, q):
+    # n = 1 steps straight into the returned table, n = 2 uses one buffer
+    # pair, n = 3 both and n = 4 wraps back to the first; q = 1..4 give every
+    # pair of step classes on the two parities.  Both coefficients are kept
+    # non-negative: with a negative one the three kernels may differ in the
+    # sign of an exact zero.
+    rng = np.random.default_rng(n * 4 + q)
+    starts = [point_state(x, c) for x in (-1, 0, 1, 2) for c in (DOWN, UP)]
+    starts += [random_walk_state(rng, support) for support in range(4)]
+    for theta in (0.0, math.pi / 6, 1.0):
+        profile = PotentialProfile(q, theta)
+        for start in starts:
+            walked = evolve(start, profile, n).amplitudes.tobytes()
+            assert walked == path_sum_evolve(start, profile, n).amplitudes.tobytes(), (theta, start.steps_taken)
+            assert walked == full_table_evolve(start, profile, n).amplitudes.tobytes(), (theta, start.steps_taken)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_evolve_allocates_nothing_per_step(q):
+    # A 1000-site temporary is 16 KiB, so one made per step, or kept per
+    # step, would pass the 8 KiB left over for the coins and small objects.
+    n, site = 1000, np.dtype(np.complex128).itemsize
+    start, profile = initial_state(), PotentialProfile(q, math.pi / 6)
+    mixed_parities = {1: 0, 2: 0, 3: 2, 4: 1}[q]
+    allowed = (
+        (2 * n + 1) * 2 * site  # the returned table
+        + 2 * 2 * n * site  # the two buffer pairs
+        + n * site  # the scratch row
+        + mixed_parities * 2 * n * site  # (t, r) rows of each mixed parity
+        + 8 * 1024
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        walked = evolve(start, profile, n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert walked.steps_taken == n
+    assert peak <= allowed, (peak, allowed)
 
 
 @pytest.mark.parametrize("theta_pi", [0.16666666666666666, 4.166666666666667])
