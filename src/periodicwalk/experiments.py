@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DOWN, UP, _REAL_KINDS, _RING_ROWS, PotentialProfile, WalkState, _check_drift, _half_cone, _whole, check_norm, evolve, initial_state
 from .core import step  # not called here; bench/test_bench.py pins this binding until the bench change
-from .observables import _moment_values, distribution, moments
+from .observables import distribution, moments
 
 __all__ = [
     "Q1_LAW_RESIDUAL_CEILING",
@@ -152,14 +152,14 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     """Yield ``(k, p)`` for each step count k >= 0 in ``ns``, once each and in walk order.
 
     p is P(x) over x = -k..k after k steps from ``initial_state()``, with
-    the bytes of ``distribution``, and its norm, sqrt(sum p), has passed
+    the bytes of ``distribution``, and its norm has passed
     ``core._check_drift``.  One walk of max(ns) steps over the sites x <= 0
     (``core._half_cone``) serves every k: P over those sites is squared and
     summed a block of ``core._RING_ROWS`` steps at a time, over the rows of
     the block's first to last requested step, and a block with none is
-    skipped.  Each p is then mirrored from its row into a plane kept per
-    parity of k, so it is a view that the next requested k of its parity
-    overwrites.
+    skipped.  The norm is read off each row's sum over the half line, and
+    each p is mirrored from its row into a plane kept per parity of k, so it
+    is a view that the next requested k of its parity overwrites.
     """
     ks = sorted(set(ns))
     if ks[0] == 0:
@@ -167,13 +167,15 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
         _check_drift(math.sqrt(p.sum()), 0)
         yield 0, p
     last = ks[-1]  # with last = 0, _half_cone yields no block
-    # Buffers for the largest block: the squares of one coin state's (re, im)
-    # pairs, DOWN's and then UP's, so that one buffer serves both, and P over
-    # x <= 0 per row.  P(x) over x = -last..last is kept as one plane per
-    # parity of k; a plane's sites of the other parity are never written, so
-    # they stay the zeros distribution keeps.
-    rows, columns = min(last, _RING_ROWS), last // 2 + 1
-    squares = np.empty((rows, 2 * columns))
+    # Buffers for the largest block that holds a requested step, one row for
+    # a single request: the squares of both coin states' (re, im) pairs, in
+    # rows as long as the ring's, so that the square reads and writes with
+    # the same strides (a narrower row makes numpy buffer it through a
+    # temporary); then P over x <= 0 per row.  P(x) over x = -last..last is
+    # kept as one plane per parity of k; a plane's sites of the other parity
+    # are never written, so they stay the zeros distribution keeps.
+    rows, columns = min(last, _RING_ROWS, last - ks[0] + 1), last // 2 + 2
+    squares = np.empty((rows, 2, 2 * columns))
     left_buffer = np.empty((rows, columns))
     planes = np.zeros((2, 2 * last + 1))
     for k0, k1, ring in _half_cone(profile, last):
@@ -183,21 +185,28 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
         if not steps:
             continue
         # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
-        # over the rows of the block's first to last requested step.
+        # over the rows of the block's first to last requested step and one
+        # column past the last one's live sites, which for an odd k holds
+        # |U(+1)|² (its D there is zero).
         lo, hi = steps[0], steps[-1]
-        block, count, width = slice(lo - k0, hi - k0 + 1), hi - lo + 1, hi // 2 + 1
-        sq, left = squares[:count, : 2 * width], left_buffer[:count, :width]
-        np.square(ring[block, DOWN, :width].view(np.float64), out=sq)
-        np.add(sq[:, ::2], sq[:, 1::2], out=left)
-        np.square(ring[block, UP, :width].view(np.float64), out=sq)
-        up = sq[:, ::2]
-        np.add(up, sq[:, 1::2], out=up)
-        np.add(left, up, out=left)
+        block, count, width = slice(lo - k0, hi - k0 + 1), hi - lo + 1, (hi + 1) // 2 + 1
+        sq, left = squares[:count, :, : 2 * width], left_buffer[:count, :width]
+        np.square(ring[block, :, :width].view(np.float64), out=sq)
+        pair = sq[..., ::2]
+        np.add(pair, sq[..., 1::2], out=pair)
+        np.add(pair[:, DOWN], pair[:, UP], out=left)
+        # A row is zero past its step's columns, so its sum is P over x <= 0,
+        # plus |U(+1)|² for an odd k.  The norm over the whole line counts
+        # P(0) once for an even k and leaves U(+1) out for an odd one.
+        sums = left.sum(axis=1).tolist()
         for k in steps:
-            live = left[k - lo, : k // 2 + 1]
+            i, j = k - lo, k // 2
+            row = left[i]
+            live = row[: j + 1]
             p = planes[k % 2, last - k : last + k + 1]
             p[: k + 1 : 2], p[2 * k : k - 1 : -2] = live, live
-            _check_drift(math.sqrt(p.sum()), k)  # the norm over the whole line
+            norm2 = 2.0 * (sums[i] - row[j + 1]) if k % 2 else 2.0 * sums[i] - row[j]
+            _check_drift(math.sqrt(norm2), k)
             yield k, p
 
 
@@ -206,8 +215,9 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
 
     Reusing a single trajectory keeps the rows mutually consistent and
     costs one walk of max(n_values) steps over the sites x <= 0; each
-    requested snapshot then costs its P(x) from ``_distributions`` and two
-    dots with slices of one position grid, with no table of its own.
+    requested snapshot then costs its P(x) from ``_distributions`` and one
+    dot with a slice of one grid of squared positions, with no table of its
+    own.
     """
     ns = [_whole(n, "n_values", 1) for n in _grid(n_values, "n_values")]
     profile = PotentialProfile(q, theta)
@@ -215,9 +225,19 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     x = np.arange(-last, last + 1, dtype=np.float64)
     xx = x * x
     sigma_at = {}
+    # sigma is sqrt(second moment), with the bytes of moments(p).sigma,
+    # sqrt(max(second - mean * mean, 0)).  p is mirrored bit for bit, so
+    # the exact mean, sum P(x) x over its n = 2k + 1 entries, is 0.  In any
+    # summation order, BLAS included, a computed dot is off by at most
+    # gamma_n sum |P(x) x|, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham,
+    # Accuracy and Stability of Numerical Algorithms, section 3.1), and by
+    # Cauchy-Schwarz sum |P(x) x| <= sqrt(sum P * sum P x²).  The gate holds
+    # sum P within 1e-9 of 1 and the computed second is within gamma_n of
+    # sum P x², so the computed mean² < 2^-54 second for every n < 2^25,
+    # far past 2 cli.MAX_STEPS + 1.  That is under half the spacing of
+    # floats below second, so second - mean * mean rounds to second.
     for k, p in _distributions(profile, ns):
-        window = slice(last - k, last + k + 1)
-        sigma_at[k] = _moment_values(p, x[window], xx[window])[2]
+        sigma_at[k] = math.sqrt(float(p @ xx[last - k : last + k + 1]))
     return np.array([sigma_at[n] for n in ns])
 
 

@@ -61,19 +61,10 @@ def moments(p) -> Moments:
     """
     p, n = _window(p)
     x = np.arange(-n, n + 1, dtype=np.float64)
-    return Moments(*_moment_values(p, x, x * x))
-
-
-def _moment_values(p, x: np.ndarray, xx: np.ndarray) -> tuple[float, float, float]:
-    """(mean, second moment, sigma) of the window ``p`` over the positions ``x`` and their squares ``xx``.
-
-    ``moments`` and ``sweep-steps`` both take sigma from here, so their
-    bytes agree by construction; the sweep builds no ``Moments``.
-    """
     mean = float(p @ x)
-    second = float(p @ xx)
+    second = float(p @ (x * x))
     variance = second - mean * mean
-    return mean, second, math.sqrt(max(variance, 0.0))
+    return Moments(mean, second, math.sqrt(max(variance, 0.0)))
 
 
 def q1_law(theta: float, n_steps: int) -> float:

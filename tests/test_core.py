@@ -25,7 +25,7 @@ from periodicwalk import (
     point_state,
     step,
 )
-from periodicwalk.core import _half_cone
+from periodicwalk.core import _RING_ROWS, _half_cone
 from periodicwalk.experiments import (
     _distributions,
     check_q1_closed_form,
@@ -478,6 +478,37 @@ def test_4000_step_distributions_equal_evolve(q, theta_pi):
     assert k == 4000
     assert p.tobytes() == distribution(evolve(initial_state(), profile, 4000)).tobytes()
     assert p.tobytes() == p[::-1].tobytes()
+
+
+def test_distributions_of_one_request_allocates_one_block_row():
+    # simulate asks for one snapshot, so the squares and the P over x <= 0
+    # that it reduces the snapshot's block into take one row each.  A squares
+    # row narrower than a ring row pair would make numpy buffer the square
+    # through a 64 KiB temporary, and one row per ring row would add five
+    # more; either goes past the 12 KiB left over for the coins and small
+    # objects, of which the ring's per-row views take about 3 KiB.
+    n, site, real = 4000, np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
+    columns = n // 2 + 2
+    allowed = (
+        _RING_ROWS * 2 * columns * site  # _half_cone's ring
+        + (n // 2 + 1) * site  # its scratch row
+        + 2 * n * site  # (t, r) rows of the one mixed parity at q = 4
+        + 2 * 2 * columns * real  # one squares row, as long as a ring row pair
+        + columns * real  # one row of P over x <= 0
+        + 2 * (2 * n + 1) * real  # the two planes
+        + 12 * 1024
+    )
+    profile = PotentialProfile(4, math.pi / 6)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ((k, p),) = list(_distributions(profile, [n]))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert k == n and p.shape == (2 * n + 1,)
+    assert peak <= allowed, (peak, allowed)
 
 
 def test_distributions_of_zero_steps_is_the_initial_distribution():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import periodicwalk.core as core
+import periodicwalk.experiments as experiments
 from periodicwalk.core import _RING_ROWS
 from periodicwalk import NormDriftError, PotentialProfile, distribution, evolve, initial_state, moments, q2_law, step
 from periodicwalk.experiments import (
@@ -126,6 +127,27 @@ def test_sweep_steps_norm_gate_refuses_a_nan_tolerance(monkeypatch):
     monkeypatch.setattr(core, "NORM_DRIFT_TOL", math.nan)
     with pytest.raises(NormDriftError, match="after 5 steps"):
         sweep_sigma_vs_steps(2, 0.5, [5, 33])
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+@pytest.mark.parametrize("k", [5, 6, 7, 12, 13])
+def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, k):
+    # The gate reads each snapshot's norm off its row's sum over x <= 0.  One
+    # live site of step k's ring row, the origin for an even k and x = -1 for
+    # an odd one, scaled after its block is walked and before it is reduced,
+    # must fail the gate at k, at each edge of the first three blocks.
+    assert {edge % _RING_ROWS for edge in (5, 6, 7, 12, 13)} == {_RING_ROWS - 1, 0, 1}
+    walk = experiments._half_cone
+
+    def corrupted(profile, n):
+        for first, last, ring in walk(profile, n):
+            if first <= k <= last:
+                ring[k - first, :, k // 2] *= 1.01
+            yield first, last, ring
+
+    monkeypatch.setattr(experiments, "_half_cone", corrupted)
+    with pytest.raises(NormDriftError, match=f"after {k} steps"):
+        sweep_sigma_vs_steps(q, math.pi / 3, list(range(1, 20)))
 
 
 #: Step counts at the edges of the sweep's blocks (the first and last steps

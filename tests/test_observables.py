@@ -15,7 +15,6 @@ from periodicwalk import (
     q2_law,
     symmetry_residual,
 )
-from periodicwalk.observables import _moment_values
 from walkref import random_walk_state
 
 
@@ -178,18 +177,21 @@ def test_symmetry_residual_of_simulated_walk():
 
 
 def test_moments_over_slices_of_one_grid_keep_the_bytes_of_moments():
-    # sweep-steps dots every snapshot with a slice of one grid built for its
-    # longest walk, so each window starts at another offset, and so at
-    # another alignment, than the grid moments builds for it.
+    # sweep-steps takes sigma as sqrt(p @ xx), xx a slice of one grid of
+    # squared positions built for its longest walk, so each window starts at
+    # another offset, and so at another alignment, than the grid moments
+    # builds for it.  Its windows are mirrored bit for bit, so their exact
+    # mean is 0 and the computed one too small to change second - mean².
     last = 1000
     x = np.arange(-last, last + 1, dtype=np.float64)
     xx = x * x
     rng = np.random.default_rng(21)
     for k in range(1, 301):
         p = rng.random(2 * k + 1)
+        p[k + 1 :] = p[k - 1 :: -1]
         p /= p.sum()
-        window = slice(last - k, last + k + 1)
-        sliced, fresh = _moment_values(p, x[window], xx[window]), moments(p)
-        assert np.array(sliced).tobytes() == (
-            np.array([fresh.mean, fresh.second_moment, fresh.sigma]).tobytes()
+        second = float(p @ xx[last - k : last + k + 1])
+        fresh = moments(p)
+        assert np.array([second, math.sqrt(second)]).tobytes() == (
+            np.array([fresh.second_moment, fresh.sigma]).tobytes()
         ), k
