@@ -31,10 +31,10 @@ from .core import (
     NORM_DRIFT_TOL,
     NormDriftError,
     PotentialProfile,
+    _distributions,
     evolve,  # not called here; bench/test_bench.py pins this binding until the bench change
 )
 from .experiments import (
-    _distributions,
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
     sweep_sigma_vs_steps,

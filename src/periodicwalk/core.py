@@ -27,25 +27,27 @@ row, alternating between two such buffers of its own.  ``step`` is
 
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
 ``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
-classes and operation order, for about half the work.  It writes step k
-into row (k - 1) % 6 of a ring of six row pairs and hands the ring over
-once per block of six steps.  ``experiments._distributions`` is its one
-reader: it squares and sums P over x <= 0 for the requested steps of a
-block at once and mirrors each requested P(x) from it, with the bytes of
-``distribution``.  ``simulate`` and ``sweep-steps`` both take P(x) from
-there; no amplitude table of the right half is ever written.  The
-half-cone values equal ``evolve``'s, but not byte for byte (the origin's
-D, set from U there, may carry the other sign of zero), so ``evolve``
-keeps the full light cone and its byte contract with the oracle, and the
-other sweeps keep ``evolve``.
+classes and operation order, for about half the work.  Its first block
+is the start itself, step 0; then it writes step k into row (k - 1) % 6
+of a ring of six row pairs and hands the ring over once per block of six
+steps.  ``_distributions``, beside it, is its one reader: it squares and
+sums P over x <= 0 for the requested steps of a block at once and
+mirrors each requested P(x) from it, with the bytes of ``distribution``.
+``simulate`` and ``sweep-steps`` both take P(x) from there; no amplitude
+table of the right half is ever written, and no other module reads the
+ring.  The half-cone values equal ``evolve``'s, but not byte for byte
+(the origin's D, set from U there, may carry the other sign of zero), so
+``evolve`` keeps the full light cone and its byte contract with the
+oracle, and the other sweeps keep ``evolve``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -159,15 +161,6 @@ class PotentialProfile:
         """Amplitude for bouncing back at a scattering site, cos(theta)."""
         return math.cos(self.theta)
 
-    @cached_property
-    def _coin(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sin, cos) theta as read-only complex 0-d arrays, built on first use by ``evolve``.
-
-        Kept in the instance dict, outside the dataclass fields, so equality,
-        hash and repr do not see it.
-        """
-        return _coin_scalar(self.transmission), _coin_scalar(self.reflection)
-
 
 @dataclass(frozen=True)
 class WalkState:
@@ -268,18 +261,18 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
     # scattering when stride is 1 (q = 1, or q = 2 on even x0), and mixed
     # otherwise.  Only a mixed parity needs per-site coefficients, built as
     # 1/sqrt 2 with the scattering rows overwritten through one strided
-    # slice.  The other two multiply by read-only 0-d arrays, since numpy
-    # would convert a Python complex on every multiply, about 0.2 us each.
-    # Those are built once, not per call: the Hadamard entry at import and
-    # (sin, cos) theta on a profile's first walk, so a walk advanced one
-    # step at a time builds them once, not once per step.  Every class
-    # forms the same products and sums in the same order, so the amplitudes
-    # do not depend on the class.  Coefficients are complex so that no
-    # multiply casts them to the amplitudes' type; the values, and so the
-    # products, are the same.  Any period above reach marks only x = 0, so
-    # capping it there loses nothing and keeps the stride within the
+    # slice.  The other two multiply by 0-d arrays, since numpy would
+    # convert a Python complex on every multiply, about 0.2 us each: the
+    # Hadamard entry, built at import, and (sin, cos) theta, built once per
+    # call for both parities (every command walks each profile once).  Every
+    # class forms the same products and sums in the same order, so the
+    # amplitudes do not depend on the class.  Coefficients are complex so
+    # that no multiply casts them to the amplitudes' type; the values, and so
+    # the products, are the same.  Any period above reach marks only x = 0,
+    # so capping it there loses nothing and keeps the stride within the
     # indices numpy takes.
     q = min(profile.period_q, reach + 1)
+    coin = _coin_scalar(profile.transmission), _coin_scalar(profile.reflection)
     coins = []
     for p in range(min(n, 2)):
         x0, size = p - reach, reach + 1 - p
@@ -290,10 +283,10 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
         if first >= size:
             coins.append(None)
         elif stride == 1:
-            coins.append(profile._coin)
+            coins.append(coin)
         else:
             coefficients = np.full((2, size), complex(_SQRT_HALF))
-            coefficients[0, first::stride], coefficients[1, first::stride] = profile._coin
+            coefficients[0, first::stride], coefficients[1, first::stride] = coin
             coins.append((coefficients[0], coefficients[1]))
     return coins
 
@@ -372,28 +365,29 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     return WalkState(out)
 
 
-#: Steps per block of ``_half_cone``: ``experiments._distributions`` squares
-#: and sums P once per block that holds a requested step.  At the 1..1000
-#: ``sweep-steps``, 6 rows take about 0.16 MiB of ring and buffers and left
-#: the peak RSS of 20 calls where the per-step sweep had it; 8 and 16 rows
-#: were 3% and 7% faster but raised it by about 0.16 and 0.3-0.5 MiB, and 4
-#: rows were 6% slower.
+#: Steps per block of ``_half_cone`` after its start block: ``_distributions``
+#: squares and sums P once per block that holds a requested step.  At the
+#: 1..1000 ``sweep-steps``, 6 rows take about 0.16 MiB of ring and buffers and
+#: left the peak RSS of 20 calls where the per-step sweep had it; 8 and 16
+#: rows were 3% and 7% faster but raised it by about 0.16 and 0.3-0.5 MiB,
+#: and 4 rows were 6% slower.
 _RING_ROWS = 6
 
 
 def _half_cone(profile: PotentialProfile, n: int):
     """Walk n >= 0 steps from ``initial_state()`` over the sites x <= 0, ``_RING_ROWS`` steps to a block.
 
-    Step k writes the (DOWN, UP) rows ``ring[(k - 1) % _RING_ROWS]``, a
+    The first block is the start, step 0: it yields ``(0, 0, start)``, with
+    ``initial_state()``'s table as the one row pair of shape (1, 2, 1).
+    Then step k writes the (DOWN, UP) rows ``ring[(k - 1) % _RING_ROWS]``, a
     complex array of shape (min(n, _RING_ROWS), 2, n // 2 + 2), from the
-    pair before it (step 1 from ``initial_state()``'s table, which no ring
-    row ever holds).  After every ``_RING_ROWS`` steps, and after step n,
-    it yields ``(first, last, ring)``: the block of steps first..last sits
-    in rows 0..last - first.  Column j of step k's row holds x = -k + 2j,
-    and the row is zero past its live columns 0..k // 2, except that for
-    odd k UP's column k // 2 + 1 holds U(+1); UP's column 0 is always
-    zero.  The next block overwrites the ring.  A walk of 0 steps yields
-    nothing.
+    pair before it (step 1 from the start, which no ring row ever holds).
+    After every ``_RING_ROWS`` steps, and after step n, it yields ``(first,
+    last, ring)``: the block of steps first..last sits in rows 0..last -
+    first.  Column j of step k's row holds x = -k + 2j, and the row is zero
+    past its live columns 0..k // 2, except that for odd k UP's column k //
+    2 + 1 holds U(+1); UP's column 0 is zero for every k >= 1.  The next
+    block overwrites the ring.  A walk of 0 steps yields only the start.
 
     Both coins are real and symmetric, x % q == 0 exactly when -x % q ==
     0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps D(-x)
@@ -404,7 +398,8 @@ def _half_cone(profile: PotentialProfile, n: int):
     is set to -i U(0) instead.
     """
     rows = _RING_ROWS
-    start = initial_state().amplitudes
+    start = initial_state().amplitudes.reshape(1, 2, 1)
+    yield 0, 0, start
     coins = _step_classes(profile, n - 1, n)
     # The step into k writes DOWN to columns 0..(k - 1) // 2, UP to 1..(k -
     # 1) // 2 + 1 (one site past the origin into an odd k) and, into an even
@@ -416,7 +411,7 @@ def _half_cone(profile: PotentialProfile, n: int):
     pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
     scratch = np.empty(n // 2 + 1, dtype=np.complex128)
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    d, u = start[:, DOWN], start[:, UP]
+    d, u = start[0]
     # One flat loop over the steps: a loop per block, over zip(range(k0, n),
     # pairs), lost about three of four alternating walks of 4000 steps on a
     # ring of two rows.
@@ -451,6 +446,69 @@ def _half_cone(profile: PotentialProfile, n: int):
         d, u = down_row[: m + (k & 1)], up_row[: m + (k & 1)]
         if r == rows - 1 or k == n - 1:
             yield k - r + 1, k + 1, ring
+
+
+def _distributions(profile: PotentialProfile, ns: Iterable[int]):
+    """Yield ``(k, p)`` for each step count k >= 0 in ``ns``, once each and in walk order.
+
+    p is P(x) over x = -k..k after k steps from ``initial_state()``, with
+    the bytes of ``distribution``, and its norm has passed ``_check_drift``.
+    One walk of max(ns) steps over the sites x <= 0 (``_half_cone``) serves
+    every k, 0 included: P over those sites is squared and summed a block at
+    a time, over the rows of the block's first to last requested step, and
+    a block with none is skipped.  The norm is read off each row's sum over
+    the half line, and each p is mirrored from its row into a plane kept per
+    parity of k, so it is a view that the next requested k of its parity
+    overwrites.
+    """
+    ks = sorted(set(ns))
+    last = ks[-1]
+    # Buffers for the largest block that holds a requested step, one row for
+    # a single request or the start block: the squares of both coin states'
+    # (re, im) pairs, in rows as long as the ring's, so that the square reads
+    # and writes with the same strides (a narrower row makes numpy buffer it
+    # through a temporary); then P over x <= 0 per row.  P(x) over x =
+    # -last..last is kept as one plane per parity of k; a plane's sites of
+    # the other parity are never written, so they stay the zeros
+    # distribution keeps.
+    rows, columns = min(_RING_ROWS, last - ks[0] + 1), last // 2 + 2
+    squares = np.empty((rows, 2, 2 * columns))
+    left_buffer = np.empty((rows, columns))
+    planes = np.zeros((2, 2 * last + 1))
+    for k0, k1, ring in _half_cone(profile, last):
+        # Bisected, not tested step by step: simulate's one request leaves
+        # hundreds of blocks to skip.
+        steps = ks[bisect_left(ks, k0) : bisect_right(ks, k1)]
+        if not steps:
+            continue
+        # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
+        # over the rows of the block's first to last requested step and one
+        # column past the last one's live sites, which for an odd k holds
+        # |U(+1)|² (its D there is zero).
+        lo, hi = steps[0], steps[-1]
+        block, count, width = slice(lo - k0, hi - k0 + 1), hi - lo + 1, (hi + 1) // 2 + 1
+        sq, left = squares[:count, :, : 2 * width], left_buffer[:count, :width]
+        np.square(ring[block, :, :width].view(np.float64), out=sq)
+        pair = sq[..., ::2]
+        np.add(pair, sq[..., 1::2], out=pair)
+        np.add(pair[:, DOWN], pair[:, UP], out=left)
+        # A row is zero past its step's columns, so its sum is P over x <= 0,
+        # plus |U(+1)|² for an odd k.  The norm over the whole line counts
+        # P(0) once for an even k, k = 0 included, and leaves U(+1) out for
+        # an odd one.
+        sums = left.sum(axis=1).tolist()
+        for k in steps:
+            i, j = k - lo, k // 2
+            row = left[i]
+            live = row[: j + 1]
+            p = planes[k % 2, last - k : last + k + 1]
+            # The stop -k - 2 is index k - 1 of p, counted from its end, and
+            # at k = 0 it lies past index 0, where a stop of k - 1 would wrap
+            # to the end and leave the slice empty.
+            p[: k + 1 : 2], p[2 * k : -k - 2 : -2] = live, live
+            norm2 = 2.0 * (sums[i] - row[j + 1]) if k % 2 else 2.0 * sums[i] - row[j]
+            _check_drift(math.sqrt(norm2), k)
+            yield k, p
 
 
 def _check_drift(norm: float, steps: int) -> None:

@@ -12,13 +12,12 @@ after it was validated against the branch-expansion oracle, then frozen.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DOWN, UP, _REAL_KINDS, _RING_ROWS, PotentialProfile, WalkState, _check_drift, _half_cone, _whole, check_norm, evolve, initial_state
+from .core import _REAL_KINDS, PotentialProfile, WalkState, _distributions, _whole, check_norm, evolve, initial_state
 from .core import step  # not called here; bench/test_bench.py pins this binding until the bench change
 from .observables import distribution, moments
 
@@ -148,76 +147,13 @@ def _sigmas_after(profiles: Iterable[PotentialProfile], n_steps: int) -> np.ndar
     return np.array([_sigma(evolve(initial_state(), p, n)) for p in profiles])
 
 
-def _distributions(profile: PotentialProfile, ns: Iterable[int]):
-    """Yield ``(k, p)`` for each step count k >= 0 in ``ns``, once each and in walk order.
-
-    p is P(x) over x = -k..k after k steps from ``initial_state()``, with
-    the bytes of ``distribution``, and its norm has passed
-    ``core._check_drift``.  One walk of max(ns) steps over the sites x <= 0
-    (``core._half_cone``) serves every k: P over those sites is squared and
-    summed a block of ``core._RING_ROWS`` steps at a time, over the rows of
-    the block's first to last requested step, and a block with none is
-    skipped.  The norm is read off each row's sum over the half line, and
-    each p is mirrored from its row into a plane kept per parity of k, so it
-    is a view that the next requested k of its parity overwrites.
-    """
-    ks = sorted(set(ns))
-    if ks[0] == 0:
-        p = distribution(initial_state())
-        _check_drift(math.sqrt(p.sum()), 0)
-        yield 0, p
-    last = ks[-1]  # with last = 0, _half_cone yields no block
-    # Buffers for the largest block that holds a requested step, one row for
-    # a single request: the squares of both coin states' (re, im) pairs, in
-    # rows as long as the ring's, so that the square reads and writes with
-    # the same strides (a narrower row makes numpy buffer it through a
-    # temporary); then P over x <= 0 per row.  P(x) over x = -last..last is
-    # kept as one plane per parity of k; a plane's sites of the other parity
-    # are never written, so they stay the zeros distribution keeps.
-    rows, columns = min(last, _RING_ROWS, last - ks[0] + 1), last // 2 + 2
-    squares = np.empty((rows, 2, 2 * columns))
-    left_buffer = np.empty((rows, columns))
-    planes = np.zeros((2, 2 * last + 1))
-    for k0, k1, ring in _half_cone(profile, last):
-        # Bisected, not tested step by step: simulate's one request leaves
-        # hundreds of blocks to skip.
-        steps = ks[bisect_left(ks, k0) : bisect_right(ks, k1)]
-        if not steps:
-            continue
-        # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
-        # over the rows of the block's first to last requested step and one
-        # column past the last one's live sites, which for an odd k holds
-        # |U(+1)|² (its D there is zero).
-        lo, hi = steps[0], steps[-1]
-        block, count, width = slice(lo - k0, hi - k0 + 1), hi - lo + 1, (hi + 1) // 2 + 1
-        sq, left = squares[:count, :, : 2 * width], left_buffer[:count, :width]
-        np.square(ring[block, :, :width].view(np.float64), out=sq)
-        pair = sq[..., ::2]
-        np.add(pair, sq[..., 1::2], out=pair)
-        np.add(pair[:, DOWN], pair[:, UP], out=left)
-        # A row is zero past its step's columns, so its sum is P over x <= 0,
-        # plus |U(+1)|² for an odd k.  The norm over the whole line counts
-        # P(0) once for an even k and leaves U(+1) out for an odd one.
-        sums = left.sum(axis=1).tolist()
-        for k in steps:
-            i, j = k - lo, k // 2
-            row = left[i]
-            live = row[: j + 1]
-            p = planes[k % 2, last - k : last + k + 1]
-            p[: k + 1 : 2], p[2 * k : k - 1 : -2] = live, live
-            norm2 = 2.0 * (sums[i] - row[j + 1]) if k % 2 else 2.0 * sums[i] - row[j]
-            _check_drift(math.sqrt(norm2), k)
-            yield k, p
-
-
 def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.ndarray:
     """sigma after each requested step count, all snapshots of one evolution.
 
     Reusing a single trajectory keeps the rows mutually consistent and
     costs one walk of max(n_values) steps over the sites x <= 0; each
-    requested snapshot then costs its P(x) from ``_distributions`` and one
-    dot with a slice of one grid of squared positions, with no table of its
-    own.
+    requested snapshot then costs its P(x), read off that walk, and one dot
+    with a slice of one grid of squared positions, with no table of its own.
     """
     ns = [_whole(n, "n_values", 1) for n in _grid(n_values, "n_values")]
     profile = PotentialProfile(q, theta)

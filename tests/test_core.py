@@ -25,9 +25,8 @@ from periodicwalk import (
     point_state,
     step,
 )
-from periodicwalk.core import _RING_ROWS, _half_cone
+from periodicwalk.core import _RING_ROWS, _distributions, _half_cone
 from periodicwalk.experiments import (
-    _distributions,
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
     sweep_sigma_vs_steps,
@@ -352,9 +351,9 @@ def test_evolve_deterministic_bit_identical():
 @pytest.mark.parametrize("q", [1, 2, 4])
 def test_a_profile_reused_over_1000_steps_gives_the_bytes_of_a_fresh_one(q):
     # q = 1 scatters on every step, q = 2 alternates all-scattering and
-    # Hadamard steps, and q = 4 mixes both on one parity.  evolve builds a
-    # profile's coins on its first walk and keeps them, read-only, for every
-    # later one; the profile's equality, hash and repr do not see them.
+    # Hadamard steps, and q = 4 mixes both on one parity.  A profile keeps no
+    # state between walks, so its equality, hash and repr stay those of its
+    # fields.
     theta = math.pi / 3
     reused = PotentialProfile(q, theta)
     walked = fresh = initial_state()
@@ -362,12 +361,6 @@ def test_a_profile_reused_over_1000_steps_gives_the_bytes_of_a_fresh_one(q):
         walked = step(walked, reused)
         fresh = step(fresh, PotentialProfile(q, theta))
     assert walked.amplitudes.tobytes() == fresh.amplitudes.tobytes()
-    coins = reused._coin
-    assert reused._coin is coins
-    for coin in coins:
-        assert not coin.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            coin[()] = 0
     assert reused == PotentialProfile(q, theta)
     assert hash(reused) == hash(PotentialProfile(q, theta))
     assert repr(reused) == f"PotentialProfile(period_q={q}, theta={theta!r})"
@@ -513,7 +506,9 @@ def test_distributions_of_one_request_allocates_one_block_row():
 
 def test_distributions_of_zero_steps_is_the_initial_distribution():
     profile = PotentialProfile(4, 0.5)
-    assert list(_half_cone(profile, 0)) == []
+    ((first, last, start),) = _half_cone(profile, 0)
+    assert (first, last) == (0, 0)
+    assert start.tobytes() == initial_state().amplitudes.tobytes() and start.shape == (1, 2, 1)
     ((k, p),) = _distributions(profile, [0])
     assert k == 0
     assert p.tobytes() == distribution(evolve(initial_state(), profile, 0)).tobytes()
@@ -521,8 +516,17 @@ def test_distributions_of_zero_steps_is_the_initial_distribution():
 
 
 def test_distributions_yields_each_requested_step_once_in_walk_order():
-    profile = PotentialProfile(2, 0.5)
-    assert [k for k, _ in _distributions(profile, [13, 0, 6, 13, 1])] == [0, 1, 6, 13]
+    # Each P holds the bytes of a fresh walk's, with the start block beside
+    # later ones: a mixed request, and k = 0 beside the first and last steps
+    # of the first three ring blocks.
+    edges = [0, 1, *(b * _RING_ROWS + d for b in (1, 2) for d in (-1, 0, 1)), 3 * _RING_ROWS]
+    for q in (1, 2, 4):
+        profile = PotentialProfile(q, 0.5)
+        for ns, walked in (([13, 0, 6, 13, 1], [0, 1, 6, 13]), (edges[::-1], edges)):
+            yielded = [(k, p.tobytes()) for k, p in _distributions(profile, ns)]
+            assert [k for k, _ in yielded] == walked
+            for k, p in yielded:
+                assert p == distribution(evolve(initial_state(), profile, k)).tobytes(), (q, k)
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])

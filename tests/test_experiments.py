@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import periodicwalk.core as core
-import periodicwalk.experiments as experiments
 from periodicwalk.core import _RING_ROWS
 from periodicwalk import NormDriftError, PotentialProfile, distribution, evolve, initial_state, moments, q2_law, step
 from periodicwalk.experiments import (
@@ -137,7 +136,7 @@ def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, k):
     # an odd one, scaled after its block is walked and before it is reduced,
     # must fail the gate at k, at each edge of the first three blocks.
     assert {edge % _RING_ROWS for edge in (5, 6, 7, 12, 13)} == {_RING_ROWS - 1, 0, 1}
-    walk = experiments._half_cone
+    walk = core._half_cone
 
     def corrupted(profile, n):
         for first, last, ring in walk(profile, n):
@@ -145,7 +144,7 @@ def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, k):
                 ring[k - first, :, k // 2] *= 1.01
             yield first, last, ring
 
-    monkeypatch.setattr(experiments, "_half_cone", corrupted)
+    monkeypatch.setattr(core, "_half_cone", corrupted)
     with pytest.raises(NormDriftError, match=f"after {k} steps"):
         sweep_sigma_vs_steps(q, math.pi / 3, list(range(1, 20)))
 

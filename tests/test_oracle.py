@@ -15,6 +15,7 @@ from periodicwalk import (
     point_state,
 )
 from periodicwalk.oracle import path_sum_evolve
+import long_oracle_check
 from walkref import SQRT_HALF, hadamard_reference, max_amp_diff
 
 
@@ -104,3 +105,12 @@ def test_evolve_equals_oracle_on_long_walks(theta, q, n):
     walked = evolve(start, profile, n)
     expanded = path_sum_evolve(start, profile, n)
     assert np.array_equal(walked.amplitudes, expanded.amplitudes)
+
+
+def test_the_long_oracle_check_passes_at_300_steps(capsys):
+    # CI runs the script at 4000 steps; 300 keeps its imports and checks alive
+    # here, with every 30th sweep entry held to a fresh walk.
+    assert long_oracle_check.main(300)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(long_oracle_check.INPUTS)
+    assert all(line.count("equal") == 4 and "DIFFERENT" not in line for line in lines), lines

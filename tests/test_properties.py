@@ -22,8 +22,8 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
-from periodicwalk.core import _RING_ROWS, _half_cone
-from periodicwalk.experiments import _distributions, sweep_sigma_vs_steps, sweep_sigma_vs_theta
+from periodicwalk.core import _RING_ROWS, _distributions, _half_cone
+from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
     full_table_evolve,
     random_walk_state,
@@ -161,12 +161,15 @@ ring_walks = st.one_of(
 def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, n):
     # Compared by value: the origin's D is set from U there, so an exact
     # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
-    # must be exactly zero in every row: a start kept in a ring row would
+    # must be exactly zero in every ring row: a start kept in a ring row would
     # leave i/sqrt 2 there once the row is reused.
     rows = _RING_ROWS
     profile = PotentialProfile(q, theta)
     state, k = initial_state(), 0
-    for first, last, ring in _half_cone(profile, n):
+    blocks = _half_cone(profile, n)
+    first, last, start = next(blocks)
+    assert (first, last) == (0, 0) and start.tobytes() == state.amplitudes.tobytes() and start.shape == (1, 2, 1)
+    for first, last, ring in blocks:
         assert first == k + 1 and last == min(k + rows, n) and ring.shape == (min(n, rows), 2, n // 2 + 2)
         for k, (down, up) in enumerate(ring[: last - first + 1], first):
             state = evolve(state, profile, 1)
