@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import periodicwalk.cli as cli
 import periodicwalk.core as core
 import periodicwalk.experiments as experiments
-from periodicwalk import distribution, initial_state
+from periodicwalk import PotentialProfile, distribution, evolve, initial_state
 from periodicwalk.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -339,7 +340,13 @@ def test_manifest_records_every_frozen_threshold(tmp_path):
 def _cell_text(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, str):
+        return value
     return format(float(value), ".17g")
+
+
+def _csv_text(header, rows) -> bytes:
+    return ("\n".join([",".join(header)] + [",".join(_cell_text(v) for v in row) for row in rows]) + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize(
@@ -350,22 +357,82 @@ def _cell_text(value) -> str:
         [(12345678901234567890, 0.5)],
         [(2, 0.5, 0.25), (3, 1 / 3, 1e-300)],
         [(0.25, 1e300, -0.0, 5e-324)],
+        [(-1, "0.33333333333333331", 0.5), (0, "1e-300", -0.0)],
     ],
 )
 def test_csv_text_matches_per_cell_formatting(rows, tmp_path):
-    # one %-format per row writes what str(int(v)) and format(v, ".17g") write per cell
+    # one %-format per row writes what str(int(v)) and format(v, ".17g")
+    # write per cell, and a str cell as it is given
     header = [f"c{i}" for i in range(len(rows[0]))]
     path = tmp_path / "t.csv"
-    digest = _write_csv(path, header, rows)
-    expected = "\n".join([",".join(header)] + [",".join(_cell_text(v) for v in row) for row in rows]) + "\n"
-    assert path.read_bytes() == expected.encode("ascii")
-    assert digest == hashlib.sha256(expected.encode("ascii")).hexdigest()
+    digest, count = _write_csv(path, header, rows)
+    expected = _csv_text(header, rows)
+    assert path.read_bytes() == expected
+    assert (digest, count) == (hashlib.sha256(expected).hexdigest(), len(rows))
+
+
+_C = cli._CSV_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1], ids=["0", "1", "C-1", "C", "C+1", "2C+1"])
+def test_csv_chunks_write_the_text_of_one_format_per_row(n, tmp_path):
+    # rows from a generator, on each side of the chunk edges: the bytes,
+    # digest and count of the text written in one piece
+    rows = [(i - n // 2, math.sqrt(i) / 7) for i in range(n)]
+    path = tmp_path / "t.csv"
+    digest, count = _write_csv(path, ("k", "v"), (row for row in rows))
+    expected = _csv_text(("k", "v"), rows)
+    assert path.read_bytes() == expected
+    assert (digest, count) == (hashlib.sha256(expected).hexdigest(), n)
 
 
 def test_csv_without_rows_is_the_header_alone(tmp_path):
     path = tmp_path / "t.csv"
-    _write_csv(path, ["a", "b"], [])
+    assert _write_csv(path, ["a", "b"], []) == (hashlib.sha256(b"a,b\n").hexdigest(), 0)
     assert path.read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 6, -2.5], ids=["0", "pi/4", "pi/6", "-2.5"])
+@pytest.mark.parametrize("q", [1, 2, 4, 7])
+def test_simulate_writes_the_rows_of_the_full_walk(q, theta, tmp_path):
+    # the right half, written from the left half's strings, has the bytes of
+    # P(x) read off the full light cone
+    out = tmp_path / "s.csv"
+    for n in (0, 1, 2, 3, 7, 100):
+        assert main(["simulate", "--q", str(q), "--theta", repr(theta), "--steps", str(n), "--out", str(out)]) == EXIT_OK
+        p = distribution(evolve(initial_state(), PotentialProfile(q, theta), n))
+        expected = "".join("%d,%.17g\n" % row for row in zip(range(-n, n + 1), p.tolist()))
+        assert out.read_bytes() == ("position,probability\n" + expected).encode("ascii"), n
+
+
+def test_simulate_holds_one_chunk_of_text_at_a_time(tmp_path):
+    # The arrays _distributions allocates, the strings of the half line and
+    # one chunk of rows, formatted and encoded.  Holding the whole table as
+    # tuples, lines and text peaks near 1.7 MB, over the bound.
+    n, site, real = 4000, 16, 8
+    columns = n // 2 + 2
+    walk = (
+        core._RING_ROWS * 2 * columns * site  # the ring of row pairs
+        + (n // 2 + 1) * site  # its scratch row
+        + 2 * 2 * columns * real  # one row of squares
+        + columns * real  # one row of P over x <= 0
+        + 2 * (2 * n + 1) * real  # the two parity planes of P
+    )
+    half_line = (n + 1) * (80 + 8)  # a 24-character str and its list slot
+    chunk = _C * (64 + 32 + 8 + 96 + 8 + 2 * 32)  # row tuple, position, slot, line, its slot, text and bytes
+    allowed = walk + half_line + chunk + 64 * 1024
+    args = ["simulate", "--q", "4", "--theta-pi", "0.16666666666666666", "--out", str(tmp_path / "s.csv")]
+    assert main(args + ["--steps", "0"]) == EXIT_OK  # the parser and hashlib, once per process
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        status = main(args + ["--steps", str(n)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert status == EXIT_OK
+    assert peak <= allowed, (peak, allowed)
 
 
 def test_cli_runs_are_byte_identical(tmp_path):
@@ -395,6 +462,36 @@ def test_failed_manifest_write_leaves_no_csv(tmp_path, capsys, blocked):
     assert code == EXIT_IO
     assert capsys.readouterr().err.startswith("periodicwalk: i/o error: ")
     assert [path.name for path in tmp_path.iterdir()] == [blocked]
+
+
+def test_a_csv_write_that_fails_after_its_first_chunk_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # The header and the first chunk are in the temporary when the next
+    # write fails, as on a full disk: the temporary goes, and no file is made.
+    writes = []
+
+    class FullAfterFirstChunk:
+        def __init__(self, path, mode):
+            self.file = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def write(self, data):
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            writes.append(len(data))
+            return self.file.write(data)
+
+    monkeypatch.setattr(cli, "open", FullAfterFirstChunk, raising=False)
+    steps = _C  # 2C + 1 rows: two chunks and one row
+    code = main(["simulate", "--q", "1", "--theta", "1", "--steps", str(steps), "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == "periodicwalk: i/o error: [Errno 28] No space left on device\n"
+    assert writes[0] == len(b"position,probability\n") and writes[1] > _C
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_write_that_raises_anything_else_leaves_no_file(tmp_path, monkeypatch):
