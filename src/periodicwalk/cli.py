@@ -67,7 +67,8 @@ EXIT_INVARIANT = 3
 #: every grid angle or range value is a walk.  Through ``evolve``
 #: (sweep-theta, sweep-period, check-q1) it allocates a (2N + 1, 2) complex
 #: table, 6.4 MB here.  simulate and sweep-steps allocate none: their ring is
-#: 6 row pairs of N/2 + 2 complex entries, 9.6 MB here, and a simulate of
+#: at its floor of 6 row pairs of N/2 + 2 complex entries (a byte budget
+#: sizes it only below about 1750 steps), 9.6 MB here, and a simulate of
 #: this many steps peaks at 18.6 MB of traced memory, its 2.95 MB CSV
 #: written a chunk at a time.  Any period q >= N gives the same N-step walk,
 #: so the period cap loses none.
@@ -334,7 +335,10 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> tupl
     other value with 17 significant digits, which reproduce a double exactly.
     """
     # Imported here: hashlib's OpenSSL binding takes about 4 ms to load, and
-    # a plain ``import periodicwalk`` has no use for it.
+    # a plain ``import periodicwalk`` has no use for it.  Its libcrypto adds
+    # about 3.5 MB of RSS, but the builtin sha256 that spares it took 1.04 ms
+    # against OpenSSL's 0.19 on a 225 KB CSV, and the benchmark's worker
+    # (bench/workloads.py) hashes every output with hashlib anyway.
     import hashlib
 
     digest = hashlib.sha256()

@@ -28,9 +28,10 @@ row, alternating between two such buffers of its own.  ``step`` is
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
 ``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
 classes and operation order, for about half the work.  Its first block
-is the start itself, step 0; then it writes step k into row (k - 1) % 6
-of a ring of six row pairs and hands the ring over once per block of six
-steps.  ``_distributions``, beside it, is its one reader: it squares and
+is the start itself, step 0; then it writes step k into row (k - 1) %
+rows of a ring of row pairs and hands the ring over once per block of
+rows steps, where rows is as many as fit in a fixed byte budget, from 6
+to 16.  ``_distributions``, beside it, is its one reader: it squares and
 sums P over x <= 0 for the requested steps of a block at once and
 mirrors each requested P(x) from it, with the bytes of ``distribution``.
 ``simulate`` and ``sweep-steps`` both take P(x) from there; no amplitude
@@ -110,6 +111,24 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return number
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a numpy array, with an object array of real numbers as float64.
+
+    numpy holds an int beyond the int64 and uint64 ranges as an object, so
+    an array with one has dtype object.  When every entry is a real number,
+    as ``_REAL_TYPES`` counts them, it converts to float64, and ValueError if
+    an int lies beyond the float range.  Any other array is returned as it
+    is, for the caller to check its dtype's kind against ``_REAL_KINDS``.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind == "O" and all(isinstance(value, _REAL_TYPES) for value in array.flat):
+        try:
+            return array.astype(np.float64)
+        except OverflowError:
+            raise ValueError(f"{name} must be real numbers within the float range") from None
+    return array
 
 
 class NormDriftError(RuntimeError):
@@ -366,28 +385,44 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
 
 
 #: Steps per block of ``_half_cone`` after its start block: ``_distributions``
-#: squares and sums P once per block that holds a requested step.  At the
-#: 1..1000 ``sweep-steps``, 6 rows take about 0.16 MiB of ring and buffers and
-#: left the peak RSS of 20 calls where the per-step sweep had it; 8 and 16
-#: rows were 3% and 7% faster but raised it by about 0.16 and 0.3-0.5 MiB,
-#: and 4 rows were 6% slower.
+#: squares and sums P once per block that holds a requested step, at about
+#: 10 us of fixed numpy calls a block.  The ring holds as many row pairs as
+#: fit in ``_RING_BYTES``, at least ``_RING_ROWS`` and at most
+#: ``_RING_MAX_ROWS``: 16 up to about 770 steps, 12 at 1000, and the floor
+#: of 6 from about 1750 steps up, which takes in ``simulate``'s 4000.  At
+#: q = 2, theta = pi/3, 1..1000 (fastest / median of 80 alternating calls
+#: of ``sweep_sigma_vs_steps``), 6 rows took 10.8/11.7 ms and budgets of 128,
+#: 192 and 256 KiB 10.4/11.2, 10.1/10.8 and 10.0/10.7 ms; 4 rows were 6%
+#: slower than 6.  The cap is for short walks, where a block's squares take
+#: every row as wide as its last one: 1..100 took 0.91 ms on 6 rows, 0.79 on
+#: 16 and 0.99 on one block of 100.  The budget raises the benchmark's
+#: step-sweep peak RSS by about 0.3 MiB of its 34.5.
 _RING_ROWS = 6
+_RING_MAX_ROWS = 16
+_RING_BYTES = 192 * 1024
+
+
+def _ring_rows(n: int) -> int:
+    """Row pairs of ``_half_cone``'s ring for a walk of n steps, before it is cut to n."""
+    # A row pair is 2 (n // 2 + 2) complex entries of 16 bytes.
+    return max(_RING_ROWS, min(_RING_MAX_ROWS, _RING_BYTES // (32 * (n // 2 + 2))))
 
 
 def _half_cone(profile: PotentialProfile, n: int):
-    """Walk n >= 0 steps from ``initial_state()`` over the sites x <= 0, ``_RING_ROWS`` steps to a block.
+    """Walk n >= 0 steps from ``initial_state()`` over the sites x <= 0, ``_ring_rows(n)`` steps to a block.
 
     The first block is the start, step 0: it yields ``(0, 0, start)``, with
     ``initial_state()``'s table as the one row pair of shape (1, 2, 1).
-    Then step k writes the (DOWN, UP) rows ``ring[(k - 1) % _RING_ROWS]``, a
-    complex array of shape (min(n, _RING_ROWS), 2, n // 2 + 2), from the
-    pair before it (step 1 from the start, which no ring row ever holds).
-    After every ``_RING_ROWS`` steps, and after step n, it yields ``(first,
-    last, ring)``: the block of steps first..last sits in rows 0..last -
-    first.  Column j of step k's row holds x = -k + 2j, and the row is zero
-    past its live columns 0..k // 2, except that for odd k UP's column k //
-    2 + 1 holds U(+1); UP's column 0 is zero for every k >= 1.  The next
-    block overwrites the ring.  A walk of 0 steps yields only the start.
+    Then, with rows = ``_ring_rows(n)``, step k writes the (DOWN, UP) rows
+    ``ring[(k - 1) % rows]``, a complex array of shape (min(n, rows), 2, n
+    // 2 + 2), from the pair before it (step 1 from the start, which no
+    ring row ever holds).  After every rows steps, and after step n, it
+    yields ``(first, last, ring)``: the block of steps first..last sits in
+    rows 0..last - first.  Column j of step k's row holds x = -k + 2j, and
+    the row is zero past its live columns 0..k // 2, except that for odd k
+    UP's column k // 2 + 1 holds U(+1); UP's column 0 is zero for every k
+    >= 1.  The next block overwrites the ring.  A walk of 0 steps yields
+    only the start.
 
     Both coins are real and symmetric, x % q == 0 exactly when -x % q ==
     0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps D(-x)
@@ -397,7 +432,7 @@ def _half_cone(profile: PotentialProfile, n: int):
     Into an even k the origin is live, and its D, which would need x = 1,
     is set to -i U(0) instead.
     """
-    rows = _RING_ROWS
+    rows = _ring_rows(n)
     start = initial_state().amplitudes.reshape(1, 2, 1)
     yield 0, 0, start
     coins = _step_classes(profile, n - 1, n)
@@ -455,23 +490,22 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     the bytes of ``distribution``, and its norm has passed ``_check_drift``.
     One walk of max(ns) steps over the sites x <= 0 (``_half_cone``) serves
     every k, 0 included: P over those sites is squared and summed a block at
-    a time, over the rows of the block's first to last requested step, and
-    a block with none is skipped.  The norm is read off each row's sum over
-    the half line, and each p is mirrored from its row into a plane kept per
-    parity of k, so it is a view that the next requested k of its parity
-    overwrites.
+    a time, over the block's requested rows alone, and a block with none is
+    skipped.  The norm is read off each row's sum over the half line, and
+    each p is mirrored from its row into a plane kept per parity of k, so it
+    is a view that the next requested k of its parity overwrites.
     """
     ks = sorted(set(ns))
     last = ks[-1]
-    # Buffers for the largest block that holds a requested step, one row for
-    # a single request or the start block: the squares of both coin states'
+    # Buffers for the most requested steps a block can hold, one row for a
+    # single request or the start block: the squares of both coin states'
     # (re, im) pairs, in rows as long as the ring's, so that the square reads
     # and writes with the same strides (a narrower row makes numpy buffer it
     # through a temporary); then P over x <= 0 per row.  P(x) over x =
     # -last..last is kept as one plane per parity of k; a plane's sites of
     # the other parity are never written, so they stay the zeros
     # distribution keeps.
-    rows, columns = min(_RING_ROWS, last - ks[0] + 1), last // 2 + 2
+    rows, columns = min(_ring_rows(last), len(ks)), last // 2 + 2
     squares = np.empty((rows, 2, 2 * columns))
     left_buffer = np.empty((rows, columns))
     planes = np.zeros((2, 2 * last + 1))
@@ -482,13 +516,19 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
         if not steps:
             continue
         # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
-        # over the rows of the block's first to last requested step and one
-        # column past the last one's live sites, which for an odd k holds
-        # |U(+1)|² (its D there is zero).
+        # over the requested rows and one column past the last one's live
+        # sites, which for an odd k holds |U(+1)|² (its D there is zero).
+        # Consecutive rows, as every dense grid has, are one slice of the
+        # ring; any other set is gathered as whole ring rows and then cut, so
+        # that the square's row strides are still the squares' own.
         lo, hi = steps[0], steps[-1]
-        block, count, width = slice(lo - k0, hi - k0 + 1), hi - lo + 1, (hi + 1) // 2 + 1
+        count, width = len(steps), (hi + 1) // 2 + 1
+        if hi - lo + 1 == count:
+            block = ring[lo - k0 : hi - k0 + 1]
+        else:
+            block = ring[[k - k0 for k in steps]]
         sq, left = squares[:count, :, : 2 * width], left_buffer[:count, :width]
-        np.square(ring[block, :, :width].view(np.float64), out=sq)
+        np.square(block[:, :, :width].view(np.float64), out=sq)
         pair = sq[..., ::2]
         np.add(pair, sq[..., 1::2], out=pair)
         np.add(pair[:, DOWN], pair[:, UP], out=left)
@@ -497,8 +537,8 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
         # P(0) once for an even k, k = 0 included, and leaves U(+1) out for
         # an odd one.
         sums = left.sum(axis=1).tolist()
-        for k in steps:
-            i, j = k - lo, k // 2
+        for i, k in enumerate(steps):
+            j = k // 2
             row = left[i]
             live = row[: j + 1]
             p = planes[k % 2, last - k : last + k + 1]

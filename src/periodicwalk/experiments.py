@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _REAL_KINDS, PotentialProfile, WalkState, _distributions, _whole, check_norm, evolve, initial_state
+from .core import _REAL_KINDS, PotentialProfile, WalkState, _distributions, _real_array, _whole
+from .core import check_norm, evolve, initial_state
 from .core import step  # not called here; bench/test_bench.py pins this binding until the bench change
 from .observables import distribution, moments
 
@@ -87,7 +88,7 @@ class Q1LawCheck:
 
 def _reals(values: Sequence[float], name: str) -> np.ndarray:
     """``values`` as a float64 array; ValueError unless they are real numbers."""
-    array = np.asarray(values)
+    array = _real_array(values, name)
     if array.dtype.kind not in _REAL_KINDS:
         raise ValueError(f"{name} must be real numbers, got {array.dtype}")
     return array.astype(np.float64)
@@ -173,7 +174,7 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     # far past 2 cli.MAX_STEPS + 1.  That is under half the spacing of
     # floats below second, so second - mean * mean rounds to second.
     for k, p in _distributions(profile, ns):
-        sigma_at[k] = math.sqrt(float(p @ xx[last - k : last + k + 1]))
+        sigma_at[k] = math.sqrt(np.dot(p, xx[last - k : last + k + 1]))
     return np.array([sigma_at[n] for n in ns])
 
 

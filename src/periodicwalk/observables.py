@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _REAL_KINDS, _SQRT_HALF, WalkState
+from .core import _REAL_KINDS, _SQRT_HALF, WalkState, _real_array
 
 __all__ = [
     "Moments",
@@ -30,7 +30,7 @@ class Moments:
 
 def _window(p) -> tuple[np.ndarray, int]:
     """``p`` as an array and N for its 2N + 1 entries; ValueError unless it is 1-D of odd length and real."""
-    p = np.asarray(p)
+    p = _real_array(p, "p")
     shape = p.shape
     if len(shape) != 1 or not shape[0] % 2 or p.dtype.kind not in _REAL_KINDS:
         raise ValueError(f"p must be a 1-D window of 2N + 1 real entries, got shape {shape} and dtype {p.dtype}")

@@ -15,14 +15,18 @@ parities (q = 1, theta/pi = 0.16666666666666666).  On each:
 - simulate's P(x), read off the half-cone walk by ``core._distributions``,
   equals the distribution of the oracle's table byte for byte;
 - the last entry of sweep-steps over 1..n, the snapshot at n steps, gives
-  the oracle's sigma byte for byte.  At n = 4000 the sweep reduces 667
-  blocks of its six-row ring, four times the 1000 steps of the
-  benchmark's step-sweep;
+  the oracle's sigma byte for byte.  At n = 4000 the sweep walks four times
+  the 1000 steps of the benchmark's step-sweep, on a ring at its floor of
+  six rows;
 - every (n // 10)-th sweep entry equals ``moments``' sigma, mean included,
   of a fresh ``evolve`` to that step count byte for byte.  The sweep takes
   sigma as the square root of one dot, the second moment, with the mean
   left out as too small to change it, so this holds that past tier-1's
-  1000 steps.
+  1000 steps;
+- a sweep of every third step to n equals the dense sweep at those steps
+  byte for byte.  Its blocks request rows that are not consecutive, which
+  ``core._distributions`` gathers from the ring rather than slicing, on
+  the six-row ring at n = 4000 and on the larger ring of shorter walks.
 """
 
 from __future__ import annotations
@@ -58,13 +62,15 @@ def main(n: int = 4000) -> bool:
         sweep_equal = swept[-1:].tobytes() == np.array([moments(distribution(expanded)).sigma]).tobytes()
         fresh = [moments(distribution(evolve(initial_state(), profile, k))).sigma for k in range(every, n + 1, every)]
         every_equal = swept[every - 1 :: every].tobytes() == np.array(fresh).tobytes()
+        sparse_equal = sweep_sigma_vs_steps(q, profile.theta, range(3, n + 1, 3)).tobytes() == swept[2::3].tobytes()
         print(
             f"q={q} theta/pi={theta_pi}: evolve {_verdict(equal)}, "
             f"half-cone P(x) {_verdict(half_cone_equal)}, "
             f"sweep {_verdict(sweep_equal)}, "
-            f"every {every}th step {_verdict(every_equal)}"
+            f"every {every}th step {_verdict(every_equal)}, "
+            f"every 3rd step {_verdict(sparse_equal)}"
         )
-        passed &= equal and half_cone_equal and sweep_equal and every_equal
+        passed &= equal and half_cone_equal and sweep_equal and every_equal and sparse_equal
     return passed
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import periodicwalk
+import periodicwalk.core as core
 from periodicwalk import (
     DOWN,
     UP,
@@ -504,6 +505,51 @@ def test_distributions_of_one_request_allocates_one_block_row():
     assert peak <= allowed, (peak, allowed)
 
 
+def _dense_sweep_bound(n: int) -> int:
+    """Traced bytes sweep-steps over 1..n at q = 2 may peak at: the ring the budget gives, and slack."""
+    site, real = np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
+    rows, columns = core._ring_rows(n), n // 2 + 2
+    return (
+        rows * 2 * columns * site  # _half_cone's ring
+        + (n // 2 + 1) * site  # its scratch row
+        + rows * 2 * 2 * columns * real  # the squares, a row as long as a ring row pair
+        + rows * columns * real  # P over x <= 0
+        + 2 * (2 * n + 1) * real  # the two planes
+        + 2 * (2 * n + 1) * real  # the positions and their squares
+        + n * 320  # per step: the grid's ints, its lists, set and dict, and each sigma
+        + 16 * 1024
+    )
+
+
+def _dense_sweep_peak(n: int) -> int:
+    sweep_sigma_vs_steps(2, math.pi / 3, [1])  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sigma = sweep_sigma_vs_steps(2, math.pi / 3, range(1, n + 1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sigma.shape == (n,)
+    return peak
+
+
+def test_dense_sweep_holds_one_ring_of_budget_rows():
+    # The ring, and the squares and P of as many rows, are sized by the byte
+    # budget, not by the walk: 12 rows at 1000 steps.
+    peak, allowed = _dense_sweep_peak(1000), _dense_sweep_bound(1000)
+    assert peak <= allowed, (peak, allowed)
+
+
+def test_dense_sweep_bound_refuses_a_ring_of_the_whole_walk(monkeypatch):
+    allowed = _dense_sweep_bound(1000)
+    monkeypatch.setattr(core, "_RING_BYTES", 1 << 40)
+    monkeypatch.setattr(core, "_RING_MAX_ROWS", 1 << 40)
+    peak = _dense_sweep_peak(1000)
+    assert peak > allowed, (peak, allowed)
+
+
 def test_distributions_of_zero_steps_is_the_initial_distribution():
     profile = PotentialProfile(4, 0.5)
     ((first, last, start),) = _half_cone(profile, 0)
@@ -515,14 +561,20 @@ def test_distributions_of_zero_steps_is_the_initial_distribution():
     assert p.tobytes() == p[::-1].tobytes()
 
 
-def test_distributions_yields_each_requested_step_once_in_walk_order():
+@pytest.mark.parametrize("budget, n", [(0, 20), (core._RING_BYTES, 1000)], ids=["floor", "budget-1000"])
+def test_distributions_yields_each_requested_step_once_in_walk_order(monkeypatch, budget, n):
     # Each P holds the bytes of a fresh walk's, with the start block beside
-    # later ones: a mixed request, and k = 0 beside the first and last steps
-    # of the first three ring blocks.
-    edges = [0, 1, *(b * _RING_ROWS + d for b in (1, 2) for d in (-1, 0, 1)), 3 * _RING_ROWS]
+    # later ones: a mixed request, k = 0 beside the first and last steps of
+    # the first three ring blocks, and every other step of those blocks.  The
+    # ring is at its floor of _RING_ROWS rows, as a budget of 0 leaves it, or
+    # at the rows the budget gives a walk of 1000 steps.
+    monkeypatch.setattr(core, "_RING_BYTES", budget)
+    rows = core._ring_rows(n)
+    edges = [0, 1, *(b * rows + d for b in (1, 2) for d in (-1, 0, 1)), 3 * rows, n]
+    odd = list(range(1, 3 * rows, 2))
     for q in (1, 2, 4):
         profile = PotentialProfile(q, 0.5)
-        for ns, walked in (([13, 0, 6, 13, 1], [0, 1, 6, 13]), (edges[::-1], edges)):
+        for ns, walked in (([13, 0, 6, n, 13, 1], [0, 1, 6, 13, n]), (edges[::-1], edges), ([n, *odd[::-1]], [*odd, n])):
             yielded = [(k, p.tobytes()) for k, p in _distributions(profile, ns)]
             assert [k for k, _ in yielded] == walked
             for k, p in yielded:

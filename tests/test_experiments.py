@@ -1,12 +1,12 @@
 """Sweeps, fits and the closed-form comparison harness."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import periodicwalk.core as core
-from periodicwalk.core import _RING_ROWS
 from periodicwalk import NormDriftError, PotentialProfile, distribution, evolve, initial_state, moments, q2_law, step
 from periodicwalk.experiments import (
     Q1_LAW_RESIDUAL_CEILING,
@@ -78,12 +78,30 @@ def test_linear_fit_rejects_bad_shapes():
         ([1, 2, 3], np.array([1, 2, 3 + 1j]), "ys"),
         (["1", "2", "3"], [1, 2, 3], "xs"),
         ([1, 2, 3], [1, None, 3], "ys"),
+        ([2**70, 2, None], [1, 2, 3], "xs"),
+        ([1, 2, 3], [2**70, 2, 3j], "ys"),
     ],
 )
 def test_linear_fit_rejects_samples_that_are_not_real(xs, ys, name):
     # The complex case used to report slope 1 and r^2 1 with only a warning.
     with pytest.raises(ValueError, match=f"{name} must be real numbers"):
         linear_fit(xs, ys)
+
+
+def test_fit_samples_take_ints_beyond_int64_as_floats():
+    # numpy holds 2**70 as an object; it is a real number, as the sweeps
+    # count one, so it converts to float64 like every other entry.
+    assert linear_fit([1, 2, 3], [2**70, 1, 2]) == linear_fit([1, 2, 3], [2.0**70, 1.0, 2.0])
+    assert linear_fit([2**70, 1, True], [1, 2, 3]) == linear_fit([2.0**70, 1.0, 1.0], [1.0, 2.0, 3.0])
+    assert relative_spread([2**70, 2**70]) == 0.0
+    assert relative_spread([2**70, np.int8(1)]) == relative_spread([2.0**70, 1.0])
+
+
+def test_fit_samples_refuse_an_int_beyond_the_float_range():
+    with pytest.raises(ValueError, match="ys must be real numbers within the float range"):
+        linear_fit([1, 2, 3], [2**1024, 1, 2])
+    with pytest.raises(ValueError, match="sigma must be real numbers within the float range"):
+        relative_spread([1, 2**1024])
 
 
 def test_linear_fit_r_squared_within_bounds():
@@ -116,7 +134,8 @@ def test_sweep_steps_norm_gate_names_the_first_snapshot_walked(monkeypatch):
 def test_sweep_steps_norm_gate_names_the_first_snapshot_walked_in_a_later_block(monkeypatch):
     # The sweep reduces a few steps to a block, and 40 lies in a later block
     # than 20: the gate still names the first one walked.
-    assert 40 // _RING_ROWS > 20 // _RING_ROWS
+    rows = core._ring_rows(40)
+    assert (40 - 1) // rows > (20 - 1) // rows
     monkeypatch.setattr(core, "NORM_DRIFT_TOL", -1.0)
     with pytest.raises(NormDriftError, match="after 20 steps"):
         sweep_sigma_vs_steps(1, 0.5, [40, 20])
@@ -128,14 +147,25 @@ def test_sweep_steps_norm_gate_refuses_a_nan_tolerance(monkeypatch):
         sweep_sigma_vs_steps(2, 0.5, [5, 33])
 
 
-@pytest.mark.parametrize("q", [1, 2, 4])
-@pytest.mark.parametrize("k", [5, 6, 7, 12, 13])
-def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, k):
+#: (byte budget, walk length) of each ring the block tests walk: at its
+#: floor of _RING_ROWS rows, as a budget of 0 leaves it, and at the rows the
+#: budget gives a walk of 1000 steps.
+_RINGS = {"floor": (0, 19), "budget": (core._RING_BYTES, 1000)}
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+@pytest.mark.parametrize("q", [1, 2, 4], ids=["q1", "q2", "q4"])
+@pytest.mark.parametrize(
+    "block, offset", [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1)], ids=["k=r-1", "k=r", "k=r+1", "k=2r", "k=2r+1"]
+)
+def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, ring, q, block, offset):
     # The gate reads each snapshot's norm off its row's sum over x <= 0.  One
     # live site of step k's ring row, the origin for an even k and x = -1 for
     # an odd one, scaled after its block is walked and before it is reduced,
     # must fail the gate at k, at each edge of the first three blocks.
-    assert {edge % _RING_ROWS for edge in (5, 6, 7, 12, 13)} == {_RING_ROWS - 1, 0, 1}
+    budget, n = _RINGS[ring]
+    monkeypatch.setattr(core, "_RING_BYTES", budget)
+    k = block * core._ring_rows(n) + offset
     walk = core._half_cone
 
     def corrupted(profile, n):
@@ -146,19 +176,47 @@ def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, k):
 
     monkeypatch.setattr(core, "_half_cone", corrupted)
     with pytest.raises(NormDriftError, match=f"after {k} steps"):
-        sweep_sigma_vs_steps(q, math.pi / 3, list(range(1, 20)))
+        sweep_sigma_vs_steps(q, math.pi / 3, list(range(1, n + 1)))
 
 
-#: Step counts at the edges of the sweep's blocks (the first and last steps
-#: of the first three blocks), the same reversed, a sweep that ends inside the
-#: first block, and one that asks for inner rows of some blocks and skips
-#: the blocks between them.
-_BLOCK_GRIDS = {
-    "ring-edges": [1, *(b * _RING_ROWS + d for b in (1, 2) for d in (-1, 0, 1)), 3 * _RING_ROWS],
-    "below-one-block": [_RING_ROWS - 1, 1, _RING_ROWS // 2],
-    "inner-rows": [4 * _RING_ROWS + 2, _RING_ROWS + 4, 2, _RING_ROWS + 2],
-}
-_BLOCK_GRIDS["ring-edges-reversed"] = _BLOCK_GRIDS["ring-edges"][::-1]
+def _block_grids(rows: int) -> dict:
+    """Step counts placed by the blocks of a ring of ``rows`` rows.
+
+    The first and last steps of the first three blocks, the same reversed,
+    a sweep that ends inside the first block, one that asks for inner rows
+    of some blocks and skips the blocks between them, and three whose
+    requested rows in a block are not consecutive: every third step, every
+    tenth, and an unsorted grid with a duplicate across a block edge.
+    """
+    edges = [1, *(b * rows + d for b in (1, 2) for d in (-1, 0, 1)), 3 * rows]
+    return {
+        "ring-edges": edges,
+        "ring-edges-reversed": edges[::-1],
+        "below-one-block": [rows - 1, 1, rows // 2],
+        "inner-rows": [4 * rows + 2, rows + 4, 2, rows + 2],
+        "every-3rd": list(range(3, 4 * rows + 1, 3)),
+        "every-10th": list(range(10, 10 * rows + 1, 10)),
+        "unsorted-across-an-edge": [rows + 3, rows - 2, 2 * rows + 1, 1, rows - 2, rows + 1, rows],
+    }
+
+
+#: (byte budget, ring rows, grid): the grids on the ring at its floor and at
+#: the cap a budget reaches below about 770 steps, and the ring edges of the
+#: budget's rows at 1000 steps.
+_BLOCK_CASES = [
+    pytest.param(budget, rows, ns, id=f"{ring}-{name}")
+    for ring, budget, rows in (("floor", 0, core._RING_ROWS), ("budget", core._RING_BYTES, core._RING_MAX_ROWS))
+    for name, ns in _block_grids(rows).items()
+]
+_ROWS_AT_1000 = core._ring_rows(1000)
+_BLOCK_CASES.append(
+    pytest.param(core._RING_BYTES, _ROWS_AT_1000, [*_block_grids(_ROWS_AT_1000)["ring-edges"], 1000], id="budget-1000")
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_sigma(q: int, theta: float, n: int) -> float:
+    return moments(distribution(evolve(initial_state(), PotentialProfile(q, theta), n))).sigma
 
 
 @pytest.mark.parametrize(
@@ -166,10 +224,11 @@ _BLOCK_GRIDS["ring-edges-reversed"] = _BLOCK_GRIDS["ring-edges"][::-1]
     [(1, math.pi / 2), (1, 0.5), (2, math.pi / 3), (4, math.pi / 6)],
     ids=["q1-ballistic", "q1", "q2", "q4"],
 )
-@pytest.mark.parametrize("ns", list(_BLOCK_GRIDS.values()), ids=list(_BLOCK_GRIDS))
-def test_sweep_steps_at_the_ring_edges_has_the_bytes_of_a_fresh_walk(q, theta, ns):
-    profile = PotentialProfile(q, theta)
-    fresh = [moments(distribution(evolve(initial_state(), profile, n))).sigma for n in ns]
+@pytest.mark.parametrize("budget, rows, ns", _BLOCK_CASES)
+def test_sweep_steps_at_the_ring_edges_has_the_bytes_of_a_fresh_walk(monkeypatch, q, theta, budget, rows, ns):
+    monkeypatch.setattr(core, "_RING_BYTES", budget)
+    assert core._ring_rows(max(ns)) == rows
+    fresh = [_fresh_sigma(q, theta, n) for n in ns]
     assert sweep_sigma_vs_steps(q, theta, ns).tobytes() == np.array(fresh).tobytes()
 
 
@@ -304,7 +363,9 @@ def test_check_q1_rejects_short_walks():
         check_q1_closed_form([], 200)
 
 
-@pytest.mark.parametrize("sigma", [np.array([1, 2 + 1j]), ["1", "2"]], ids=["complex", "str"])
+@pytest.mark.parametrize(
+    "sigma", [np.array([1, 2 + 1j]), ["1", "2"], [2**70, None]], ids=["complex", "str", "object"]
+)
 def test_relative_spread_rejects_samples_that_are_not_real(sigma):
     with pytest.raises(ValueError, match="sigma must be real numbers"):
         relative_spread(sigma)

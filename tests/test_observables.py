@@ -103,6 +103,8 @@ def test_window_functions_reject_a_non_window(f, p):
         pytest.param(np.array([1j, 0, 0]), id="complex-asymmetric"),
         pytest.param(np.array(["0", "1", "0"]), id="str"),
         pytest.param([None, 1.0, None], id="object"),
+        pytest.param([0, 2**70, None], id="object-with-a-large-int"),
+        pytest.param([0, 2**70, 1j], id="object-with-a-complex"),
     ],
 )
 def test_window_functions_reject_a_window_that_is_not_real(f, p):
@@ -115,6 +117,20 @@ def test_window_functions_take_booleans_and_integers():
     assert moments(np.array([0, 1, 0])) == moments(np.array([0.0, 1.0, 0.0]))
     assert symmetry_residual(np.array([True, False, False])) == 1.0
     assert symmetry_residual(np.array([1, 0, 0], dtype=np.uint8)) == 1.0
+
+
+def test_window_functions_take_ints_beyond_int64_as_floats():
+    # numpy holds 2**70 as an object; it is a real number, as the sweeps
+    # count one, so it converts to float64 like every other entry.
+    assert moments([0, 2**70, 0]) == moments([0.0, 2.0**70, 0.0])
+    assert moments([2**70, np.int64(1), True]) == moments([2.0**70, 1.0, 1.0])
+    assert symmetry_residual([2**70, 0, 0]) == 2.0**70
+
+
+@pytest.mark.parametrize("f", [moments, symmetry_residual])
+def test_window_functions_refuse_an_int_beyond_the_float_range(f):
+    with pytest.raises(ValueError, match="p must be real numbers within the float range"):
+        f([0, 2**1024, 0])
 
 
 def test_window_functions_take_a_list_as_the_array():

@@ -22,6 +22,7 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
+import periodicwalk.core as core
 from periodicwalk.core import _RING_ROWS, _distributions, _half_cone
 from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
@@ -148,39 +149,54 @@ def test_distributions_equal_evolve_from_the_symmetric_start(q, theta, n):
     assert p.tobytes() == p[::-1].tobytes()
 
 
-#: Walk lengths below, at and between multiples of the half-cone ring's rows.
-ring_walks = st.one_of(
-    st.integers(min_value=1, max_value=_RING_ROWS - 1),
-    st.integers(min_value=1, max_value=8).map(lambda blocks: blocks * _RING_ROWS),
-    st.integers(min_value=1, max_value=300),
+def ring_walks(rows: int):
+    """Walk lengths below, at and between multiples of a ring of ``rows`` rows."""
+    return st.one_of(
+        st.integers(min_value=1, max_value=rows - 1),
+        st.integers(min_value=1, max_value=8).map(lambda blocks: blocks * rows),
+        st.integers(min_value=1, max_value=300),
+    )
+
+
+#: (byte budget, walk length): the ring at its floor of _RING_ROWS rows, as a
+#: budget of 0 leaves it, and at the cap the budget reaches for these walks.
+budget_walks = st.one_of(
+    ring_walks(_RING_ROWS).map(lambda n: (0, n)),
+    ring_walks(core._RING_MAX_ROWS).map(lambda n: (core._RING_BYTES, n)),
 )
 
 
 @walks
-@given(symmetric_periods, symmetric_angles, ring_walks)
-def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, n):
+@given(symmetric_periods, symmetric_angles, budget_walks)
+# The budget's rows at 1000 steps, fewer than its cap.
+@example(2, math.pi / 3, (core._RING_BYTES, 1000))
+def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, walk):
     # Compared by value: the origin's D is set from U there, so an exact
     # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
     # must be exactly zero in every ring row: a start kept in a ring row would
     # leave i/sqrt 2 there once the row is reused.
-    rows = _RING_ROWS
+    budget, n = walk
     profile = PotentialProfile(q, theta)
     state, k = initial_state(), 0
-    blocks = _half_cone(profile, n)
-    first, last, start = next(blocks)
-    assert (first, last) == (0, 0) and start.tobytes() == state.amplitudes.tobytes() and start.shape == (1, 2, 1)
-    for first, last, ring in blocks:
-        assert first == k + 1 and last == min(k + rows, n) and ring.shape == (min(n, rows), 2, n // 2 + 2)
-        for k, (down, up) in enumerate(ring[: last - first + 1], first):
-            state = evolve(state, profile, 1)
-            live = state.amplitudes[: k + 1 : 2]
-            assert np.array_equal(down[: k // 2 + 1], live[:, DOWN]) and np.array_equal(up[: k // 2 + 1], live[:, UP]), k
-            assert up[0].tobytes() == bytes(16), k
-            # Past the live sites only zeros, but for U(+1) after an odd k.
-            past = k // 2 + 1 + k % 2
-            assert not down[k // 2 + 1 :].any() and not up[past:].any(), k
-            if k % 2:
-                assert up[k // 2 + 1] == state.amplitudes[k + 1, UP], k
+    # The generator reads the budget when first advanced, so it walks inside the patch.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_RING_BYTES", budget)
+        rows = core._ring_rows(n)
+        blocks = _half_cone(profile, n)
+        first, last, start = next(blocks)
+        assert (first, last) == (0, 0) and start.tobytes() == state.amplitudes.tobytes() and start.shape == (1, 2, 1)
+        for first, last, ring in blocks:
+            assert first == k + 1 and last == min(k + rows, n) and ring.shape == (min(n, rows), 2, n // 2 + 2)
+            for k, (down, up) in enumerate(ring[: last - first + 1], first):
+                state = evolve(state, profile, 1)
+                live = state.amplitudes[: k + 1 : 2]
+                assert np.array_equal(down[: k // 2 + 1], live[:, DOWN]) and np.array_equal(up[: k // 2 + 1], live[:, UP]), k
+                assert up[0].tobytes() == bytes(16), k
+                # Past the live sites only zeros, but for U(+1) after an odd k.
+                past = k // 2 + 1 + k % 2
+                assert not down[k // 2 + 1 :].any() and not up[past:].any(), k
+                if k % 2:
+                    assert up[k // 2 + 1] == state.amplitudes[k + 1, UP], k
     assert k == n
 
 
