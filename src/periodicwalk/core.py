@@ -15,11 +15,12 @@ the middle row.  Amplitude sits only on the live sites x = -k, -k + 2,
 ..., k, the even rows, and ``evolve`` touches nothing else.  Both coins
 are real matrices [[t, r], [r, -t]].  Each step reads the live sites of
 one parity of x, and ``evolve`` gives every parity one of three step
-classes.  On a Hadamard parity no live site scatters (even q, odd x):
-t = r = 1/sqrt 2, so a step takes two products instead of four.  On an
-all-scattering parity every site does (q = 1, or q = 2 on even x): t and
-r are the scalars sin and cos theta.  Only a mixed parity holds per-site
-coefficients t(x) and r(x), built once per call as one contiguous array.
+classes, from which of its sites satisfy x % q == 0.  On a Hadamard
+parity none does (even q, odd x): t = r = 1/sqrt 2, so a step takes two
+products instead of four.  On an all-scattering parity every site does
+(q = 1, or q = 2 on even x): t and r are the scalars sin and cos theta.
+Only a mixed parity holds per-site coefficients, a row t(x) and a row
+r(x), built once per call.
 Between its first and last step ``evolve`` keeps the k + 1 live sites
 packed, site j (x = -k + 2j) in column j of a contiguous DOWN row and UP
 row, alternating between two such buffers of its own.  ``step`` is
@@ -270,43 +271,31 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
     None for a Hadamard step, (t, r) as 0-d arrays for an all-scattering
     one, and (t, r) as rows over x = p - reach + 2m for a mixed one.
     """
-    # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta at scattering sites,
-    # 1/sqrt 2 elsewhere.  Parity p covers x = x0 + 2m, x0 = p - reach, and
-    # x % q == 0 holds at every stride-th m from m = first: stride q and
-    # first -x0 (q + 1) / 2 mod q for odd q (as (q + 1) / 2 inverts 2 mod
-    # q), stride q / 2 and first -x0 / 2 mod q / 2 for even q
-    # and even x0, and nowhere for even q and odd x0.  That gives each parity
-    # one of three step classes: Hadamard when none of its rows scatters, all
-    # scattering when stride is 1 (q = 1, or q = 2 on even x0), and mixed
-    # otherwise.  Only a mixed parity needs per-site coefficients, built as
-    # 1/sqrt 2 with the scattering rows overwritten through one strided
-    # slice.  The other two multiply by 0-d arrays, since numpy would
-    # convert a Python complex on every multiply, about 0.2 us each: the
-    # Hadamard entry, built at import, and (sin, cos) theta, built once per
-    # call for both parities (every command walks each profile once).  Every
-    # class forms the same products and sums in the same order, so the
-    # amplitudes do not depend on the class.  Coefficients are complex so
-    # that no multiply casts them to the amplitudes' type; the values, and so
-    # the products, are the same.  Any period above reach marks only x = 0,
-    # so capping it there loses nothing and keeps the stride within the
-    # indices numpy takes.
+    # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta where x % q == 0,
+    # 1/sqrt 2 elsewhere.  Each parity takes one of three step classes from
+    # how many of its sites scatter: Hadamard for none, all scattering for
+    # all (q = 1, or q = 2 on even x), and mixed otherwise, the only class
+    # that needs per-site coefficients.  The other two multiply by 0-d
+    # arrays, since numpy would convert a Python complex on every multiply,
+    # about 0.2 us each: the Hadamard entry, built at import, and (sin, cos)
+    # theta, built once per call for both parities.  Every class forms the
+    # same products and sums in the same order, so the amplitudes do not
+    # depend on the class.  Coefficients are complex so that no multiply
+    # casts them to the amplitudes' type; the values, and so the products,
+    # are the same.  Any period above reach marks only x = 0, so capping it
+    # there loses nothing and keeps x % q within int64.
     q = min(profile.period_q, reach + 1)
     coin = _coin_scalar(profile.transmission), _coin_scalar(profile.reflection)
     coins = []
     for p in range(min(n, 2)):
-        x0, size = p - reach, reach + 1 - p
-        first, stride = size, 1
-        if q % 2 or x0 % 2 == 0:
-            stride = q if q % 2 else q // 2
-            first = (-x0 * ((q + 1) // 2) if q % 2 else -x0 // 2) % stride
-        if first >= size:
+        scatters = np.arange(p - reach, reach + 1, 2) % q == 0
+        count = np.count_nonzero(scatters)
+        if count == 0:
             coins.append(None)
-        elif stride == 1:
+        elif count == scatters.size:
             coins.append(coin)
         else:
-            coefficients = np.full((2, size), complex(_SQRT_HALF))
-            coefficients[0, first::stride], coefficients[1, first::stride] = coin
-            coins.append((coefficients[0], coefficients[1]))
+            coins.append(tuple(np.where(scatters, c, _HADAMARD) for c in coin))
     return coins
 
 
@@ -340,10 +329,9 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     # per step than slicing a 2-d block or unpacking pairs[i & 1] (which won
     # 0 and 2 of 14 alternating pairs at N = 200 and 4000).  The products
     # land in the output rows and one scratch row, so a step allocates
-    # nothing; a one-step call needs no buffers at all.
-    if n > 1:
-        pairs = np.zeros((min(n - 1, 2), 2, k0 + n), dtype=amps.dtype)
-        buffers = [tuple(pair) for pair in pairs]
+    # nothing; a one-step call has no buffer pair.
+    pairs = np.zeros((min(n - 1, 2), 2, k0 + n), dtype=amps.dtype)
+    buffers = [tuple(pair) for pair in pairs]
     # np.zeros, not zeros_like: about 1.3 us less per call at 2001 rows.
     out = np.zeros((2 * (k0 + n) + 1, 2), amps.dtype)
     scratch = np.empty(k0 + n, dtype=amps.dtype)

@@ -161,7 +161,7 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     last = max(ns)
     x = np.arange(-last, last + 1, dtype=np.float64)
     xx = x * x
-    sigma_at = {}
+    sigma = np.empty(last + 1)
     # sigma is sqrt(second moment), with the bytes of moments(p).sigma,
     # sqrt(max(second - mean * mean, 0)).  p is mirrored bit for bit, so
     # the exact mean, sum P(x) x over its n = 2k + 1 entries, is 0.  In any
@@ -174,8 +174,8 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     # far past 2 cli.MAX_STEPS + 1.  That is under half the spacing of
     # floats below second, so second - mean * mean rounds to second.
     for k, p in _distributions(profile, ns):
-        sigma_at[k] = math.sqrt(np.dot(p, xx[last - k : last + k + 1]))
-    return np.array([sigma_at[n] for n in ns])
+        sigma[k] = math.sqrt(np.dot(p, xx[last - k : last + k + 1]))
+    return sigma[ns]
 
 
 def sweep_sigma_vs_theta(q: int, theta_grid: Sequence[float], n_steps: int) -> np.ndarray:

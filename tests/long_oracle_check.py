@@ -8,8 +8,9 @@ script at its default of 4000 steps, about 25-30 s of oracle per input:
 It exits 0 when every check holds on every input and 1 otherwise.  The
 inputs are the benchmark's long-walk input (q = 4, theta/pi =
 0.16666666666666666), its step-sweep input (q = 2, theta/pi =
-0.3333333333333333) and check-q1's step class, all scattering on both
-parities (q = 1, theta/pi = 0.16666666666666666).  On each:
+0.3333333333333333), check-q1's step class, all scattering on both
+parities (q = 1, theta/pi = 0.16666666666666666), and an odd period, mixed
+on both parities (q = 3, theta/pi = 0.16666666666666666).  On each:
 
 - ``evolve``'s table after n steps equals the oracle's byte for byte;
 - simulate's P(x), read off the half-cone walk by ``core._distributions``,
@@ -40,8 +41,8 @@ from periodicwalk import PotentialProfile, distribution, evolve, initial_state, 
 from periodicwalk.core import _distributions
 from periodicwalk.experiments import sweep_sigma_vs_steps
 
-#: (q, theta / pi) of the long-walk, step-sweep and check-q1-class inputs.
-INPUTS = ((4, 0.16666666666666666), (2, 0.3333333333333333), (1, 0.16666666666666666))
+#: (q, theta / pi) of the long-walk, step-sweep, check-q1-class and odd-period inputs.
+INPUTS = ((4, 0.16666666666666666), (2, 0.3333333333333333), (1, 0.16666666666666666), (3, 0.16666666666666666))
 
 
 def _verdict(equal: bool) -> str:

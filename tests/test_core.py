@@ -380,12 +380,12 @@ def test_evolve_accepts_periods_beyond_int64(q):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
 def test_coefficient_fill_for_every_period(n):
-    # evolve marks the scattering rows of each parity through a strided
-    # slice, with its own first row and stride for odd q, even q and the
-    # parity of the leftmost row, and gives each parity its step class:
-    # Hadamard, all scattering or mixed.  Every period up to 2N + 3 passes
-    # the reach + 1 cap on q; the starts have even and odd steps_taken, and
-    # the splits put every step at the head of a call.  The second angle has
+    # evolve marks the scattering sites of each parity, x % q == 0, for odd
+    # q, even q and either parity of the leftmost site, and gives each
+    # parity its step class: Hadamard, all scattering or mixed.  Every
+    # period up to 2N + 3 passes the reach + 1 cap on q; the starts have
+    # even and odd steps_taken, and the splits put every step at the head
+    # of a call.  The second angle has
     # sin and cos both negative, so the scalar coins carry a sign.
     starts = (initial_state(), random_walk_state(np.random.default_rng(n), 3))
     for theta in (1.0, -2.5):
@@ -396,6 +396,32 @@ def test_coefficient_fill_for_every_period(n):
                 for a in range(n + 1):
                     split = evolve(evolve(start, profile, a), profile, n - a)
                     assert split.amplitudes.tobytes() == expected, (theta, q, start.steps_taken, a)
+
+
+@pytest.mark.parametrize("q", [*range(1, 10), 2**62, 10**30])
+def test_step_classes_follow_the_scattering_sites(q):
+    # Every class gives the same amplitudes, so no byte test sees a parity
+    # that takes the wrong class; only its speed would show it.  Parity p
+    # reads x = p - reach, p - reach + 2, ..., and is Hadamard when none of
+    # them scatters, all scattering when every one does, and mixed otherwise.
+    theta = 1.0
+    coin = math.sin(theta), math.cos(theta)
+    profile = PotentialProfile(q, theta)
+    for reach in (0, 1, 2, 5, 6, 199):
+        for n in (1, 2, 3):
+            classes = core._step_classes(profile, reach, n)
+            assert len(classes) == min(n, 2), (reach, n)
+            for p, entry in enumerate(classes):
+                scatters = [x % q == 0 for x in range(p - reach, reach + 1, 2)]
+                where = (reach, n, p)
+                if not any(scatters):
+                    assert entry is None, where
+                elif all(scatters):
+                    expected = [np.array(complex(c)) for c in coin]
+                    assert [(c.shape, c.tobytes()) for c in entry] == [((), e.tobytes()) for e in expected], where
+                else:
+                    expected = [np.array([c if s else SQRT_HALF for s in scatters], dtype=np.complex128) for c in coin]
+                    assert [(c.ndim, c.dtype, c.tobytes()) for c in entry] == [(1, e.dtype, e.tobytes()) for e in expected], where
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -449,9 +475,10 @@ def test_4000_step_walk_equals_strided_parity_kernel(theta_pi):
     # the walk (2168 subnormal components in the final table at q = 4), which
     # a walk of a few hundred steps never reaches.  Every step of q = 1 is all
     # scattering and every step of q = 2 all scattering or all Hadamard;
-    # q = 4 alternates Hadamard and mixed steps.
+    # q = 4 alternates Hadamard and mixed steps, and q = 3, an odd period,
+    # makes every step mixed.
     start = initial_state()
-    for q in (1, 2, 4):
+    for q in (1, 2, 3, 4):
         profile = PotentialProfile(q, theta_pi * math.pi)
         expected = strided_parity_evolve(start, profile, 4000).amplitudes.tobytes()
         assert evolve(start, profile, 4000).amplitudes.tobytes() == expected, q
@@ -516,7 +543,7 @@ def _dense_sweep_bound(n: int) -> int:
         + rows * columns * real  # P over x <= 0
         + 2 * (2 * n + 1) * real  # the two planes
         + 2 * (2 * n + 1) * real  # the positions and their squares
-        + n * 320  # per step: the grid's ints, its lists, set and dict, and each sigma
+        + n * 256  # per step: the grid's ints, its lists and set, and sigma's array, index and result
         + 16 * 1024
     )
 
