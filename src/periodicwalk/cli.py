@@ -66,12 +66,12 @@ EXIT_INVARIANT = 3
 #: largest period any command accepts.  A walk of N steps does O(N^2) work;
 #: every grid angle or range value is a walk.  Through ``evolve``
 #: (sweep-theta, sweep-period, check-q1) it allocates a (2N + 1, 2) complex
-#: table, 6.4 MB here.  simulate and sweep-steps allocate none: their ring is
-#: at its floor of 6 row pairs of N/2 + 2 complex entries (a byte budget
-#: sizes it only below about 1750 steps), 9.6 MB here, and a simulate of
-#: this many steps peaks at 18.6 MB of traced memory, its 2.95 MB CSV
-#: written a chunk at a time.  Any period q >= N gives the same N-step walk,
-#: so the period cap loses none.
+#: table, 6.4 MB here.  simulate and sweep-steps allocate none.  Their ring
+#: holds row pairs of N/2 + 2 complex entries.  A simulate of this many
+#: steps holds three, 4.8 MB, and peaks at 14.0 MB of traced memory, its
+#: 2.95 MB CSV written a chunk at a time.  A sweep-steps over 1..N holds
+#: twelve, 19.2 MB, and peaks at 56.2 MB.  Any period q >= N gives the
+#: same N-step walk, so the period cap loses none.
 MAX_STEPS = 100_000
 
 #: Rows per chunk of ``_write_csv``: formatted, encoded, hashed and written

@@ -28,13 +28,14 @@ row, alternating between two such buffers of its own.  ``step`` is
 
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
 ``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
-classes and operation order, for about half the work.  Its first block
-is the start itself, step 0; then it writes step k into row (k - 1) %
-rows of a ring of row pairs and hands the ring over once per block of
-rows steps, where rows is as many as fit in a fixed byte budget, from 6
-to 16.  ``_distributions``, beside it, is its one reader: it squares and
-sums P over x <= 0 for the requested steps of a block at once and
-mirrors each requested P(x) from it, with the bytes of ``distribution``.
+classes and operation order, for about half the work.  It takes the
+requested steps: a requested step 0 it hands over alone, as the start;
+each requested step after it goes into the next row of a ring of at most
+``_RING_ROWS`` row pairs, and every other step into one of two spare row
+pairs, by its parity.  It hands the ring over whenever its rows fill and
+after the last step.  ``_distributions``, beside it, is its one reader:
+it squares and sums P over x <= 0 for a batch's rows at once and mirrors
+each requested P(x) from them, with the bytes of ``distribution``.
 ``simulate`` and ``sweep-steps`` both take P(x) from there; no amplitude
 table of the right half is ever written, and no other module reads the
 ring.  The half-cone values equal ``evolve``'s, but not byte for byte
@@ -46,7 +47,6 @@ oracle, and the other sweeps keep ``evolve``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
@@ -372,45 +372,38 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     return WalkState(out)
 
 
-#: Steps per block of ``_half_cone`` after its start block: ``_distributions``
-#: squares and sums P once per block that holds a requested step, at about
-#: 10 us of fixed numpy calls a block.  The ring holds as many row pairs as
-#: fit in ``_RING_BYTES``, at least ``_RING_ROWS`` and at most
-#: ``_RING_MAX_ROWS``: 16 up to about 770 steps, 12 at 1000, and the floor
-#: of 6 from about 1750 steps up, which takes in ``simulate``'s 4000.  At
-#: q = 2, theta = pi/3, 1..1000 (fastest / median of 80 alternating calls
-#: of ``sweep_sigma_vs_steps``), 6 rows took 10.8/11.7 ms and budgets of 128,
-#: 192 and 256 KiB 10.4/11.2, 10.1/10.8 and 10.0/10.7 ms; 4 rows were 6%
-#: slower than 6.  The cap is for short walks, where a block's squares take
-#: every row as wide as its last one: 1..100 took 0.91 ms on 6 rows, 0.79 on
-#: 16 and 0.99 on one block of 100.  The budget raises the benchmark's
-#: step-sweep peak RSS by about 0.3 MiB of its 34.5.
-_RING_ROWS = 6
-_RING_MAX_ROWS = 16
-_RING_BYTES = 192 * 1024
+#: Requested steps per batch of ``_half_cone``: ``_distributions`` squares
+#: and sums P once per batch, at about 10 us of fixed numpy calls a batch.
+#: 12 is the row count the benchmark's step-sweep, 1..1000, had under the
+#: byte budget (192 KiB, 6 to 16 rows) that this constant replaced, so that
+#: sweep keeps its ring.  Two kinds of walk that no workload runs pay for
+#: one size (q = 2, theta = pi/3, fastest / median of alternating calls).
+#: A dense sweep below about 770 steps, which the budget gave up to 16
+#: rows, takes more batches: 1..100 tied at 0.80/0.84 ms, and 1..300 went
+#: 2.45/2.49 -> 2.49/2.53 ms.  A dense sweep past about 1750 steps, which
+#: it gave 6 rows, holds 12: 1..4000 peaks at 2.44 MB of traced memory
+#: against 1.57, and took 87.3/93.2 ms against 82.2/88.8 on 6 rows and
+#: 85.5/92.6 on 3.  A single request holds one ring row and two spares.
+_RING_ROWS = 12
 
 
-def _ring_rows(n: int) -> int:
-    """Row pairs of ``_half_cone``'s ring for a walk of n steps, before it is cut to n."""
-    # A row pair is 2 (n // 2 + 2) complex entries of 16 bytes.
-    return max(_RING_ROWS, min(_RING_MAX_ROWS, _RING_BYTES // (32 * (n // 2 + 2))))
+def _half_cone(profile: PotentialProfile, ks: list[int]):
+    """Walk from ``initial_state()`` over the sites x <= 0 to the last of ``ks``, sorted distinct steps >= 0.
 
-
-def _half_cone(profile: PotentialProfile, n: int):
-    """Walk n >= 0 steps from ``initial_state()`` over the sites x <= 0, ``_ring_rows(n)`` steps to a block.
-
-    The first block is the start, step 0: it yields ``(0, 0, start)``, with
+    A requested step 0 is yielded alone first, as ``([0], start)`` with
     ``initial_state()``'s table as the one row pair of shape (1, 2, 1).
-    Then, with rows = ``_ring_rows(n)``, step k writes the (DOWN, UP) rows
-    ``ring[(k - 1) % rows]``, a complex array of shape (min(n, rows), 2, n
-    // 2 + 2), from the pair before it (step 1 from the start, which no
-    ring row ever holds).  After every rows steps, and after step n, it
-    yields ``(first, last, ring)``: the block of steps first..last sits in
-    rows 0..last - first.  Column j of step k's row holds x = -k + 2j, and
-    the row is zero past its live columns 0..k // 2, except that for odd k
-    UP's column k // 2 + 1 holds U(+1); UP's column 0 is zero for every k
-    >= 1.  The next block overwrites the ring.  A walk of 0 steps yields
-    only the start.
+    With n = ``ks[-1]`` and count the requested steps k >= 1, the ring is a
+    complex array of shape (min(_RING_ROWS, count) + 2 * (count < n), 2, n
+    // 2 + 2).  Each requested k >= 1 writes the next of its first
+    min(_RING_ROWS, count) row pairs, and every other step one of the two
+    spare row pairs after them, chosen by the parity of k; the spares exist
+    only when some step in 1..n is not requested.  Whenever the ring rows
+    fill, and after step n, it yields ``(steps, ring)``: the requested steps
+    of the batch, step steps[i] in ring row i.  The next batch overwrites
+    the ring.  Column j of step k's row holds x = -k + 2j, and the row is
+    zero past its live columns 0..k // 2, except that for odd k UP's column
+    k // 2 + 1 holds U(+1).  The start sits in no ring or spare row, so
+    UP's column 0 is zero in every row.
 
     Both coins are real and symmetric, x % q == 0 exactly when -x % q ==
     0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps D(-x)
@@ -420,27 +413,40 @@ def _half_cone(profile: PotentialProfile, n: int):
     Into an even k the origin is live, and its D, which would need x = 1,
     is set to -i U(0) instead.
     """
-    rows = _ring_rows(n)
-    start = initial_state().amplitudes.reshape(1, 2, 1)
-    yield 0, 0, start
+    n, start = ks[-1], initial_state().amplitudes.reshape(1, 2, 1)
+    if ks[0] == 0:
+        yield [0], start
+        ks = ks[1:]
+    rows = min(_RING_ROWS, len(ks))
     coins = _step_classes(profile, n - 1, n)
     # The step into k writes DOWN to columns 0..(k - 1) // 2, UP to 1..(k -
     # 1) // 2 + 1 (one site past the origin into an odd k) and, into an even
-    # k, D(0) to column k // 2.  A row's earlier step, k - rows, wrote no
-    # column past k // 2, so every column of a row past those its own step
-    # writes is still the zero it was allocated with.
-    ring = np.zeros((min(n, rows), 2, n // 2 + 2), dtype=np.complex128)
+    # k, D(0) to column k // 2.  Each row takes its steps in increasing
+    # order, and a spare only steps of one parity, so the row's earlier step
+    # wrote no column past k // 2, and every column of a row past those its
+    # own step writes is still the zero it was allocated with.  The step
+    # into k never writes the row it reads, the row of k - 1: two
+    # consecutive requested steps sit in two ring rows, since only a ring of
+    # one row holds a single request, n, and spares alternate by parity.
+    ring = np.zeros((rows + 2 * (len(ks) < n), 2, n // 2 + 2), dtype=np.complex128)
     # Each row pair with its float64 views, (re, im) pairs, for the origin's D.
     pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
     scratch = np.empty(n // 2 + 1, dtype=np.complex128)
     multiply, add, subtract = np.multiply, np.add, np.subtract
     d, u = start[0]
+    requested, steps = iter(ks), []
+    want = next(requested, None)
     # One flat loop over the steps: a loop per block, over zip(range(k0, n),
     # pairs), lost about three of four alternating walks of 4000 steps on a
     # ring of two rows.
     for k in range(n):  # the step from k into k + 1
-        r = k % rows
-        down_row, up_row, origin_down, origin_up = pairs[r]
+        if k + 1 == want:
+            down_row, up_row, origin_down, origin_up = pairs[len(steps)]
+            steps.append(want)
+            want = next(requested, None)
+        else:
+            # The spares follow the ring rows, one for each parity of k + 1.
+            down_row, up_row, origin_down, origin_up = pairs[rows + (k & 1)]
         m = k // 2 + 1
         b = scratch[:m]
         down, up = down_row[:m], up_row[1 : m + 1]
@@ -467,8 +473,9 @@ def _half_cone(profile: PotentialProfile, n: int):
             origin_down[2 * m] = origin_up[2 * m + 1]
             origin_down[2 * m + 1] = -origin_up[2 * m]
         d, u = down_row[: m + (k & 1)], up_row[: m + (k & 1)]
-        if r == rows - 1 or k == n - 1:
-            yield k - r + 1, k + 1, ring
+        if len(steps) == rows or want is None:
+            yield steps, ring
+            steps = []
 
 
 def _distributions(profile: PotentialProfile, ns: Iterable[int]):
@@ -477,46 +484,34 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     p is P(x) over x = -k..k after k steps from ``initial_state()``, with
     the bytes of ``distribution``, and its norm has passed ``_check_drift``.
     One walk of max(ns) steps over the sites x <= 0 (``_half_cone``) serves
-    every k, 0 included: P over those sites is squared and summed a block at
-    a time, over the block's requested rows alone, and a block with none is
-    skipped.  The norm is read off each row's sum over the half line, and
-    each p is mirrored from its row into a plane kept per parity of k, so it
-    is a view that the next requested k of its parity overwrites.
+    every k, 0 included: P over those sites is squared and summed a batch
+    at a time, over the batch's leading ring rows, which hold exactly its
+    requested steps.  The norm is read off each row's sum over the half
+    line, and each p is mirrored from its row into a plane kept per parity
+    of k, so it is a view that the next requested k of its parity
+    overwrites.
     """
     ks = sorted(set(ns))
     last = ks[-1]
-    # Buffers for the most requested steps a block can hold, one row for a
-    # single request or the start block: the squares of both coin states'
-    # (re, im) pairs, in rows as long as the ring's, so that the square reads
-    # and writes with the same strides (a narrower row makes numpy buffer it
+    # Buffers for the most requested steps a batch can hold, one row for a
+    # single request or the start: the squares of both coin states' (re,
+    # im) pairs, in rows as long as the ring's, so that the square reads and
+    # writes with the same strides (a narrower row makes numpy buffer it
     # through a temporary); then P over x <= 0 per row.  P(x) over x =
     # -last..last is kept as one plane per parity of k; a plane's sites of
     # the other parity are never written, so they stay the zeros
     # distribution keeps.
-    rows, columns = min(_ring_rows(last), len(ks)), last // 2 + 2
+    rows, columns = min(_RING_ROWS, len(ks)), last // 2 + 2
     squares = np.empty((rows, 2, 2 * columns))
     left_buffer = np.empty((rows, columns))
     planes = np.zeros((2, 2 * last + 1))
-    for k0, k1, ring in _half_cone(profile, last):
-        # Bisected, not tested step by step: simulate's one request leaves
-        # hundreds of blocks to skip.
-        steps = ks[bisect_left(ks, k0) : bisect_right(ks, k1)]
-        if not steps:
-            continue
+    for steps, ring in _half_cone(profile, ks):
         # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
-        # over the requested rows and one column past the last one's live
+        # over the batch's rows and one column past the last one's live
         # sites, which for an odd k holds |U(+1)|² (its D there is zero).
-        # Consecutive rows, as every dense grid has, are one slice of the
-        # ring; any other set is gathered as whole ring rows and then cut, so
-        # that the square's row strides are still the squares' own.
-        lo, hi = steps[0], steps[-1]
-        count, width = len(steps), (hi + 1) // 2 + 1
-        if hi - lo + 1 == count:
-            block = ring[lo - k0 : hi - k0 + 1]
-        else:
-            block = ring[[k - k0 for k in steps]]
+        count, width = len(steps), (steps[-1] + 1) // 2 + 1
         sq, left = squares[:count, :, : 2 * width], left_buffer[:count, :width]
-        np.square(block[:, :, :width].view(np.float64), out=sq)
+        np.square(ring[:count, :, :width].view(np.float64), out=sq)
         pair = sq[..., ::2]
         np.add(pair, sq[..., 1::2], out=pair)
         np.add(pair[:, DOWN], pair[:, UP], out=left)

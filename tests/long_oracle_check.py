@@ -17,17 +17,20 @@ on both parities (q = 3, theta/pi = 0.16666666666666666).  On each:
   equals the distribution of the oracle's table byte for byte;
 - the last entry of sweep-steps over 1..n, the snapshot at n steps, gives
   the oracle's sigma byte for byte.  At n = 4000 the sweep walks four times
-  the 1000 steps of the benchmark's step-sweep, on a ring at its floor of
-  six rows;
+  the 1000 steps of the benchmark's step-sweep, on the same ring of twelve
+  rows;
 - every (n // 10)-th sweep entry equals ``moments``' sigma, mean included,
   of a fresh ``evolve`` to that step count byte for byte.  The sweep takes
   sigma as the square root of one dot, the second moment, with the mean
   left out as too small to change it, so this holds that past tier-1's
   1000 steps;
 - a sweep of every third step to n equals the dense sweep at those steps
-  byte for byte.  Its blocks request rows that are not consecutive, which
-  ``core._distributions`` gathers from the ring rather than slicing, on
-  the six-row ring at n = 4000 and on the larger ring of shorter walks.
+  byte for byte.  The two steps between requested ones go to the walk's
+  spare rows, one per parity, and never to a ring row;
+- ``core._distributions`` over the steps 0, n // 2 + 1 and n equals the
+  distributions of fresh ``evolve`` walks to those steps byte for byte: the
+  start, yielded alone, then one batch of two ring rows, each after a long
+  run of spare steps, the first at an odd step when n is a multiple of 4.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ def main(n: int = 4000) -> bool:
     for q, theta_pi in INPUTS:
         profile = PotentialProfile(q, theta_pi * math.pi)
         expanded = path_sum_evolve(initial_state(), profile, n)
-        equal = evolve(initial_state(), profile, n).amplitudes.tobytes() == expanded.amplitudes.tobytes()
+        walked = evolve(initial_state(), profile, n)
+        equal = walked.amplitudes.tobytes() == expanded.amplitudes.tobytes()
         ((_, p),) = _distributions(profile, [n])
         half_cone_equal = p.tobytes() == distribution(expanded).tobytes()
         swept = sweep_sigma_vs_steps(q, profile.theta, range(1, n + 1))
@@ -64,14 +68,19 @@ def main(n: int = 4000) -> bool:
         fresh = [moments(distribution(evolve(initial_state(), profile, k))).sigma for k in range(every, n + 1, every)]
         every_equal = swept[every - 1 :: every].tobytes() == np.array(fresh).tobytes()
         sparse_equal = sweep_sigma_vs_steps(q, profile.theta, range(3, n + 1, 3)).tobytes() == swept[2::3].tobytes()
+        ks = [0, n // 2 + 1, n]
+        fresh_p = [distribution(evolve(initial_state(), profile, k)).tobytes() for k in ks[:-1]]
+        fresh_p.append(distribution(walked).tobytes())
+        spare_equal = [p.tobytes() for _, p in _distributions(profile, ks)] == fresh_p
         print(
             f"q={q} theta/pi={theta_pi}: evolve {_verdict(equal)}, "
             f"half-cone P(x) {_verdict(half_cone_equal)}, "
             f"sweep {_verdict(sweep_equal)}, "
             f"every {every}th step {_verdict(every_equal)}, "
-            f"every 3rd step {_verdict(sparse_equal)}"
+            f"every 3rd step {_verdict(sparse_equal)}, "
+            f"steps {ks} {_verdict(spare_equal)}"
         )
-        passed &= equal and half_cone_equal and sweep_equal and every_equal and sparse_equal
+        passed &= equal and half_cone_equal and sweep_equal and every_equal and sparse_equal and spare_equal
     return passed
 
 

@@ -412,7 +412,7 @@ def test_simulate_holds_one_chunk_of_text_at_a_time(tmp_path):
     n, site, real = 4000, 16, 8
     columns = n // 2 + 2
     walk = (
-        core._RING_ROWS * 2 * columns * site  # the ring of row pairs
+        (1 + 2) * 2 * columns * site  # one ring row and two spare row pairs
         + (n // 2 + 1) * site  # its scratch row
         + 2 * 2 * columns * real  # one row of squares
         + columns * real  # one row of P over x <= 0

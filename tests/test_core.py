@@ -502,16 +502,17 @@ def test_4000_step_distributions_equal_evolve(q, theta_pi):
 
 
 def test_distributions_of_one_request_allocates_one_block_row():
-    # simulate asks for one snapshot, so the squares and the P over x <= 0
-    # that it reduces the snapshot's block into take one row each.  A squares
-    # row narrower than a ring row pair would make numpy buffer the square
-    # through a 64 KiB temporary, and one row per ring row would add five
-    # more; either goes past the 12 KiB left over for the coins and small
-    # objects, of which the ring's per-row views take about 3 KiB.
+    # simulate asks for one snapshot, so the walk holds it in one ring row
+    # and every other step in two spare row pairs, and the squares and the P
+    # over x <= 0 that it reduces the snapshot into take one row each.  A
+    # squares row narrower than a ring row pair would make numpy buffer the
+    # square through a 64 KiB temporary, and a ring of more rows would add
+    # 64 KiB a row; either goes past the 12 KiB left over for the coins and
+    # small objects.
     n, site, real = 4000, np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
     columns = n // 2 + 2
     allowed = (
-        _RING_ROWS * 2 * columns * site  # _half_cone's ring
+        (1 + 2) * 2 * columns * site  # _half_cone's ring row and its two spare row pairs
         + (n // 2 + 1) * site  # its scratch row
         + 2 * n * site  # (t, r) rows of the one mixed parity at q = 4
         + 2 * 2 * columns * real  # one squares row, as long as a ring row pair
@@ -533,11 +534,11 @@ def test_distributions_of_one_request_allocates_one_block_row():
 
 
 def _dense_sweep_bound(n: int) -> int:
-    """Traced bytes sweep-steps over 1..n at q = 2 may peak at: the ring the budget gives, and slack."""
+    """Traced bytes sweep-steps over 1..n at q = 2 may peak at: a ring of _RING_ROWS rows, and slack."""
     site, real = np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
-    rows, columns = core._ring_rows(n), n // 2 + 2
+    rows, columns = _RING_ROWS, n // 2 + 2
     return (
-        rows * 2 * columns * site  # _half_cone's ring
+        rows * 2 * columns * site  # _half_cone's ring, with no spares as every step is requested
         + (n // 2 + 1) * site  # its scratch row
         + rows * 2 * 2 * columns * real  # the squares, a row as long as a ring row pair
         + rows * columns * real  # P over x <= 0
@@ -562,25 +563,24 @@ def _dense_sweep_peak(n: int) -> int:
     return peak
 
 
-def test_dense_sweep_holds_one_ring_of_budget_rows():
-    # The ring, and the squares and P of as many rows, are sized by the byte
-    # budget, not by the walk: 12 rows at 1000 steps.
+def test_dense_sweep_holds_one_ring_of_fixed_rows():
+    # The ring, and the squares and P of as many rows, hold _RING_ROWS rows,
+    # not one per step of the walk.
     peak, allowed = _dense_sweep_peak(1000), _dense_sweep_bound(1000)
     assert peak <= allowed, (peak, allowed)
 
 
 def test_dense_sweep_bound_refuses_a_ring_of_the_whole_walk(monkeypatch):
     allowed = _dense_sweep_bound(1000)
-    monkeypatch.setattr(core, "_RING_BYTES", 1 << 40)
-    monkeypatch.setattr(core, "_RING_MAX_ROWS", 1 << 40)
+    monkeypatch.setattr(core, "_RING_ROWS", 1 << 40)
     peak = _dense_sweep_peak(1000)
     assert peak > allowed, (peak, allowed)
 
 
 def test_distributions_of_zero_steps_is_the_initial_distribution():
     profile = PotentialProfile(4, 0.5)
-    ((first, last, start),) = _half_cone(profile, 0)
-    assert (first, last) == (0, 0)
+    ((steps, start),) = _half_cone(profile, [0])
+    assert steps == [0]
     assert start.tobytes() == initial_state().amplitudes.tobytes() and start.shape == (1, 2, 1)
     ((k, p),) = _distributions(profile, [0])
     assert k == 0
@@ -588,20 +588,18 @@ def test_distributions_of_zero_steps_is_the_initial_distribution():
     assert p.tobytes() == p[::-1].tobytes()
 
 
-@pytest.mark.parametrize("budget, n", [(0, 20), (core._RING_BYTES, 1000)], ids=["floor", "budget-1000"])
-def test_distributions_yields_each_requested_step_once_in_walk_order(monkeypatch, budget, n):
-    # Each P holds the bytes of a fresh walk's, with the start block beside
-    # later ones: a mixed request, k = 0 beside the first and last steps of
-    # the first three ring blocks, and every other step of those blocks.  The
-    # ring is at its floor of _RING_ROWS rows, as a budget of 0 leaves it, or
-    # at the rows the budget gives a walk of 1000 steps.
-    monkeypatch.setattr(core, "_RING_BYTES", budget)
-    rows = core._ring_rows(n)
-    edges = [0, 1, *(b * rows + d for b in (1, 2) for d in (-1, 0, 1)), 3 * rows, n]
-    odd = list(range(1, 3 * rows, 2))
+def test_distributions_yields_each_requested_step_once_in_walk_order():
+    # Each P holds the bytes of a fresh walk's, with the start beside later
+    # batches: a mixed request; k = 0, two full batches of the ring, a batch
+    # and one more step, and n after a long run of spare steps, requested in
+    # reverse; and the odd steps of three batches, whose unrequested steps
+    # between them all take one spare row pair, and then n.
+    rows, n = _RING_ROWS, 1000
+    dense = [*range(2 * rows + 2), n]
+    odd = list(range(1, 6 * rows, 2))
     for q in (1, 2, 4):
         profile = PotentialProfile(q, 0.5)
-        for ns, walked in (([13, 0, 6, n, 13, 1], [0, 1, 6, 13, n]), (edges[::-1], edges), ([n, *odd[::-1]], [*odd, n])):
+        for ns, walked in (([13, 0, 6, n, 13, 1], [0, 1, 6, 13, n]), (dense[::-1], dense), ([n, *odd[::-1]], [*odd, n])):
             yielded = [(k, p.tobytes()) for k, p in _distributions(profile, ns)]
             assert [k for k, _ in yielded] == walked
             for k, p in yielded:

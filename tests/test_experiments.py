@@ -132,13 +132,13 @@ def test_sweep_steps_norm_gate_names_the_first_snapshot_walked(monkeypatch):
 
 
 def test_sweep_steps_norm_gate_names_the_first_snapshot_walked_in_a_later_block(monkeypatch):
-    # The sweep reduces a few steps to a block, and 40 lies in a later block
-    # than 20: the gate still names the first one walked.
-    rows = core._ring_rows(40)
-    assert (40 - 1) // rows > (20 - 1) // rows
+    # The sweep reduces _RING_ROWS requested steps to a batch, and 20 + rows
+    # lies in a later batch than 20: the gate still names the first one walked.
+    ns = list(range(20 + core._RING_ROWS, 19, -1))
+    assert len(ns) > core._RING_ROWS
     monkeypatch.setattr(core, "NORM_DRIFT_TOL", -1.0)
     with pytest.raises(NormDriftError, match="after 20 steps"):
-        sweep_sigma_vs_steps(1, 0.5, [40, 20])
+        sweep_sigma_vs_steps(1, 0.5, ns)
 
 
 def test_sweep_steps_norm_gate_refuses_a_nan_tolerance(monkeypatch):
@@ -147,71 +147,73 @@ def test_sweep_steps_norm_gate_refuses_a_nan_tolerance(monkeypatch):
         sweep_sigma_vs_steps(2, 0.5, [5, 33])
 
 
-#: (byte budget, walk length) of each ring the block tests walk: at its
-#: floor of _RING_ROWS rows, as a budget of 0 leaves it, and at the rows the
-#: budget gives a walk of 1000 steps.
-_RINGS = {"floor": (0, 19), "budget": (core._RING_BYTES, 1000)}
+_R = core._RING_ROWS
 
 
-@pytest.mark.parametrize("ring", sorted(_RINGS))
 @pytest.mark.parametrize("q", [1, 2, 4], ids=["q1", "q2", "q4"])
 @pytest.mark.parametrize(
-    "block, offset", [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1)], ids=["k=r-1", "k=r", "k=r+1", "k=2r", "k=2r+1"]
+    "ns, k",
+    [
+        *(
+            pytest.param(list(range(1, 3 * _R + 1)), k, id=name)
+            for name, k in (
+                ("k=1", 1),
+                ("k=r-1", _R - 1),
+                ("k=r", _R),
+                ("k=r+1", _R + 1),
+                ("k=2r", 2 * _R),
+                ("k=2r+1", 2 * _R + 1),
+                ("k=3r", 3 * _R),
+            )
+        ),
+        pytest.param([5, 2 * _R + 1, 3 * _R], 2 * _R + 1, id="after-spares"),
+    ],
 )
-def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, ring, q, block, offset):
+def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, ns, k):
     # The gate reads each snapshot's norm off its row's sum over x <= 0.  One
     # live site of step k's ring row, the origin for an even k and x = -1 for
-    # an odd one, scaled after its block is walked and before it is reduced,
-    # must fail the gate at k, at each edge of the first three blocks.
-    budget, n = _RINGS[ring]
-    monkeypatch.setattr(core, "_RING_BYTES", budget)
-    k = block * core._ring_rows(n) + offset
+    # an odd one, scaled after its batch is walked and before it is reduced,
+    # must fail the gate at k: at the first step and at each edge of the
+    # three batches of a dense sweep, the last of which ends the walk, and in
+    # a sparse one where k follows a run of spare steps.
     walk = core._half_cone
 
-    def corrupted(profile, n):
-        for first, last, ring in walk(profile, n):
-            if first <= k <= last:
-                ring[k - first, :, k // 2] *= 1.01
-            yield first, last, ring
+    def corrupted(profile, ks):
+        for steps, ring in walk(profile, ks):
+            if k in steps:
+                ring[steps.index(k), :, k // 2] *= 1.01
+            yield steps, ring
 
     monkeypatch.setattr(core, "_half_cone", corrupted)
     with pytest.raises(NormDriftError, match=f"after {k} steps"):
-        sweep_sigma_vs_steps(q, math.pi / 3, list(range(1, n + 1)))
+        sweep_sigma_vs_steps(q, math.pi / 3, ns)
 
 
-def _block_grids(rows: int) -> dict:
-    """Step counts placed by the blocks of a ring of ``rows`` rows.
+def _batch_grids(rows: int) -> dict:
+    """Step counts placed by the batches of a ring of ``rows`` rows.
 
-    The first and last steps of the first three blocks, the same reversed,
-    a sweep that ends inside the first block, one that asks for inner rows
-    of some blocks and skips the blocks between them, and three whose
-    requested rows in a block are not consecutive: every third step, every
-    tenth, and an unsorted grid with a duplicate across a block edge.
+    A batch is ``rows`` requested steps, whatever steps lie between them.
+    Dense sweeps that fill less than one batch, exactly one, one and a step
+    more, two and a step more (given in reverse) and exactly three; then
+    grids whose unrequested steps take the spare rows: every third step and
+    every tenth (spares of both parities), the odd steps and the even ones
+    (spares of one parity), an unsorted grid with duplicates across a batch
+    edge, and two batches and a step, then a last one after a long run of
+    spares.
     """
-    edges = [1, *(b * rows + d for b in (1, 2) for d in (-1, 0, 1)), 3 * rows]
     return {
-        "ring-edges": edges,
-        "ring-edges-reversed": edges[::-1],
-        "below-one-block": [rows - 1, 1, rows // 2],
-        "inner-rows": [4 * rows + 2, rows + 4, 2, rows + 2],
-        "every-3rd": list(range(3, 4 * rows + 1, 3)),
-        "every-10th": list(range(10, 10 * rows + 1, 10)),
-        "unsorted-across-an-edge": [rows + 3, rows - 2, 2 * rows + 1, 1, rows - 2, rows + 1, rows],
+        "below-one-batch": list(range(1, rows)),
+        "one-batch": list(range(1, rows + 1)),
+        "one-batch-and-one": list(range(1, rows + 2)),
+        "two-batches-and-one-reversed": list(range(2 * rows + 1, 0, -1)),
+        "three-batches": list(range(1, 3 * rows + 1)),
+        "every-3rd": list(range(3, 3 * (2 * rows + 1) + 1, 3)),
+        "every-10th": list(range(10, 10 * (rows + 1) + 1, 10)),
+        "odd": list(range(1, 2 * rows + 3, 2)),
+        "even": list(range(2, 2 * rows + 3, 2)),
+        "unsorted-across-an-edge": [*range(2 * rows + 2, 0, -2), 2 * rows, 7, 2],
+        "long-spare-run": [*range(1, 2 * rows + 2), 1000],
     }
-
-
-#: (byte budget, ring rows, grid): the grids on the ring at its floor and at
-#: the cap a budget reaches below about 770 steps, and the ring edges of the
-#: budget's rows at 1000 steps.
-_BLOCK_CASES = [
-    pytest.param(budget, rows, ns, id=f"{ring}-{name}")
-    for ring, budget, rows in (("floor", 0, core._RING_ROWS), ("budget", core._RING_BYTES, core._RING_MAX_ROWS))
-    for name, ns in _block_grids(rows).items()
-]
-_ROWS_AT_1000 = core._ring_rows(1000)
-_BLOCK_CASES.append(
-    pytest.param(core._RING_BYTES, _ROWS_AT_1000, [*_block_grids(_ROWS_AT_1000)["ring-edges"], 1000], id="budget-1000")
-)
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,10 +226,8 @@ def _fresh_sigma(q: int, theta: float, n: int) -> float:
     [(1, math.pi / 2), (1, 0.5), (2, math.pi / 3), (4, math.pi / 6)],
     ids=["q1-ballistic", "q1", "q2", "q4"],
 )
-@pytest.mark.parametrize("budget, rows, ns", _BLOCK_CASES)
-def test_sweep_steps_at_the_ring_edges_has_the_bytes_of_a_fresh_walk(monkeypatch, q, theta, budget, rows, ns):
-    monkeypatch.setattr(core, "_RING_BYTES", budget)
-    assert core._ring_rows(max(ns)) == rows
+@pytest.mark.parametrize("ns", [pytest.param(ns, id=name) for name, ns in _batch_grids(_R).items()])
+def test_sweep_steps_at_the_ring_edges_has_the_bytes_of_a_fresh_walk(q, theta, ns):
     fresh = [_fresh_sigma(q, theta, n) for n in ns]
     assert sweep_sigma_vs_steps(q, theta, ns).tobytes() == np.array(fresh).tobytes()
 

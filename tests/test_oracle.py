@@ -109,9 +109,9 @@ def test_evolve_equals_oracle_on_long_walks(theta, q, n):
 
 def test_the_long_oracle_check_passes_at_300_steps(capsys):
     # CI runs the script at 4000 steps; 300 keeps its imports and checks alive
-    # here, with every 30th sweep entry held to a fresh walk and every third
-    # one to a sparse sweep on the ring of 16 rows.
+    # here, with every 30th sweep entry held to a fresh walk, every third one
+    # to a sparse sweep, and the steps 0, 151 and 300 to fresh walks.
     assert long_oracle_check.main(300)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(long_oracle_check.INPUTS)
-    assert all(line.count("equal") == 5 and "DIFFERENT" not in line for line in lines), lines
+    assert all(line.count("equal") == 6 and "DIFFERENT" not in line for line in lines), lines

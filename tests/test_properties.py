@@ -22,7 +22,6 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
-import periodicwalk.core as core
 from periodicwalk.core import _RING_ROWS, _distributions, _half_cone
 from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
@@ -134,7 +133,7 @@ symmetric_angles = st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50
 
 @walks
 @given(symmetric_periods, symmetric_angles, st.integers(min_value=0, max_value=300))
-# Walk lengths at the edges of the half-cone ring's first two blocks.
+# One request holds a ring row alone at n = 1 and beside two spares past it.
 @example(1, math.pi / 2, 1)
 @example(4, math.pi / 6, 5)
 @example(2, math.pi / 3, 6)
@@ -158,46 +157,50 @@ def ring_walks(rows: int):
     )
 
 
-#: (byte budget, walk length): the ring at its floor of _RING_ROWS rows, as a
-#: budget of 0 leaves it, and at the cap the budget reaches for these walks.
-budget_walks = st.one_of(
-    ring_walks(_RING_ROWS).map(lambda n: (0, n)),
-    ring_walks(core._RING_MAX_ROWS).map(lambda n: (core._RING_BYTES, n)),
+#: Sorted, distinct requested steps for the half-cone walk: every step to a
+#: walk length from ``ring_walks``, with or without the start, and random
+#: requests up to 300 steps, where the steps between them take spare rows.
+requests = st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=1), ring_walks(_RING_ROWS)).map(
+        lambda walk: list(range(walk[0], walk[1] + 1))
+    ),
+    st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=40, unique=True).map(sorted),
 )
 
 
 @walks
-@given(symmetric_periods, symmetric_angles, budget_walks)
-# The budget's rows at 1000 steps, fewer than its cap.
-@example(2, math.pi / 3, (core._RING_BYTES, 1000))
-def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, walk):
+@given(symmetric_periods, symmetric_angles, requests)
+# The benchmark's step-sweep, every step to 1000, and one request at 1000.
+@example(2, math.pi / 3, list(range(1, 1001)))
+@example(4, math.pi / 6, [1000])
+def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, ks):
     # Compared by value: the origin's D is set from U there, so an exact
     # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
-    # must be exactly zero in every ring row: a start kept in a ring row would
-    # leave i/sqrt 2 there once the row is reused.
-    budget, n = walk
+    # must be exactly zero in every ring and spare row: a start kept in a row
+    # would leave i/sqrt 2 there once the row is reused.
     profile = PotentialProfile(q, theta)
-    state, k = initial_state(), 0
-    # The generator reads the budget when first advanced, so it walks inside the patch.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_RING_BYTES", budget)
-        rows = core._ring_rows(n)
-        blocks = _half_cone(profile, n)
-        first, last, start = next(blocks)
-        assert (first, last) == (0, 0) and start.tobytes() == state.amplitudes.tobytes() and start.shape == (1, 2, 1)
-        for first, last, ring in blocks:
-            assert first == k + 1 and last == min(k + rows, n) and ring.shape == (min(n, rows), 2, n // 2 + 2)
-            for k, (down, up) in enumerate(ring[: last - first + 1], first):
-                state = evolve(state, profile, 1)
-                live = state.amplitudes[: k + 1 : 2]
-                assert np.array_equal(down[: k // 2 + 1], live[:, DOWN]) and np.array_equal(up[: k // 2 + 1], live[:, UP]), k
-                assert up[0].tobytes() == bytes(16), k
-                # Past the live sites only zeros, but for U(+1) after an odd k.
-                past = k // 2 + 1 + k % 2
-                assert not down[k // 2 + 1 :].any() and not up[past:].any(), k
-                if k % 2:
-                    assert up[k // 2 + 1] == state.amplitudes[k + 1, UP], k
-    assert k == n
+    n, count = ks[-1], len(ks) - (ks[0] == 0)
+    state, walked = initial_state(), []
+    batches = _half_cone(profile, ks)
+    if ks[0] == 0:
+        steps, start = next(batches)
+        assert steps == [0] and start.tobytes() == state.amplitudes.tobytes() and start.shape == (1, 2, 1)
+        walked.append(0)
+    for steps, ring in batches:
+        assert ring.shape == (min(_RING_ROWS, count) + 2 * (count < n), 2, n // 2 + 2)
+        assert len(steps) == _RING_ROWS or steps[-1] == n, steps
+        assert ring[:, UP, 0].tobytes() == bytes(16 * len(ring))
+        for k, (down, up) in zip(steps, ring):
+            state = evolve(state, profile, k - state.steps_taken)
+            live = state.amplitudes[: k + 1 : 2]
+            assert np.array_equal(down[: k // 2 + 1], live[:, DOWN]) and np.array_equal(up[: k // 2 + 1], live[:, UP]), k
+            # Past the live sites only zeros, but for U(+1) after an odd k.
+            past = k // 2 + 1 + k % 2
+            assert not down[k // 2 + 1 :].any() and not up[past:].any(), k
+            if k % 2:
+                assert up[k // 2 + 1] == state.amplitudes[k + 1, UP], k
+        walked += steps
+    assert walked == ks
 
 
 @walks
