@@ -588,7 +588,8 @@ def test_distributions_of_zero_steps_is_the_initial_distribution():
     assert p.tobytes() == p[::-1].tobytes()
 
 
-def test_distributions_yields_each_requested_step_once_in_walk_order():
+@pytest.mark.parametrize("q", [1, 2, 4], ids=["q1", "q2", "q4"])
+def test_distributions_yields_each_requested_step_once_in_walk_order(q):
     # Each P holds the bytes of a fresh walk's, with the start beside later
     # batches: a mixed request; k = 0, two full batches of the ring, a batch
     # and one more step, and n after a long run of spare steps, requested in
@@ -597,13 +598,12 @@ def test_distributions_yields_each_requested_step_once_in_walk_order():
     rows, n = _RING_ROWS, 1000
     dense = [*range(2 * rows + 2), n]
     odd = list(range(1, 6 * rows, 2))
-    for q in (1, 2, 4):
-        profile = PotentialProfile(q, 0.5)
-        for ns, walked in (([13, 0, 6, n, 13, 1], [0, 1, 6, 13, n]), (dense[::-1], dense), ([n, *odd[::-1]], [*odd, n])):
-            yielded = [(k, p.tobytes()) for k, p in _distributions(profile, ns)]
-            assert [k for k, _ in yielded] == walked
-            for k, p in yielded:
-                assert p == distribution(evolve(initial_state(), profile, k)).tobytes(), (q, k)
+    profile = PotentialProfile(q, 0.5)
+    for ns, walked in (([13, 0, 6, n, 13, 1], [0, 1, 6, 13, n]), (dense[::-1], dense), ([n, *odd[::-1]], [*odd, n])):
+        yielded = [(k, p.tobytes()) for k, p in _distributions(profile, ns)]
+        assert [k for k, _ in yielded] == walked
+        for k, p in yielded:
+            assert p == distribution(evolve(initial_state(), profile, k)).tobytes(), (q, k)
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])

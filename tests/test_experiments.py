@@ -167,6 +167,8 @@ _R = core._RING_ROWS
             )
         ),
         pytest.param([5, 2 * _R + 1, 3 * _R], 2 * _R + 1, id="after-spares"),
+        pytest.param([5, 2 * _R + 2, 3 * _R], 2 * _R + 2, id="even-after-spares"),
+        pytest.param([*range(1, _R + 1), 3 * _R + 5], 3 * _R + 5, id="alone-after-a-full-batch"),
     ],
 )
 def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, ns, k):
@@ -175,7 +177,8 @@ def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, ns, k):
     # an odd one, scaled after its batch is walked and before it is reduced,
     # must fail the gate at k: at the first step and at each edge of the
     # three batches of a dense sweep, the last of which ends the walk, and in
-    # a sparse one where k follows a run of spare steps.
+    # sparse ones where an odd or an even k follows a run of spare steps, or
+    # ends the walk alone in a batch after a full one and a run of spares.
     walk = core._half_cone
 
     def corrupted(profile, ks):
@@ -199,8 +202,13 @@ def _batch_grids(rows: int) -> dict:
     every tenth (spares of both parities), the odd steps and the even ones
     (spares of one parity), an unsorted grid with duplicates across a batch
     edge, and two batches and a step, then a last one after a long run of
-    spares.
+    spares. Then grids that mix runs of requested and spare steps across
+    batch edges: spares before two dense batches, one late step alone, runs
+    of three requested and three spare steps (so each run of spares ends on
+    the other parity), and the first and last steps of three batches of a
+    dense sweep, requested alone and in reverse.
     """
+    edges = [1, *(b * rows + d for b in (1, 2) for d in (-1, 0, 1)), 3 * rows]
     return {
         "below-one-batch": list(range(1, rows)),
         "one-batch": list(range(1, rows + 1)),
@@ -213,6 +221,10 @@ def _batch_grids(rows: int) -> dict:
         "even": list(range(2, 2 * rows + 3, 2)),
         "unsorted-across-an-edge": [*range(2 * rows + 2, 0, -2), 2 * rows, 7, 2],
         "long-spare-run": [*range(1, 2 * rows + 2), 1000],
+        "spares-then-two-batches": list(range(rows, 3 * rows)),
+        "one-late-step": [3 * rows + 1],
+        "runs-of-three": [k for k in range(1, 6 * rows + 1) if (k - 1) // 3 % 2 == 0],
+        "dense-edges-reversed": edges[::-1],
     }
 
 
