@@ -70,8 +70,9 @@ EXIT_INVARIANT = 3
 #: holds row pairs of N/2 + 2 complex entries.  A simulate of this many
 #: steps holds three, 4.8 MB, and peaks at 14.0 MB of traced memory, its
 #: 2.95 MB CSV written a chunk at a time.  A sweep-steps over 1..N holds
-#: twelve, 19.2 MB, and peaks at 56.2 MB.  Any period q >= N gives the
-#: same N-step walk, so the period cap loses none.
+#: twelve, 19.2 MB, and as much again of squares, and peaks at 56.0 MB.
+#: Any period q >= N gives the same N-step walk, so the period cap loses
+#: none.
 MAX_STEPS = 100_000
 
 #: Rows per chunk of ``_write_csv``: formatted, encoded, hashed and written

@@ -493,28 +493,34 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     """
     ks = sorted(set(ns))
     last = ks[-1]
-    # Buffers for the most requested steps a batch can hold, one row for a
-    # single request or the start: the squares of both coin states' (re,
-    # im) pairs, in rows as long as the ring's, so that the square reads and
-    # writes with the same strides (a narrower row makes numpy buffer it
-    # through a temporary); then P over x <= 0 per row.  P(x) over x =
-    # -last..last is kept as one plane per parity of k; a plane's sites of
-    # the other parity are never written, so they stay the zeros
-    # distribution keeps.
+    # Flat buffers for the most requested steps a batch can hold, one row
+    # for a single request or the start: the squares of both coin states'
+    # (re, im) pairs, then P over x <= 0 per row.  Each batch views a
+    # prefix of them as a compact block exactly as wide as its columns and
+    # copies its live columns in, which allocates nothing.  numpy runs a
+    # ufunc on an operand it cannot flatten to one stride, such as a window
+    # narrower than the row it sits in, through its buffered iterator, a
+    # 64 KiB temporary per operand; on the compact block the square and the
+    # pair sums flatten, and DOWN + UP is a reduce over the coin axis, so
+    # none of them buffers.  P(x) over x = -last..last is kept as one plane
+    # per parity of k; a plane's sites of the other parity are never
+    # written, so they stay the zeros distribution keeps.
     rows, columns = min(_RING_ROWS, len(ks)), last // 2 + 2
-    squares = np.empty((rows, 2, 2 * columns))
-    left_buffer = np.empty((rows, columns))
+    squares = np.empty(rows * 2 * 2 * columns)
+    left_buffer = np.empty(rows * columns)
     planes = np.zeros((2, 2 * last + 1))
     for steps, ring in _half_cone(profile, ks):
         # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
         # over the batch's rows and one column past the last one's live
         # sites, which for an odd k holds |U(+1)|² (its D there is zero).
         count, width = len(steps), (steps[-1] + 1) // 2 + 1
-        sq, left = squares[:count, :, : 2 * width], left_buffer[:count, :width]
-        np.square(ring[:count, :, :width].view(np.float64), out=sq)
+        sq = squares[: count * 4 * width].reshape(count, 2, 2 * width)
+        left = left_buffer[: count * width].reshape(count, width)
+        sq[...] = ring[:count, :, :width].view(np.float64)
+        np.square(sq, out=sq)
         pair = sq[..., ::2]
         np.add(pair, sq[..., 1::2], out=pair)
-        np.add(pair[:, DOWN], pair[:, UP], out=left)
+        np.add.reduce(pair, axis=1, out=left)
         # A row is zero past its step's columns, so its sum is P over x <= 0,
         # plus |U(+1)|² for an odd k.  The norm over the whole line counts
         # P(0) once for an even k, k = 0 included, and leaves U(+1) out for

@@ -405,34 +405,50 @@ def test_simulate_writes_the_rows_of_the_full_walk(q, theta, tmp_path):
         assert out.read_bytes() == ("position,probability\n" + expected).encode("ascii"), n
 
 
-def test_simulate_holds_one_chunk_of_text_at_a_time(tmp_path):
-    # The arrays _distributions allocates, the strings of the half line and
-    # one chunk of rows, formatted and encoded.  Holding the whole table as
-    # tuples, lines and text peaks near 1.7 MB, over the bound.
+def test_simulate_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
+    # The walk is freed before the text is built, so each phase has its own
+    # traced peak and bound: the walk's is read once _distributions is
+    # spent, and the text's spans the half line's strings and the CSV.  The
+    # walk's slack is under one 64 KiB ring row pair at 4000 steps, so a
+    # ring of one more row fails it.  Holding the whole table as tuples,
+    # lines and text peaks near 1.7 MB, over the text's bound.
     n, site, real = 4000, 16, 8
     columns = n // 2 + 2
+    planes = 2 * (2 * n + 1) * real  # the two parity planes of P, which the text reads
     walk = (
         (1 + 2) * 2 * columns * site  # one ring row and two spare row pairs
         + (n // 2 + 1) * site  # its scratch row
+        + 2 * n * site  # (t, r) rows of the one mixed parity at q = 4
         + 2 * 2 * columns * real  # one row of squares
         + columns * real  # one row of P over x <= 0
-        + 2 * (2 * n + 1) * real  # the two parity planes of P
+        + planes
+        + 16 * 1024
     )
     half_line = (n + 1) * (80 + 8)  # a 24-character str and its list slot
     chunk = _C * (64 + 32 + 8 + 96 + 8 + 2 * 32)  # row tuple, position, slot, line, its slot, text and bytes
-    allowed = walk + half_line + chunk + 64 * 1024
+    text = planes + half_line + chunk + 64 * 1024
+    walk_peaks = []
+
+    def distributions(profile, ns):
+        yield from core._distributions(profile, ns)
+        walk_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        tracemalloc.reset_peak()
+
     args = ["simulate", "--q", "4", "--theta-pi", "0.16666666666666666", "--out", str(tmp_path / "s.csv")]
     assert main(args + ["--steps", "0"]) == EXIT_OK  # the parser and hashlib, once per process
+    monkeypatch.setattr(cli, "_distributions", distributions)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         status = main(args + ["--steps", str(n)])
-        peak = tracemalloc.get_traced_memory()[1] - before
+        text_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert status == EXIT_OK
-    assert peak <= allowed, (peak, allowed)
+    (walk_peak,) = walk_peaks
+    assert walk_peak <= walk, (walk_peak, walk)
+    assert text_peak <= text, (text_peak, text)
 
 
 def test_cli_runs_are_byte_identical(tmp_path):

@@ -505,17 +505,17 @@ def test_distributions_of_one_request_allocates_one_block_row():
     # simulate asks for one snapshot, so the walk holds it in one ring row
     # and every other step in two spare row pairs, and the squares and the P
     # over x <= 0 that it reduces the snapshot into take one row each.  A
-    # squares row narrower than a ring row pair would make numpy buffer the
-    # square through a 64 KiB temporary, and a ring of more rows would add
-    # 64 KiB a row; either goes past the 12 KiB left over for the coins and
-    # small objects.
+    # ufunc that ran numpy's buffered iterator on the batch, as on a window
+    # narrower than the row it sits in, would add a 64 KiB temporary, and a
+    # ring of more rows would add 64 KiB a row; either goes past the 12 KiB
+    # left over for the coins and small objects.
     n, site, real = 4000, np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
     columns = n // 2 + 2
     allowed = (
         (1 + 2) * 2 * columns * site  # _half_cone's ring row and its two spare row pairs
         + (n // 2 + 1) * site  # its scratch row
         + 2 * n * site  # (t, r) rows of the one mixed parity at q = 4
-        + 2 * 2 * columns * real  # one squares row, as long as a ring row pair
+        + 2 * 2 * columns * real  # the squares of one row, as long as a ring row pair
         + columns * real  # one row of P over x <= 0
         + 2 * (2 * n + 1) * real  # the two planes
         + 12 * 1024
@@ -533,16 +533,52 @@ def test_distributions_of_one_request_allocates_one_block_row():
     assert peak <= allowed, (peak, allowed)
 
 
-def _dense_sweep_bound(n: int) -> int:
-    """Traced bytes sweep-steps over 1..n at q = 2 may peak at: a ring of _RING_ROWS rows, and slack."""
+def _dense_distributions_arrays(n: int) -> int:
+    """Bytes of the arrays _distributions over 1..n at q = 2 holds: a ring of _RING_ROWS rows and its readers."""
     site, real = np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
     rows, columns = _RING_ROWS, n // 2 + 2
     return (
         rows * 2 * columns * site  # _half_cone's ring, with no spares as every step is requested
         + (n // 2 + 1) * site  # its scratch row
-        + rows * 2 * 2 * columns * real  # the squares, a row as long as a ring row pair
+        + rows * 2 * 2 * columns * real  # the squares, as long as the ring's rows
         + rows * columns * real  # P over x <= 0
         + 2 * (2 * n + 1) * real  # the two planes
+    )
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_distributions_of_a_dense_sweep_allocates_no_iterator_buffer(n):
+    # Every batch of 1..n reduces _RING_ROWS rows.  Its squares, pair sums
+    # and DOWN + UP run on compact blocks, so numpy's buffered iterator,
+    # which reserves 64 KiB per operand of a ufunc it cannot flatten to one
+    # stride, never runs: the peak is the arrays below and a slack well
+    # under one such buffer.  set(ns) is freed before the arrays exist.
+    allowed = (
+        _dense_distributions_arrays(n)
+        + n * 48  # per request: its int and its slot in the sorted list
+        + 12 * 1024
+    )
+    profile = PotentialProfile(2, math.pi / 3)
+    for _ in _distributions(profile, range(1, 11)):  # first-call caches
+        pass
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        for k, p in _distributions(profile, range(1, n + 1)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert k == n and p.shape == (2 * n + 1,)
+    assert peak <= allowed, (peak, allowed)
+
+
+def _dense_sweep_bound(n: int) -> int:
+    """Traced bytes sweep-steps over 1..n at q = 2 may peak at: a ring of _RING_ROWS rows, and slack."""
+    real = np.dtype(np.float64).itemsize
+    return (
+        _dense_distributions_arrays(n)
         + 2 * (2 * n + 1) * real  # the positions and their squares
         + n * 256  # per step: the grid's ints, its lists and set, and sigma's array, index and result
         + 16 * 1024
