@@ -23,7 +23,12 @@ Only a mixed parity holds per-site coefficients, a row t(x) and a row
 r(x), built once per call.
 Between its first and last step ``evolve`` keeps the k + 1 live sites
 packed, site j (x = -k + 2j) in column j of a contiguous DOWN row and UP
-row, alternating between two such buffers of its own.  ``step`` is
+row, alternating between two such buffers of its own.  It takes those
+steps in blocks of ``_BLOCK_STEPS``, each on one set of views as wide as
+its widest step, so a step builds no slice and may run past its live
+sites.  The columns past them hold only zeros, and DOWN's first one,
+which the next step reads as its last site, is reset to +0 after each
+such step, so the bytes are those of a walk of exact widths.  ``step`` is
 ``evolve`` for one step; no sweep calls it.
 
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
@@ -299,6 +304,16 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
     return coins
 
 
+#: Steps of ``evolve`` that share one set of views, so a step runs at most
+#: _BLOCK_STEPS - 1 columns of zeros past its live sites.  At check-q1's
+#: defaults (q = 1, 47 angles, N = 200) 32, 64 and 128 tie within the
+#: noise, each about 18% faster than slicing per step; 64 won the most
+#: alternating calls at N = 4000 (7 of 8 at q = 1 and at q = 4).  One block
+#: as wide as the whole walk lost at large N: 1 of 20 calls at q = 4,
+#: N = 1000, and 0 of 8 at q = 1, N = 4000.
+_BLOCK_STEPS = 64
+
+
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
     """Apply ``n_steps`` steps and return the final state.
 
@@ -323,52 +338,73 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     amps = state.amplitudes
     k0 = state.steps_taken
     coins = _step_classes(profile, k0 + n - 1, n)
-    # The buffers start zeroed: step i writes DOWN to columns 0..k0 + i and
-    # UP to 1..k0 + i + 1, and step i + 1 reads columns 0..k0 + i + 1 of
-    # both.  Each row is prebuilt as a 1-d array: slicing those costs less
-    # per step than slicing a 2-d block or unpacking pairs[i & 1] (which won
-    # 0 and 2 of 14 alternating pairs at N = 200 and 4000).  The products
-    # land in the output rows and one scratch row, so a step allocates
-    # nothing; a one-step call has no buffer pair.
+    # Step i reads the caller's stride-2 columns for i = 0, else the buffer
+    # pair step i - 1 wrote, and writes the next buffer pair for i < n - 1,
+    # else the returned table's stride-2 columns; the buffers start zeroed.
+    # Its products land in those rows and one scratch row, so a step
+    # allocates nothing.  Slicing a prebuilt 1-d row costs less than slicing
+    # a 2-d block or unpacking pairs[i & 1] (which won 0 and 2 of 14
+    # alternating pairs at N = 200 and 4000).
     pairs = np.zeros((min(n - 1, 2), 2, k0 + n), dtype=amps.dtype)
     buffers = [tuple(pair) for pair in pairs]
     # np.zeros, not zeros_like: about 1.3 us less per call at 2001 rows.
     out = np.zeros((2 * (k0 + n) + 1, 2), amps.dtype)
     scratch = np.empty(k0 + n, dtype=amps.dtype)
-    # The last step writes into the returned table's stride-2 columns, sliced
-    # as a buffer pair is: a buffer and a copy-out nearly doubled n = 1.
-    final = out[:-2:2, DOWN], out[::2, UP]
-    # A step runs only its ufuncs and slices, so they are bound once per call.
+    source, final = (amps[::2, DOWN], amps[::2, UP]), (out[::2, DOWN], out[::2, UP])
+    # The steps run in blocks: the first step alone, then blocks of
+    # _BLOCK_STEPS steps, then the last step alone, so the first reads and
+    # the last writes exactly the columns of the caller's and the returned
+    # table.  A block builds one set of views per parity of i, as wide as
+    # its widest step, and its steps slice nothing: five slices were about
+    # a fifth of a step at N = 200.  Step i has m = k0 + i + 1 live sites in
+    # columns 0..m - 1 of what it reads, and writes DOWN to columns 0..m - 1
+    # and UP to 1..m; a wider view computes zeros from the zeros past them.
+    # Those zeros reach a live site only through DOWN's column m, the next
+    # step's last site, where an all-scattering step with a negative coin
+    # entry leaves -0.  So after each Hadamard or all-scattering step that
+    # column is set to +0, as a walk of exact widths leaves it; in the
+    # returned table it is the last row's DOWN, zero already.  A mixed step's coefficient rows cover
+    # exactly its m sites, so it narrows its views to them.  A parity keeps
+    # its step class, so no wider step writes the rows a mixed step writes,
+    # and a mixed step needs no reset.
+    edges = sorted({0, *range(1, n - 1, _BLOCK_STEPS), n - 1, n})
+    # A step runs only its ufuncs, so they are bound once per call.
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    d, u = amps[::2, DOWN], amps[::2, UP]
-    for i in range(n):
-        # The coin acts at the pre-shift position; then DOWN slides one site
-        # toward -x and UP one site toward +x.  m sites are live before it.
-        m = k0 + i + 1
-        b = scratch[:m]
-        down_row, up_row = buffers[i & 1] if i < n - 1 else final
-        down, up = down_row[:m], up_row[1 : m + 1]
-        coin = coins[(n - 1 - i) & 1]
-        if coin is None:
-            # down = h d + h u and up = h d - h u with each product taken
-            # once: h d lands in down, and up is taken before down is summed.
-            multiply(_HADAMARD, d, down)
-            multiply(_HADAMARD, u, b)
-            subtract(down, b, up)
-            add(down, b, down)
-        else:
-            tk, rk = coin
-            if tk.ndim:
-                m0 = (n - 1 - i) >> 1
-                tk, rk = tk[m0 : m0 + m], rk[m0 : m0 + m]
-            # down = tk * d + rk * u and up = rk * d - tk * u.
-            multiply(tk, d, down)
-            multiply(rk, u, b)
-            add(down, b, down)
-            multiply(rk, d, up)
-            multiply(tk, u, b)
-            subtract(up, b, up)
-        d, u = down_row[: m + 1], up_row[: m + 1]
+    views = [None, None]
+    for start, stop in zip(edges, edges[1:]):
+        width = k0 + stop
+        for i in range(start, min(start + 2, stop)):
+            d_row, u_row = buffers[(i - 1) & 1] if i else source
+            down_row, up_row = buffers[i & 1] if i < n - 1 else final
+            coin = coins[(n - 1 - i) & 1]
+            reset = None if coin is not None and coin[0].ndim else down_row
+            views[i & 1] = d_row[:width], u_row[:width], down_row[:width], up_row[1 : width + 1], scratch[:width], coin, reset
+        for i in range(start, stop):
+            # The coin acts at the pre-shift position; then DOWN slides one
+            # site toward -x and UP one site toward +x.
+            d, u, down, up, b, coin, reset = views[i & 1]
+            if coin is None:
+                # down = h d + h u and up = h d - h u with each product taken
+                # once: h d lands in down, and up is taken before down is summed.
+                multiply(_HADAMARD, d, down)
+                multiply(_HADAMARD, u, b)
+                subtract(down, b, up)
+                add(down, b, down)
+            else:
+                tk, rk = coin
+                if tk.ndim:
+                    m, m0 = k0 + i + 1, (n - 1 - i) >> 1
+                    tk, rk = tk[m0 : m0 + m], rk[m0 : m0 + m]
+                    d, u, down, up, b = d[:m], u[:m], down[:m], up[:m], b[:m]
+                # down = tk * d + rk * u and up = rk * d - tk * u.
+                multiply(tk, d, down)
+                multiply(rk, u, b)
+                add(down, b, down)
+                multiply(rk, d, up)
+                multiply(tk, u, b)
+                subtract(up, b, up)
+            if reset is not None:
+                reset[k0 + i + 1] = 0j
     return WalkState(out)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _REAL_KINDS, _SQRT_HALF, WalkState, _real_array
+from .core import _REAL_KINDS, _SQRT_HALF, WalkState, _finite, _real_array, _whole
 
 __all__ = [
     "Moments",
@@ -73,8 +73,10 @@ def q1_law(theta: float, n_steps: int) -> float:
     Valid for the all-scattering profile (period 1) in the large-step
     regime; exact in the free case theta = pi/2 and degenerate (zero) at
     theta = 0 or pi where the walker is trapped near the origin.
+    ValueError unless theta is a finite real number and n_steps a whole
+    number >= 0.
     """
-    return math.sqrt(1.0 - abs(math.cos(theta))) * n_steps
+    return math.sqrt(1.0 - abs(math.cos(_finite(theta, "theta")))) * _whole(n_steps, "n_steps", 0)
 
 
 def q2_law(theta: float, n_steps: int) -> float:
@@ -83,8 +85,9 @@ def q2_law(theta: float, n_steps: int) -> float:
     Valid for period 2 in the large-step regime.  Where |cos theta| >=
     1/sqrt 2 it is ``q1_law``; on [pi/4, 3 pi/4] and its shifts by pi the
     walk is lazy: it spreads like the Hadamard walk whatever theta is.
+    ValueError unless its arguments are as ``q1_law`` takes them.
     """
-    return math.sqrt(1.0 - max(abs(math.cos(theta)), _SQRT_HALF)) * n_steps
+    return math.sqrt(1.0 - max(abs(math.cos(_finite(theta, "theta"))), _SQRT_HALF)) * _whole(n_steps, "n_steps", 0)
 
 
 def symmetry_residual(p) -> float:

@@ -1,7 +1,8 @@
 """Hold the kernel, the half-cone P(x) and the step sweep to the branch-expansion oracle over n steps.
 
-Tier-1 compares ``evolve`` with the oracle up to 1000 steps; CI runs this
-script at its default of 4000 steps, about 25-30 s of oracle per input:
+Tier-1 compares ``evolve`` with the oracle up to 1000 steps and runs this
+script at 300; CI runs it at its default of 4000 steps, about 25-30 s of
+oracle per input:
 
     python tests/long_oracle_check.py [n]
 
@@ -9,8 +10,12 @@ It exits 0 when every check holds on every input and 1 otherwise.  The
 inputs are the benchmark's long-walk input (q = 4, theta/pi =
 0.16666666666666666), its step-sweep input (q = 2, theta/pi =
 0.3333333333333333), check-q1's step class, all scattering on both
-parities (q = 1, theta/pi = 0.16666666666666666), and an odd period, mixed
-on both parities (q = 3, theta/pi = 0.16666666666666666).  On each:
+parities (q = 1, theta/pi = 0.16666666666666666), an odd period, mixed on
+both parities (q = 3, theta/pi = 0.16666666666666666), and an angle of
+check-q1's default grid where both coin entries are negative (q = 1,
+theta/pi = 1.1666666666666667).  There each of ``evolve``'s steps leaves
+-0 in columns past the live sites, so the walk runs through the reset to +0
+of the one its next step reads.  On each:
 
 - ``evolve``'s table after n steps equals the oracle's byte for byte;
 - simulate's P(x), read off the half-cone walk by ``core._distributions``,
@@ -44,8 +49,15 @@ from periodicwalk import PotentialProfile, distribution, evolve, initial_state, 
 from periodicwalk.core import _distributions
 from periodicwalk.experiments import sweep_sigma_vs_steps
 
-#: (q, theta / pi) of the long-walk, step-sweep, check-q1-class and odd-period inputs.
-INPUTS = ((4, 0.16666666666666666), (2, 0.3333333333333333), (1, 0.16666666666666666), (3, 0.16666666666666666))
+#: (q, theta / pi) of the long-walk, step-sweep, check-q1-class, odd-period and
+#: negative-coin inputs.
+INPUTS = (
+    (4, 0.16666666666666666),
+    (2, 0.3333333333333333),
+    (1, 0.16666666666666666),
+    (3, 0.16666666666666666),
+    (1, 1.1666666666666667),
+)
 
 
 def _verdict(equal: bool) -> str:
