@@ -25,28 +25,32 @@ Between its first and last step ``evolve`` keeps the k + 1 live sites
 packed, site j (x = -k + 2j) in column j of a contiguous DOWN row and UP
 row, alternating between two such buffers of its own.  It takes those
 steps in blocks of ``_BLOCK_STEPS``, each on one set of views as wide as
-its widest step, so a step builds no slice and may run past its live
-sites.  The columns past them hold only zeros, and DOWN's first one,
-which the next step reads as its last site, is reset to +0 after each
-such step, so the bytes are those of a walk of exact widths.  ``step`` is
-``evolve`` for one step; no sweep calls it.
+its widest step, so a step slices no state row and may run past its live
+sites; a mixed step's coefficient rows run on past the light cone to meet
+it.  The columns past the live sites hold only zeros, of either sign, and
+DOWN's first one, which the next step reads as its last site, is reset
+to +0 after each step, so the bytes are those of a walk of exact widths.
+``step`` is ``evolve`` for one step; no sweep calls it.
 
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
 ``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
-classes and operation order, for about half the work.  It takes the
-requested steps: a requested step 0 it hands over alone, as the start;
-each requested step after it goes into the next row of a ring of at most
-``_RING_ROWS`` row pairs, and every other step into one of two spare row
-pairs, by its parity.  It hands the ring over whenever its rows fill and
-after the last step.  ``_distributions``, beside it, is its one reader:
-it squares and sums P over x <= 0 for a batch's rows at once and mirrors
-each requested P(x) from them, with the bytes of ``distribution``.
-``simulate`` and ``sweep-steps`` both take P(x) from there; no amplitude
-table of the right half is ever written, and no other module reads the
-ring.  The half-cone values equal ``evolve``'s, but not byte for byte
-(the origin's D, set from U there, may carry the other sign of zero), so
-``evolve`` keeps the full light cone and its byte contract with the
-oracle, and the other sweeps keep ``evolve``.
+classes and operation order, for about half the work, and in ``evolve``'s
+blocks: its first step alone, then blocks of ``_BLOCK_STEPS`` on views as
+wide as each block's widest step.  It takes the requested steps: a
+requested step 0 it hands over alone, as the start; each requested step
+after it goes into the next row of a ring of at most ``_RING_ROWS`` row
+pairs, and every other step into one of two spare row pairs, by its
+parity.  A row holds zeros of either sign past its live sites.  It hands
+the ring over whenever its rows fill and after the last step.
+``_distributions``, beside it, is its one reader: it squares and sums P
+over x <= 0 for a batch's rows at once and mirrors each requested P(x)
+from them, with the bytes of ``distribution``.  ``simulate`` and
+``sweep-steps`` both take P(x) from there; no amplitude table of the right
+half is ever written, and no other module reads the ring.  The half-cone
+values equal ``evolve``'s, but not byte for byte (the origin's D, set from
+U there, may carry the other sign of zero), so ``evolve`` keeps the full
+light cone and its byte contract with the oracle, and the other sweeps
+keep ``evolve``.
 """
 
 from __future__ import annotations
@@ -269,12 +273,14 @@ def step(state: WalkState, profile: PotentialProfile) -> WalkState:
     return evolve(state, profile, 1)
 
 
-def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
-    """The coins of a walk of ``n`` steps that reads only the sites |x| <= ``reach``.
+def _step_classes(profile: PotentialProfile, reach: int, n: int, past: int = 0) -> list:
+    """The coins of a walk of ``n`` steps whose live sites lie in |x| <= ``reach``.
 
     Step i reads the sites of parity p = (n - 1 - i) % 2 and takes entry p:
     None for a Hadamard step, (t, r) as 0-d arrays for an all-scattering
-    one, and (t, r) as rows over x = p - reach + 2m for a mixed one.
+    one, and (t, r) as rows over x = p - reach + 2m for a mixed one, up to
+    x = reach + ``past``, for a step that runs past its live sites.  The
+    class is read off the sites |x| <= reach alone.
     """
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta where x % q == 0,
     # 1/sqrt 2 elsewhere.  Each parity takes one of three step classes from
@@ -287,30 +293,31 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
     # same products and sums in the same order, so the amplitudes do not
     # depend on the class.  Coefficients are complex so that no multiply
     # casts them to the amplitudes' type; the values, and so the products,
-    # are the same.  Any period above reach marks only x = 0, so capping it
-    # there loses nothing and keeps x % q within int64.
-    q = min(profile.period_q, reach + 1)
+    # are the same.  Any period above reach + past marks only x = 0, so
+    # capping it there loses nothing and keeps x % q within int64.
+    q = min(profile.period_q, reach + past + 1)
     coin = _coin_scalar(profile.transmission), _coin_scalar(profile.reflection)
     coins = []
     for p in range(min(n, 2)):
-        scatters = np.arange(p - reach, reach + 1, 2) % q == 0
-        count = np.count_nonzero(scatters)
+        scatters = np.arange(p - reach, reach + past + 1, 2) % q == 0
+        count = np.count_nonzero(scatters[: reach + 1 - p])
         if count == 0:
             coins.append(None)
-        elif count == scatters.size:
+        elif count == reach + 1 - p:
             coins.append(coin)
         else:
             coins.append(tuple(np.where(scatters, c, _HADAMARD) for c in coin))
     return coins
 
 
-#: Steps of ``evolve`` that share one set of views, so a step runs at most
-#: _BLOCK_STEPS - 1 columns of zeros past its live sites.  At check-q1's
-#: defaults (q = 1, 47 angles, N = 200) 32, 64 and 128 tie within the
-#: noise, each about 18% faster than slicing per step; 64 won the most
-#: alternating calls at N = 4000 (7 of 8 at q = 1 and at q = 4).  One block
-#: as wide as the whole walk lost at large N: 1 of 20 calls at q = 4,
-#: N = 1000, and 0 of 8 at q = 1, N = 4000.
+#: Steps of ``evolve`` and of ``_half_cone`` that share one set of views, so
+#: a step of ``evolve`` runs at most _BLOCK_STEPS - 1 columns of zeros past
+#: its live sites, and one of ``_half_cone`` at most _BLOCK_STEPS // 2.  At
+#: check-q1's defaults (q = 1, 47 angles, N = 200) 32, 64 and 128 tie
+#: within the noise, each about 18% faster than slicing per step; 64 won
+#: the most alternating calls of ``evolve`` at N = 4000 (7 of 8 at q = 1 and
+#: at q = 4).  One block as wide as the whole walk lost at large N: 1 of 20
+#: calls at q = 4, N = 1000, and 0 of 8 at q = 1, N = 4000.
 _BLOCK_STEPS = 64
 
 
@@ -337,7 +344,8 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         return state
     amps = state.amplitudes
     k0 = state.steps_taken
-    coins = _step_classes(profile, k0 + n - 1, n)
+    # A block step reads up to _BLOCK_STEPS - 2 sites past reach (see below).
+    coins = _step_classes(profile, k0 + n - 1, n, _BLOCK_STEPS)
     # Step i reads the caller's stride-2 columns for i = 0, else the buffer
     # pair step i - 1 wrote, and writes the next buffer pair for i < n - 1,
     # else the returned table's stride-2 columns; the buffers start zeroed.
@@ -355,18 +363,18 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     # _BLOCK_STEPS steps, then the last step alone, so the first reads and
     # the last writes exactly the columns of the caller's and the returned
     # table.  A block builds one set of views per parity of i, as wide as
-    # its widest step, and its steps slice nothing: five slices were about
-    # a fifth of a step at N = 200.  Step i has m = k0 + i + 1 live sites in
-    # columns 0..m - 1 of what it reads, and writes DOWN to columns 0..m - 1
-    # and UP to 1..m; a wider view computes zeros from the zeros past them.
-    # Those zeros reach a live site only through DOWN's column m, the next
-    # step's last site, where an all-scattering step with a negative coin
-    # entry leaves -0.  So after each Hadamard or all-scattering step that
-    # column is set to +0, as a walk of exact widths leaves it; in the
-    # returned table it is the last row's DOWN, zero already.  A mixed step's coefficient rows cover
-    # exactly its m sites, so it narrows its views to them.  A parity keeps
-    # its step class, so no wider step writes the rows a mixed step writes,
-    # and a mixed step needs no reset.
+    # its widest step, and its steps slice no state row: five slices were
+    # about a fifth of a step at N = 200.  Step i has m = k0 + i + 1 live
+    # sites in columns 0..m - 1 of what it reads, and writes DOWN to columns
+    # 0..m - 1 and UP to 1..m; a wider view computes zeros from the zeros
+    # past them.  Those zeros reach a live site only through DOWN's column
+    # m, the next step's last site, where a negative coin entry leaves -0.
+    # So after each step that column is set to +0, as a walk of exact widths
+    # leaves it; in the returned table it is the last row's DOWN, zero
+    # already.  A mixed step slices its coefficient rows at the block's
+    # width from column m0, the row's site x = -(k0 + i), so a step of a
+    # block that ends at stop reads up to x = k0 + 2 * stop - 2 - i, at most
+    # _BLOCK_STEPS - 2 sites past reach, which the rows cover.
     edges = sorted({0, *range(1, n - 1, _BLOCK_STEPS), n - 1, n})
     # A step runs only its ufuncs, so they are bound once per call.
     multiply, add, subtract = np.multiply, np.add, np.subtract
@@ -377,12 +385,11 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
             d_row, u_row = buffers[(i - 1) & 1] if i else source
             down_row, up_row = buffers[i & 1] if i < n - 1 else final
             coin = coins[(n - 1 - i) & 1]
-            reset = None if coin is not None and coin[0].ndim else down_row
-            views[i & 1] = d_row[:width], u_row[:width], down_row[:width], up_row[1 : width + 1], scratch[:width], coin, reset
+            views[i & 1] = d_row[:width], u_row[:width], down_row[:width], up_row[1 : width + 1], scratch[:width], coin, down_row
         for i in range(start, stop):
             # The coin acts at the pre-shift position; then DOWN slides one
             # site toward -x and UP one site toward +x.
-            d, u, down, up, b, coin, reset = views[i & 1]
+            d, u, down, up, b, coin, down_row = views[i & 1]
             if coin is None:
                 # down = h d + h u and up = h d - h u with each product taken
                 # once: h d lands in down, and up is taken before down is summed.
@@ -393,9 +400,8 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
             else:
                 tk, rk = coin
                 if tk.ndim:
-                    m, m0 = k0 + i + 1, (n - 1 - i) >> 1
-                    tk, rk = tk[m0 : m0 + m], rk[m0 : m0 + m]
-                    d, u, down, up, b = d[:m], u[:m], down[:m], up[:m], b[:m]
+                    m0 = (n - 1 - i) >> 1
+                    tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
                 # down = tk * d + rk * u and up = rk * d - tk * u.
                 multiply(tk, d, down)
                 multiply(rk, u, b)
@@ -403,8 +409,7 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
                 multiply(rk, d, up)
                 multiply(tk, u, b)
                 subtract(up, b, up)
-            if reset is not None:
-                reset[k0 + i + 1] = 0j
+            down_row[k0 + i + 1] = 0j
     return WalkState(out)
 
 
@@ -436,10 +441,10 @@ def _half_cone(profile: PotentialProfile, ks: list[int]):
     only when some step in 1..n is not requested.  Whenever the ring rows
     fill, and after step n, it yields ``(steps, ring)``: the requested steps
     of the batch, step steps[i] in ring row i.  The next batch overwrites
-    the ring.  Column j of step k's row holds x = -k + 2j, and the row is
-    zero past its live columns 0..k // 2, except that for odd k UP's column
-    k // 2 + 1 holds U(+1).  The start sits in no ring or spare row, so
-    UP's column 0 is zero in every row.
+    the ring.  Column j of step k's row holds x = -k + 2j, and the row holds
+    zeros, of either sign, past its live columns 0..k // 2, except that for
+    odd k UP's column k // 2 + 1 holds U(+1).  The start sits in no ring or
+    spare row, so UP's column 0 is +0 in every row.
 
     Both coins are real and symmetric, x % q == 0 exactly when -x % q ==
     0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps D(-x)
@@ -447,7 +452,8 @@ def _half_cone(profile: PotentialProfile, ks: list[int]):
     The sites x <= 0 therefore advance alone, with ``evolve``'s step
     classes, products and sums in its order, and get ``evolve``'s values.
     Into an even k the origin is live, and its D, which would need x = 1,
-    is set to -i U(0) instead.
+    is set to -i U(0) instead.  The steps run in ``evolve``'s blocks of
+    ``_BLOCK_STEPS``, on views as wide as each block's widest step.
     """
     n, start = ks[-1], initial_state().amplitudes.reshape(1, 2, 1)
     if ks[0] == 0:
@@ -455,63 +461,85 @@ def _half_cone(profile: PotentialProfile, ks: list[int]):
         ks = ks[1:]
     rows = min(_RING_ROWS, len(ks))
     coins = _step_classes(profile, n - 1, n)
-    # The step into k writes DOWN to columns 0..(k - 1) // 2, UP to 1..(k -
-    # 1) // 2 + 1 (one site past the origin into an odd k) and, into an even
-    # k, D(0) to column k // 2.  Each row takes its steps in increasing
-    # order, and a spare only steps of one parity, so the row's earlier step
-    # wrote no column past k // 2, and every column of a row past those its
-    # own step writes is still the zero it was allocated with.  The step
-    # into k never writes the row it reads, the row of k - 1: two
-    # consecutive requested steps sit in two ring rows, since only a ring of
-    # one row holds a single request, n, and spares alternate by parity.
+    # The step into k writes its live sites, DOWN to columns 0..(k - 1) //
+    # 2, UP to 1..(k - 1) // 2 + 1 (one site past the origin into an odd k)
+    # and, into an even k, D(0) to column k // 2, and on a wide view the
+    # columns past them up to its block's width.  The step into k never
+    # writes the row it reads, the row of k - 1: two consecutive requested
+    # steps sit in two ring rows, since only a ring of one row holds a
+    # single request, n, and spares alternate by parity.
     ring = np.zeros((rows + 2 * (len(ks) < n), 2, n // 2 + 2), dtype=np.complex128)
-    # Each row pair with its float64 views, (re, im) pairs, for the origin's D.
+    # Each row pair's float64 views, (re, im) pairs, for the origin's D and UP's reset.
     pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
     scratch = np.empty(n // 2 + 1, dtype=np.complex128)
     multiply, add, subtract = np.multiply, np.add, np.subtract
     d, u = start[0]
     requested, steps = iter(ks), []
     want = next(requested, None)
-    # One flat loop over the steps: a loop per block, over zip(range(k0, n),
-    # pairs), lost about three of four alternating walks of 4000 steps on a
-    # ring of two rows.
-    for k in range(n):  # the step from k into k + 1
-        if k + 1 == want:
-            down_row, up_row, origin_down, origin_up = pairs[len(steps)]
-            steps.append(want)
-            want = next(requested, None)
-        else:
-            # The spares follow the ring rows, one for each parity of k + 1.
-            down_row, up_row, origin_down, origin_up = pairs[rows + (k & 1)]
-        m = k // 2 + 1
-        b = scratch[:m]
-        down, up = down_row[:m], up_row[1 : m + 1]
-        coin = coins[(n - 1 - k) & 1]
-        if coin is None:
-            multiply(_HADAMARD, d, down)
-            multiply(_HADAMARD, u, b)
-            subtract(down, b, up)
-            add(down, b, down)
-        else:
-            tk, rk = coin
-            if tk.ndim:
-                m0 = (n - 1 - k) >> 1
-                tk, rk = tk[m0 : m0 + m], rk[m0 : m0 + m]
-            multiply(tk, d, down)
-            multiply(rk, u, b)
-            add(down, b, down)
-            multiply(rk, d, up)
-            multiply(tk, u, b)
-            subtract(up, b, up)
-        if k % 2:
-            # Into an even k + 1, column m is the origin: D(0) = -i U(0),
-            # that is (U.im, -U.re).
-            origin_down[2 * m] = origin_up[2 * m + 1]
-            origin_down[2 * m + 1] = -origin_up[2 * m]
-        d, u = down_row[: m + (k & 1)], up_row[: m + (k & 1)]
-        if len(steps) == rows or want is None:
-            yield steps, ring
-            steps = []
+    # The steps run in evolve's blocks: the first step alone, as the start
+    # has one column, then blocks of _BLOCK_STEPS steps.  A block builds the
+    # views of every row pair once, as wide as its widest step, (stop - 1)
+    # // 2 + 1 columns: DOWN, which a step writes and the next one reads,
+    # UP from column 1 to write and UP from column 0 to read.  It takes the
+    # read views of the row the last step wrote again at that width; its
+    # steps slice no state row.
+    # A block step from k reads the row of k to x = stop - 1 - k at most, so
+    # a mixed step's coefficient rows, which reach x = n - 1, need no
+    # padding.  A row's steps come in increasing order and the block widths
+    # never shrink, so each step writes every column an earlier step wrote
+    # in its row, and the columns past its live sites hold zeros of either
+    # sign, computed from zeros, but for one: from an odd k, the column past
+    # the origin holds U(+1) with D(+1) = 0, and a wide step writes r U(+1)
+    # into DOWN's column there, the origin, which D(0) then overwrites, and
+    # -t U(+1) into UP's next column, x = 2, which is reset to +0.  A loop
+    # per block of ring rows, over zip(range(k0, n), pairs) on a ring of two
+    # rows, lost about three of four alternating walks of 4000 steps; a
+    # block here is one flat loop over _BLOCK_STEPS steps.
+    stop = 0
+    while stop < n:
+        first, stop = stop, min(stop + _BLOCK_STEPS, n) if stop else 1
+        width = (stop - 1) // 2 + 1
+        b = scratch[:width]
+        views = [(down[:width], up[1 : width + 1], up[:width], origin_down, origin_up) for down, up, origin_down, origin_up in pairs]
+        if first:
+            d, _, u = views[row][:3]
+        for k in range(first, stop):  # the step from k into k + 1
+            if k + 1 == want:
+                row = len(steps)
+                steps.append(want)
+                want = next(requested, None)
+            else:
+                # The spares follow the ring rows, one for each parity of k + 1.
+                row = rows + (k & 1)
+            down, up, next_u, origin_down, origin_up = views[row]
+            coin = coins[(n - 1 - k) & 1]
+            if coin is None:
+                multiply(_HADAMARD, d, down)
+                multiply(_HADAMARD, u, b)
+                subtract(down, b, up)
+                add(down, b, down)
+            else:
+                tk, rk = coin
+                if tk.ndim:
+                    m0 = (n - 1 - k) >> 1
+                    tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
+                multiply(tk, d, down)
+                multiply(rk, u, b)
+                add(down, b, down)
+                multiply(rk, d, up)
+                multiply(tk, u, b)
+                subtract(up, b, up)
+            if k & 1:
+                # Into an even k + 1, column (k + 1) // 2 is the origin: D(0)
+                # = -i U(0), that is (U.im, -U.re); the (re, im) pair of
+                # column c starts at 2c.  UP's next column is reset to +0.
+                origin_down[k + 1] = origin_up[k + 2]
+                origin_down[k + 2] = -origin_up[k + 1]
+                origin_up[k + 3] = origin_up[k + 4] = 0.0
+            d, u = down, next_u
+            if len(steps) == rows or want is None:
+                yield steps, ring
+                steps = []
 
 
 def _distributions(profile: PotentialProfile, ns: Iterable[int]):
@@ -557,10 +585,11 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
         pair = sq[..., ::2]
         np.add(pair, sq[..., 1::2], out=pair)
         np.add.reduce(pair, axis=1, out=left)
-        # A row is zero past its step's columns, so its sum is P over x <= 0,
-        # plus |U(+1)|² for an odd k.  The norm over the whole line counts
-        # P(0) once for an even k, k = 0 included, and leaves U(+1) out for
-        # an odd one.
+        # A row holds zeros of either sign past its step's columns, whose
+        # squares are +0, so its sum is P over x <= 0, plus |U(+1)|² for an
+        # odd k, with the bytes of a row of +0 there.  The norm over the
+        # whole line counts P(0) once for an even k, k = 0 included, and
+        # leaves U(+1) out for an odd one.
         sums = left.sum(axis=1).tolist()
         for i, k in enumerate(steps):
             j = k // 2

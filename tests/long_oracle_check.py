@@ -36,6 +36,17 @@ of the one its next step reads.  On each:
   distributions of fresh ``evolve`` walks to those steps byte for byte: the
   start, yielded alone, then one batch of two ring rows, each after a long
   run of spare steps, the first at an odd step when n is a multiple of 4.
+
+From ``initial_state()`` no live site holds an exact zero, so a missing
+reset does not show there: the -0 it leaves is added to a non-zero live
+value.  So ``evolve`` also walks n steps from ``point_state(-1, UP)``,
+whose start has exact zeros on live sites, at the negative-coin angle with
+q = 1 (all scattering) and q = 3 (mixed on both parities, wide steps like
+the rest since the coefficient rows reach past the light cone), and its
+table must equal ``walkref.strided_parity_evolve``'s byte for byte (a
+fraction of a second at 4000 steps).  The oracle is no reference there: it
+expands only non-zero cells, so it may differ from both kernels in the
+sign of a zero.
 """
 
 from __future__ import annotations
@@ -45,9 +56,10 @@ import sys
 
 import numpy as np
 
-from periodicwalk import PotentialProfile, distribution, evolve, initial_state, moments, path_sum_evolve
+from periodicwalk import UP, PotentialProfile, distribution, evolve, initial_state, moments, path_sum_evolve, point_state
 from periodicwalk.core import _distributions
 from periodicwalk.experiments import sweep_sigma_vs_steps
+from walkref import strided_parity_evolve
 
 #: (q, theta / pi) of the long-walk, step-sweep, check-q1-class, odd-period and
 #: negative-coin inputs.
@@ -59,13 +71,16 @@ INPUTS = (
     (1, 1.1666666666666667),
 )
 
+#: (q, theta / pi) of the walks from point_state(-1, UP), held to the strided kernel.
+POINT_INPUTS = ((1, 1.1666666666666667), (3, 1.1666666666666667))
+
 
 def _verdict(equal: bool) -> str:
     return "equal" if equal else "DIFFERENT"
 
 
 def main(n: int = 4000) -> bool:
-    """Run every check at n >= 10 steps on every input, print one line per input, and return whether all held."""
+    """Run every check at n >= 10 steps on every input and point start, print one line each, and return whether all held."""
     every = n // 10
     passed = True
     for q, theta_pi in INPUTS:
@@ -93,6 +108,13 @@ def main(n: int = 4000) -> bool:
             f"steps {ks} {_verdict(spare_equal)}"
         )
         passed &= equal and half_cone_equal and sweep_equal and every_equal and sparse_equal and spare_equal
+    start = point_state(-1, UP)
+    for q, theta_pi in POINT_INPUTS:
+        profile = PotentialProfile(q, theta_pi * math.pi)
+        walked = evolve(start, profile, n).amplitudes.tobytes()
+        equal = walked == strided_parity_evolve(start, profile, n).amplitudes.tobytes()
+        print(f"point_state(-1, UP) q={q} theta/pi={theta_pi}: evolve {_verdict(equal)} to the strided kernel")
+        passed &= equal
     return passed
 
 

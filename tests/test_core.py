@@ -412,21 +412,24 @@ def test_coefficient_fill_for_every_period(n):
 def test_step_classes_follow_the_scattering_sites(q):
     # Every class gives the same amplitudes, so no byte test sees a parity
     # that takes the wrong class; only its speed would show it.  Parity p
-    # reads x = p - reach, p - reach + 2, ..., and is Hadamard when none of
-    # them scatters, all scattering when every one does, and mixed otherwise.
+    # reads x = p - reach, p - reach + 2, ..., reach, and is Hadamard when
+    # none of them scatters, all scattering when every one does, and mixed
+    # otherwise; a mixed parity's rows run on to x = reach + past, as evolve
+    # asks for its block steps, whatever class those sites would give.
     theta = 1.0
     coin = math.sin(theta), math.cos(theta)
     profile = PotentialProfile(q, theta)
     for reach in (0, 1, 2, 5, 6, 199):
-        for n in (1, 2, 3):
-            classes = core._step_classes(profile, reach, n)
+        for past, n in [(past, n) for past in (0, core._BLOCK_STEPS) for n in (1, 2, 3)]:
+            classes = core._step_classes(profile, reach, n, past)
             assert len(classes) == min(n, 2), (reach, n)
             for p, entry in enumerate(classes):
-                scatters = [x % q == 0 for x in range(p - reach, reach + 1, 2)]
-                where = (reach, n, p)
-                if not any(scatters):
+                live = [x % q == 0 for x in range(p - reach, reach + 1, 2)]
+                scatters = [x % q == 0 for x in range(p - reach, reach + past + 1, 2)]
+                where = (reach, past, n, p)
+                if not any(live):
                     assert entry is None, where
-                elif all(scatters):
+                elif all(live):
                     expected = [np.array(complex(c)) for c in coin]
                     assert [(c.shape, c.tobytes()) for c in entry] == [((), e.tobytes()) for e in expected], where
                 else:
@@ -491,7 +494,8 @@ def test_evolve_allocates_nothing_per_step(q):
         (2 * n + 1) * 2 * site  # the returned table
         + 2 * 2 * n * site  # the two buffer pairs
         + n * site  # the scratch row
-        + mixed_parities * 2 * n * site  # (t, r) rows of each mixed parity
+        # (t, r) rows of each mixed parity, padded for the steps of a block
+        + mixed_parities * 2 * (n + core._BLOCK_STEPS // 2) * site
         + 8 * 1024
     )
     tracemalloc.start()

@@ -110,8 +110,11 @@ def test_evolve_equals_oracle_on_long_walks(theta, q, n):
 def test_the_long_oracle_check_passes_at_300_steps(capsys):
     # CI runs the script at 4000 steps; 300 keeps its imports and checks alive
     # here, with every 30th sweep entry held to a fresh walk, every third one
-    # to a sparse sweep, and the steps 0, 151 and 300 to fresh walks.
+    # to a sparse sweep, and the steps 0, 151 and 300 to fresh walks, and
+    # the walks from a point start to the strided kernel.
     assert long_oracle_check.main(300)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(long_oracle_check.INPUTS)
-    assert all(line.count("equal") == 6 and "DIFFERENT" not in line for line in lines), lines
+    inputs = len(long_oracle_check.INPUTS)
+    assert len(lines) == inputs + len(long_oracle_check.POINT_INPUTS)
+    assert all(line.count("equal") == 6 and "DIFFERENT" not in line for line in lines[:inputs]), lines
+    assert all(line.count("equal") == 1 and "DIFFERENT" not in line for line in lines[inputs:]), lines

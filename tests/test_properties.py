@@ -22,7 +22,7 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
-from periodicwalk.core import _RING_ROWS, _distributions, _half_cone
+from periodicwalk.core import _BLOCK_STEPS, _RING_ROWS, _distributions, _half_cone
 from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
     full_table_evolve,
@@ -140,6 +140,12 @@ symmetric_angles = st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50
 @example(3, 0.0, 7)
 @example(1, 0.5, 12)
 @example(10**6, 2.1, 13)
+# The walk runs blocks of _BLOCK_STEPS steps after its first: one short of a
+# block's edge, on it, one past it and one past the second.
+@example(4, math.pi / 6, _BLOCK_STEPS - 1)
+@example(1, 7 * math.pi / 6, _BLOCK_STEPS)
+@example(3, -2.5, _BLOCK_STEPS + 1)
+@example(2, math.pi / 3, 2 * _BLOCK_STEPS + 1)
 def test_distributions_equal_evolve_from_the_symmetric_start(q, theta, n):
     profile = PotentialProfile(q, theta)
     ((k, p),) = _distributions(profile, [n])
@@ -173,6 +179,16 @@ requests = st.one_of(
 # The benchmark's step-sweep, every step to 1000, and one request at 1000.
 @example(2, math.pi / 3, list(range(1, 1001)))
 @example(4, math.pi / 6, [1000])
+# One request and every step to it, at the block edges of the distributions
+# test above.
+@example(4, math.pi / 6, [_BLOCK_STEPS - 1])
+@example(4, math.pi / 6, list(range(1, _BLOCK_STEPS)))
+@example(1, 7 * math.pi / 6, [_BLOCK_STEPS])
+@example(1, 7 * math.pi / 6, list(range(1, _BLOCK_STEPS + 1)))
+@example(3, -2.5, [_BLOCK_STEPS + 1])
+@example(3, -2.5, list(range(_BLOCK_STEPS + 2)))
+@example(2, math.pi / 3, [2 * _BLOCK_STEPS + 1])
+@example(2, math.pi / 3, list(range(2 * _BLOCK_STEPS + 2)))
 def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, ks):
     # Compared by value: the origin's D is set from U there, so an exact
     # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
