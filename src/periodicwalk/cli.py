@@ -65,8 +65,10 @@ EXIT_INVARIANT = 3
 #: Largest step count, longest LO:HI range, largest theta-grid COUNT and
 #: largest period any command accepts.  A walk of N steps does O(N^2) work;
 #: every grid angle or range value is a walk.  Through ``evolve``
-#: (sweep-theta, sweep-period, check-q1) it allocates a (2N + 1, 2) complex
-#: table, 6.4 MB here.  simulate and sweep-steps allocate none.  Their ring
+#: (sweep-theta, sweep-period, check-q1) it walks on three row pairs of
+#: N + 1 complex entries, 9.6 MB here, and returns a (2N + 1, 2) complex
+#: table, 6.4 MB, beside them (3.20 MB of traced memory in all at N =
+#: 20000, q = 1).  simulate and sweep-steps allocate no table.  Their ring
 #: holds row pairs of N/2 + 2 complex entries.  A simulate of this many
 #: steps holds three, 4.8 MB, and peaks at 14.0 MB of traced memory, its
 #: 2.95 MB CSV written a chunk at a time.  A sweep-steps over 1..N holds

@@ -21,27 +21,30 @@ products instead of four.  On an all-scattering parity every site does
 (q = 1, or q = 2 on even x): t and r are the scalars sin and cos theta.
 Only a mixed parity holds per-site coefficients, a row t(x) and a row
 r(x), built once per call.
-Between its first and last step ``evolve`` keeps the k + 1 live sites
-packed, site j (x = -k + 2j) in column j of a contiguous DOWN row and UP
-row, alternating between two such buffers of its own.  It takes those
-steps in blocks of ``_BLOCK_STEPS``, each on one set of views as wide as
-its widest step, so a step slices no state row and may run past its live
-sites; a mixed step's coefficient rows run on past the light cone to meet
-it.  The columns past the live sites hold only zeros, of either sign, and
-DOWN's first one, which the next step reads as its last site, is reset
-to +0 after each step, so the bytes are those of a walk of exact widths.
-``step`` is ``evolve`` for one step; no sweep calls it.
+Both walkers run through one loop, ``_walk``.  It keeps the live sites
+packed, site j (x = -k + 2j after k steps from the origin) in column j of a
+contiguous DOWN row and UP row.  Each requested step goes into the next row
+of a ring of at most ``_RING_ROWS`` row pairs, and every other step into
+one of two spare row pairs, by its parity; it hands the ring over whenever
+its rows fill and after the last step.  It takes its first step alone, at
+the start's width, then blocks of ``_BLOCK_STEPS`` steps, each on one set
+of views as wide as its widest step, so a step slices no state row and may
+run past its live sites; a mixed step's coefficient rows run on past the
+light cone to meet it.  The columns past the live sites hold only zeros,
+of either sign, but for the columns each walker fixes after a step.
+``evolve`` is one request on the full light cone.  Its first step reads
+the caller's stride-2 columns.  After each step DOWN's first column past
+the live sites, which the next step reads as its last site, is reset to
++0, so the bytes are those of a walk of exact widths.  The requested row
+pair is copied into the returned table.  ``step`` is ``evolve`` for one
+step; no sweep calls it.
 
 From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
-``_half_cone`` steps only the columns x <= 0, with ``evolve``'s step
-classes and operation order, for about half the work, and in ``evolve``'s
-blocks: its first step alone, then blocks of ``_BLOCK_STEPS`` on views as
-wide as each block's widest step.  It takes the requested steps: a
-requested step 0 it hands over alone, as the start; each requested step
-after it goes into the next row of a ring of at most ``_RING_ROWS`` row
-pairs, and every other step into one of two spare row pairs, by its
-parity.  A row holds zeros of either sign past its live sites.  It hands
-the ring over whenever its rows fill and after the last step.
+``_half_cone`` has ``_walk`` step only the columns x <= 0, with
+``evolve``'s step classes and operation order, for about half the work.
+Into an even k it sets the origin's D from U there, and from an odd k it
+resets UP's column at x = 2 to +0.  A requested step 0 it hands over
+alone, as the start.
 ``_distributions``, beside it, is its one reader: it squares and sums P
 over x <= 0 for a batch's rows at once and mirrors each requested P(x)
 from them, with the bytes of ``distribution``.  ``simulate`` and
@@ -273,14 +276,25 @@ def step(state: WalkState, profile: PotentialProfile) -> WalkState:
     return evolve(state, profile, 1)
 
 
-def _step_classes(profile: PotentialProfile, reach: int, n: int, past: int = 0) -> list:
+#: Steps of ``_walk`` that share one set of views, so a step runs at most
+#: _BLOCK_STEPS - 1 columns of zeros past its live sites on the full cone,
+#: and at most _BLOCK_STEPS // 2 on the half cone.  At check-q1's defaults
+#: (q = 1, 47 angles, N = 200) 32, 64 and 128 tie within the noise, each
+#: about 18% faster than slicing per step; 64 won the most alternating calls
+#: of ``evolve`` at N = 4000 (7 of 8 at q = 1 and at q = 4).  One block as
+#: wide as the whole walk lost at large N: 1 of 20 calls at q = 4, N = 1000,
+#: and 0 of 8 at q = 1, N = 4000.
+_BLOCK_STEPS = 64
+
+
+def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
     """The coins of a walk of ``n`` steps whose live sites lie in |x| <= ``reach``.
 
     Step i reads the sites of parity p = (n - 1 - i) % 2 and takes entry p:
     None for a Hadamard step, (t, r) as 0-d arrays for an all-scattering
     one, and (t, r) as rows over x = p - reach + 2m for a mixed one, up to
-    x = reach + ``past``, for a step that runs past its live sites.  The
-    class is read off the sites |x| <= reach alone.
+    x = reach + ``_BLOCK_STEPS``, for the steps of a block that run past
+    their live sites.  The class is read off the sites |x| <= reach alone.
     """
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta where x % q == 0,
     # 1/sqrt 2 elsewhere.  Each parity takes one of three step classes from
@@ -293,13 +307,14 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int, past: int = 0) 
     # same products and sums in the same order, so the amplitudes do not
     # depend on the class.  Coefficients are complex so that no multiply
     # casts them to the amplitudes' type; the values, and so the products,
-    # are the same.  Any period above reach + past marks only x = 0, so
-    # capping it there loses nothing and keeps x % q within int64.
-    q = min(profile.period_q, reach + past + 1)
+    # are the same.  Any period above the rows' last site marks only x = 0,
+    # so capping it there loses nothing and keeps x % q within int64.
+    last = reach + _BLOCK_STEPS
+    q = min(profile.period_q, last + 1)
     coin = _coin_scalar(profile.transmission), _coin_scalar(profile.reflection)
     coins = []
     for p in range(min(n, 2)):
-        scatters = np.arange(p - reach, reach + past + 1, 2) % q == 0
+        scatters = np.arange(p - reach, last + 1, 2) % q == 0
         count = np.count_nonzero(scatters[: reach + 1 - p])
         if count == 0:
             coins.append(None)
@@ -308,17 +323,6 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int, past: int = 0) 
         else:
             coins.append(tuple(np.where(scatters, c, _HADAMARD) for c in coin))
     return coins
-
-
-#: Steps of ``evolve`` and of ``_half_cone`` that share one set of views, so
-#: a step of ``evolve`` runs at most _BLOCK_STEPS - 1 columns of zeros past
-#: its live sites, and one of ``_half_cone`` at most _BLOCK_STEPS // 2.  At
-#: check-q1's defaults (q = 1, 47 angles, N = 200) 32, 64 and 128 tie
-#: within the noise, each about 18% faster than slicing per step; 64 won
-#: the most alternating calls of ``evolve`` at N = 4000 (7 of 8 at q = 1 and
-#: at q = 4).  One block as wide as the whole walk lost at large N: 1 of 20
-#: calls at q = 4, N = 1000, and 0 of 8 at q = 1, N = 4000.
-_BLOCK_STEPS = 64
 
 
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
@@ -344,52 +348,115 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
         return state
     amps = state.amplitudes
     k0 = state.steps_taken
-    # A block step reads up to _BLOCK_STEPS - 2 sites past reach (see below).
-    coins = _step_classes(profile, k0 + n - 1, n, _BLOCK_STEPS)
-    # Step i reads the caller's stride-2 columns for i = 0, else the buffer
-    # pair step i - 1 wrote, and writes the next buffer pair for i < n - 1,
-    # else the returned table's stride-2 columns; the buffers start zeroed.
-    # Its products land in those rows and one scratch row, so a step
-    # allocates nothing.  Slicing a prebuilt 1-d row costs less than slicing
-    # a 2-d block or unpacking pairs[i & 1] (which won 0 and 2 of 14
-    # alternating pairs at N = 200 and 4000).
-    pairs = np.zeros((min(n - 1, 2), 2, k0 + n), dtype=amps.dtype)
-    buffers = [tuple(pair) for pair in pairs]
+    # One request, step n, on the full cone from the caller's stride-2
+    # columns: its row pair holds the k0 + n + 1 live sites of the result.
+    # The coins and the scratch row go with the walk, before the table.
+    ((_, ring),) = _walk(amps[::2, DOWN], amps[::2, UP], _step_classes(profile, k0 + n - 1, n), [n], k0 + n + 1, 0)
     # np.zeros, not zeros_like: about 1.3 us less per call at 2001 rows.
     out = np.zeros((2 * (k0 + n) + 1, 2), amps.dtype)
-    scratch = np.empty(k0 + n, dtype=amps.dtype)
-    source, final = (amps[::2, DOWN], amps[::2, UP]), (out[::2, DOWN], out[::2, UP])
-    # The steps run in blocks: the first step alone, then blocks of
-    # _BLOCK_STEPS steps, then the last step alone, so the first reads and
-    # the last writes exactly the columns of the caller's and the returned
-    # table.  A block builds one set of views per parity of i, as wide as
-    # its widest step, and its steps slice no state row: five slices were
-    # about a fifth of a step at N = 200.  Step i has m = k0 + i + 1 live
-    # sites in columns 0..m - 1 of what it reads, and writes DOWN to columns
-    # 0..m - 1 and UP to 1..m; a wider view computes zeros from the zeros
-    # past them.  Those zeros reach a live site only through DOWN's column
-    # m, the next step's last site, where a negative coin entry leaves -0.
-    # So after each step that column is set to +0, as a walk of exact widths
-    # leaves it; in the returned table it is the last row's DOWN, zero
-    # already.  A mixed step slices its coefficient rows at the block's
-    # width from column m0, the row's site x = -(k0 + i), so a step of a
-    # block that ends at stop reads up to x = k0 + 2 * stop - 2 - i, at most
-    # _BLOCK_STEPS - 2 sites past reach, which the rows cover.
-    edges = sorted({0, *range(1, n - 1, _BLOCK_STEPS), n - 1, n})
+    out[::2] = ring[0].T
+    return WalkState(out)
+
+
+#: Requested steps per batch of ``_walk``: ``_distributions`` squares and
+#: sums P once per batch, at about 10 us of fixed numpy calls a batch.
+#: 12 is the row count the benchmark's step-sweep, 1..1000, had under the
+#: byte budget (192 KiB, 6 to 16 rows) that this constant replaced, so that
+#: sweep keeps its ring.  Two kinds of walk that no workload runs pay for
+#: one size (q = 2, theta = pi/3, fastest / median of alternating calls).
+#: A dense sweep below about 770 steps, which the budget gave up to 16
+#: rows, takes more batches: 1..100 tied at 0.80/0.84 ms, and 1..300 went
+#: 2.45/2.49 -> 2.49/2.53 ms.  A dense sweep past about 1750 steps, which
+#: it gave 6 rows, holds 12: 1..4000 peaks at 2.44 MB of traced memory
+#: against 1.57, and took 87.3/93.2 ms against 82.2/88.8 on 6 rows and
+#: 85.5/92.6 on 3.  A single request, as ``evolve`` and ``simulate`` make,
+#: holds one ring row and two spares.
+_RING_ROWS = 12
+
+
+def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int, half: int):
+    """Walk from the live sites ``d``, ``u`` to the last of ``ks``, sorted distinct steps >= 1.
+
+    ``half`` = 0 walks the full light cone: a start of k0 steps has w0 =
+    k0 + 1 live sites, and column j of step k's row holds x = -(k0 + k) +
+    2j.  ``half`` = 1 walks the sites x <= 0 from ``initial_state()``: w0 =
+    1, and column j of step k's row holds x = -k + 2j.  ``coins`` are
+    ``_step_classes``' for the walk's n = ks[-1] steps.  The ring is a
+    complex array of shape (min(_RING_ROWS, count) + 2 * (count < n), 2,
+    ``columns``), with count = len(ks).  Each requested k writes the next of
+    its first min(_RING_ROWS, count) row pairs, and every other step one of
+    the two spare row pairs after them, chosen by the parity of k; the
+    spares exist only when some step in 1..n is not requested.  Whenever the
+    ring rows fill, and after step n, it yields ``(steps, ring)``: the
+    requested steps of the batch, step steps[i] in ring row i.  The next
+    batch overwrites the ring.  A row holds zeros, of either sign, past its
+    live columns, but on the full cone DOWN's first column past them is +0,
+    and on the half cone UP's column k // 2 + 1 holds U(+1) for an odd k.
+    The start sits in no ring or spare row, so UP's column 0 is +0 in every
+    row.
+
+    On the half cone, both coins are real and symmetric, x % q == 0
+    exactly when -x % q == 0, and the start is (|DOWN> + i|UP>) / sqrt 2,
+    so after k steps D(-x) = c U(x) and U(x) = -c D(-x), with c = -i for
+    even k and +i for odd k.  The sites x <= 0 therefore advance alone,
+    with the full cone's step classes, products and sums in its order, and
+    get its values.  Into an even k the origin is live, and its D, which
+    would need x = 1, is set to -i U(0) instead.
+    """
+    n, w0 = ks[-1], len(d)
+    rows = min(_RING_ROWS, len(ks))
+    # Step k reads the sites of parity (n - 1 - k) % 2 of _step_classes, so
+    # coins[k & 1] is its coin once the list is reversed for an even n.
+    coins = coins if n & 1 else coins[::-1]
+    # The step into k never writes the row it reads, the row of k - 1: two
+    # consecutive requested steps sit in two ring rows, since only a ring
+    # of one row holds a single request, n, and spares alternate by parity.
+    ring = np.zeros((rows + 2 * (len(ks) < n), 2, columns), dtype=np.complex128)
+    # Each row pair, its DOWN row for the full cone's reset and its float64
+    # views, (re, im) pairs, for the half cone's origin and UP's reset.
+    pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
+    scratch = np.empty(w0 + ((n - 1) >> half), dtype=np.complex128)
     # A step runs only its ufuncs, so they are bound once per call.
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    views = [None, None]
-    for start, stop in zip(edges, edges[1:]):
-        width = k0 + stop
-        for i in range(start, min(start + 2, stop)):
-            d_row, u_row = buffers[(i - 1) & 1] if i else source
-            down_row, up_row = buffers[i & 1] if i < n - 1 else final
-            coin = coins[(n - 1 - i) & 1]
-            views[i & 1] = d_row[:width], u_row[:width], down_row[:width], up_row[1 : width + 1], scratch[:width], coin, down_row
-        for i in range(start, stop):
+    requested, steps, full = iter(ks), [], False
+    want = next(requested)
+    # The steps run in blocks: the first step alone, at the start's width,
+    # then blocks of _BLOCK_STEPS steps.  A block builds the views of every
+    # row pair once, as wide as its widest step, w0 + ((stop - 1) >> half)
+    # columns: DOWN, which a step writes and the next one reads, UP from
+    # column 1 to write and UP from column 0 to read.  It takes the read
+    # views of the row the last step wrote again at that width; its steps
+    # slice no state row: five slices were about a fifth of a step at N =
+    # 200.  A row's steps come in increasing order and the block widths
+    # never shrink, so each step writes every column an earlier step wrote
+    # in its row.  Step k reads m live sites in columns 0..m - 1, m = w0 + k
+    # on the full cone, and writes DOWN to columns 0..m - 1 and UP to 1..m;
+    # the wider view computes zeros of either sign from the zeros past them.
+    # A mixed step slices its coefficient rows at the block's width from
+    # column m0, the coefficients of its first live site, so a step reads
+    # them at most _BLOCK_STEPS - 1 sites past the walk's reach, which the
+    # rows cover.
+    stop = 0
+    while stop < n:
+        first, stop = stop, min(stop + _BLOCK_STEPS, n) if stop else 1
+        width = w0 + ((stop - 1) >> half)
+        b = scratch[:width]
+        views = [(down[:width], up[1 : width + 1], up[:width], down, float_down, float_up) for down, up, float_down, float_up in pairs]
+        if first:
+            d, _, u = views[row][:3]
+        for k in range(first, stop):  # the step from k into k + 1
+            if k + 1 == want:
+                row = len(steps)
+                steps.append(want)
+                want = next(requested, None)
+                full = len(steps) == rows or want is None
+            else:
+                # The spares follow the ring rows, one for each parity of k + 1.
+                row = rows + (k & 1)
+            down, up, next_u, down_row, float_down, float_up = views[row]
             # The coin acts at the pre-shift position; then DOWN slides one
             # site toward -x and UP one site toward +x.
-            d, u, down, up, b, coin, down_row = views[i & 1]
+            coin = coins[k & 1]
             if coin is None:
                 # down = h d + h u and up = h d - h u with each product taken
                 # once: h d lands in down, and up is taken before down is summed.
@@ -400,7 +467,7 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
             else:
                 tk, rk = coin
                 if tk.ndim:
-                    m0 = (n - 1 - i) >> 1
+                    m0 = (n - 1 - k) >> 1
                     tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
                 # down = tk * d + rk * u and up = rk * d - tk * u.
                 multiply(tk, d, down)
@@ -409,23 +476,26 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
                 multiply(rk, d, up)
                 multiply(tk, u, b)
                 subtract(up, b, up)
-            down_row[k0 + i + 1] = 0j
-    return WalkState(out)
-
-
-#: Requested steps per batch of ``_half_cone``: ``_distributions`` squares
-#: and sums P once per batch, at about 10 us of fixed numpy calls a batch.
-#: 12 is the row count the benchmark's step-sweep, 1..1000, had under the
-#: byte budget (192 KiB, 6 to 16 rows) that this constant replaced, so that
-#: sweep keeps its ring.  Two kinds of walk that no workload runs pay for
-#: one size (q = 2, theta = pi/3, fastest / median of alternating calls).
-#: A dense sweep below about 770 steps, which the budget gave up to 16
-#: rows, takes more batches: 1..100 tied at 0.80/0.84 ms, and 1..300 went
-#: 2.45/2.49 -> 2.49/2.53 ms.  A dense sweep past about 1750 steps, which
-#: it gave 6 rows, holds 12: 1..4000 peaks at 2.44 MB of traced memory
-#: against 1.57, and took 87.3/93.2 ms against 82.2/88.8 on 6 rows and
-#: 85.5/92.6 on 3.  A single request holds one ring row and two spares.
-_RING_ROWS = 12
+            if not half:
+                # The zeros past the live sites reach a live one only through
+                # DOWN's column m, the next step's last site, where a negative
+                # coin entry leaves -0; a walk of exact widths leaves +0.
+                down_row[w0 + k] = 0j
+            elif k & 1:
+                # Into an even k + 1, column (k + 1) // 2 is the origin: D(0)
+                # = -i U(0), that is (U.im, -U.re); the (re, im) pair of
+                # column c starts at 2c.  From an odd k, the column past the
+                # origin holds U(+1) with D(+1) = 0, so a wide step writes r
+                # U(+1) into DOWN's column at the origin, which D(0) then
+                # overwrites, and -t U(+1) into UP's next column, x = 2,
+                # which is reset to +0.
+                float_down[k + 1] = float_up[k + 2]
+                float_down[k + 2] = -float_up[k + 1]
+                float_up[k + 3] = float_up[k + 4] = 0.0
+            d, u = down, next_u
+            if full:
+                yield steps, ring
+                steps, full = [], False
 
 
 def _half_cone(profile: PotentialProfile, ks: list[int]):
@@ -433,113 +503,15 @@ def _half_cone(profile: PotentialProfile, ks: list[int]):
 
     A requested step 0 is yielded alone first, as ``([0], start)`` with
     ``initial_state()``'s table as the one row pair of shape (1, 2, 1).
-    With n = ``ks[-1]`` and count the requested steps k >= 1, the ring is a
-    complex array of shape (min(_RING_ROWS, count) + 2 * (count < n), 2, n
-    // 2 + 2).  Each requested k >= 1 writes the next of its first
-    min(_RING_ROWS, count) row pairs, and every other step one of the two
-    spare row pairs after them, chosen by the parity of k; the spares exist
-    only when some step in 1..n is not requested.  Whenever the ring rows
-    fill, and after step n, it yields ``(steps, ring)``: the requested steps
-    of the batch, step steps[i] in ring row i.  The next batch overwrites
-    the ring.  Column j of step k's row holds x = -k + 2j, and the row holds
-    zeros, of either sign, past its live columns 0..k // 2, except that for
-    odd k UP's column k // 2 + 1 holds U(+1).  The start sits in no ring or
-    spare row, so UP's column 0 is +0 in every row.
-
-    Both coins are real and symmetric, x % q == 0 exactly when -x % q ==
-    0, and the start is (|DOWN> + i|UP>) / sqrt 2, so after k steps D(-x)
-    = c U(x) and U(x) = -c D(-x), with c = -i for even k and +i for odd k.
-    The sites x <= 0 therefore advance alone, with ``evolve``'s step
-    classes, products and sums in its order, and get ``evolve``'s values.
-    Into an even k the origin is live, and its D, which would need x = 1,
-    is set to -i U(0) instead.  The steps run in ``evolve``'s blocks of
-    ``_BLOCK_STEPS``, on views as wide as each block's widest step.
+    The requested steps k >= 1 come from ``_walk`` on the half cone, in
+    batches of ring rows n // 2 + 2 columns wide, with n = ``ks[-1]``.
     """
     n, start = ks[-1], initial_state().amplitudes.reshape(1, 2, 1)
     if ks[0] == 0:
         yield [0], start
         ks = ks[1:]
-    rows = min(_RING_ROWS, len(ks))
-    coins = _step_classes(profile, n - 1, n)
-    # The step into k writes its live sites, DOWN to columns 0..(k - 1) //
-    # 2, UP to 1..(k - 1) // 2 + 1 (one site past the origin into an odd k)
-    # and, into an even k, D(0) to column k // 2, and on a wide view the
-    # columns past them up to its block's width.  The step into k never
-    # writes the row it reads, the row of k - 1: two consecutive requested
-    # steps sit in two ring rows, since only a ring of one row holds a
-    # single request, n, and spares alternate by parity.
-    ring = np.zeros((rows + 2 * (len(ks) < n), 2, n // 2 + 2), dtype=np.complex128)
-    # Each row pair's float64 views, (re, im) pairs, for the origin's D and UP's reset.
-    pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
-    scratch = np.empty(n // 2 + 1, dtype=np.complex128)
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-    d, u = start[0]
-    requested, steps = iter(ks), []
-    want = next(requested, None)
-    # The steps run in evolve's blocks: the first step alone, as the start
-    # has one column, then blocks of _BLOCK_STEPS steps.  A block builds the
-    # views of every row pair once, as wide as its widest step, (stop - 1)
-    # // 2 + 1 columns: DOWN, which a step writes and the next one reads,
-    # UP from column 1 to write and UP from column 0 to read.  It takes the
-    # read views of the row the last step wrote again at that width; its
-    # steps slice no state row.
-    # A block step from k reads the row of k to x = stop - 1 - k at most, so
-    # a mixed step's coefficient rows, which reach x = n - 1, need no
-    # padding.  A row's steps come in increasing order and the block widths
-    # never shrink, so each step writes every column an earlier step wrote
-    # in its row, and the columns past its live sites hold zeros of either
-    # sign, computed from zeros, but for one: from an odd k, the column past
-    # the origin holds U(+1) with D(+1) = 0, and a wide step writes r U(+1)
-    # into DOWN's column there, the origin, which D(0) then overwrites, and
-    # -t U(+1) into UP's next column, x = 2, which is reset to +0.  A loop
-    # per block of ring rows, over zip(range(k0, n), pairs) on a ring of two
-    # rows, lost about three of four alternating walks of 4000 steps; a
-    # block here is one flat loop over _BLOCK_STEPS steps.
-    stop = 0
-    while stop < n:
-        first, stop = stop, min(stop + _BLOCK_STEPS, n) if stop else 1
-        width = (stop - 1) // 2 + 1
-        b = scratch[:width]
-        views = [(down[:width], up[1 : width + 1], up[:width], origin_down, origin_up) for down, up, origin_down, origin_up in pairs]
-        if first:
-            d, _, u = views[row][:3]
-        for k in range(first, stop):  # the step from k into k + 1
-            if k + 1 == want:
-                row = len(steps)
-                steps.append(want)
-                want = next(requested, None)
-            else:
-                # The spares follow the ring rows, one for each parity of k + 1.
-                row = rows + (k & 1)
-            down, up, next_u, origin_down, origin_up = views[row]
-            coin = coins[(n - 1 - k) & 1]
-            if coin is None:
-                multiply(_HADAMARD, d, down)
-                multiply(_HADAMARD, u, b)
-                subtract(down, b, up)
-                add(down, b, down)
-            else:
-                tk, rk = coin
-                if tk.ndim:
-                    m0 = (n - 1 - k) >> 1
-                    tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
-                multiply(tk, d, down)
-                multiply(rk, u, b)
-                add(down, b, down)
-                multiply(rk, d, up)
-                multiply(tk, u, b)
-                subtract(up, b, up)
-            if k & 1:
-                # Into an even k + 1, column (k + 1) // 2 is the origin: D(0)
-                # = -i U(0), that is (U.im, -U.re); the (re, im) pair of
-                # column c starts at 2c.  UP's next column is reset to +0.
-                origin_down[k + 1] = origin_up[k + 2]
-                origin_down[k + 2] = -origin_up[k + 1]
-                origin_up[k + 3] = origin_up[k + 4] = 0.0
-            d, u = down, next_u
-            if len(steps) == rows or want is None:
-                yield steps, ring
-                steps = []
+    if ks:
+        yield from _walk(*start[0], _step_classes(profile, n - 1, n), ks, n // 2 + 2, 1)
 
 
 def _distributions(profile: PotentialProfile, ns: Iterable[int]):

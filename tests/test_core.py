@@ -414,19 +414,21 @@ def test_step_classes_follow_the_scattering_sites(q):
     # that takes the wrong class; only its speed would show it.  Parity p
     # reads x = p - reach, p - reach + 2, ..., reach, and is Hadamard when
     # none of them scatters, all scattering when every one does, and mixed
-    # otherwise; a mixed parity's rows run on to x = reach + past, as evolve
-    # asks for its block steps, whatever class those sites would give.
+    # otherwise; a mixed parity's rows run on to x = reach + _BLOCK_STEPS,
+    # for the steps of a block that run past their live sites, whatever
+    # class those sites would give.
     theta = 1.0
     coin = math.sin(theta), math.cos(theta)
     profile = PotentialProfile(q, theta)
+    past = core._BLOCK_STEPS
     for reach in (0, 1, 2, 5, 6, 199):
-        for past, n in [(past, n) for past in (0, core._BLOCK_STEPS) for n in (1, 2, 3)]:
-            classes = core._step_classes(profile, reach, n, past)
+        for n in (1, 2, 3):
+            classes = core._step_classes(profile, reach, n)
             assert len(classes) == min(n, 2), (reach, n)
             for p, entry in enumerate(classes):
                 live = [x % q == 0 for x in range(p - reach, reach + 1, 2)]
                 scatters = [x % q == 0 for x in range(p - reach, reach + past + 1, 2)]
-                where = (reach, past, n, p)
+                where = (reach, n, p)
                 if not any(live):
                     assert entry is None, where
                 elif all(live):
@@ -440,9 +442,10 @@ def test_step_classes_follow_the_scattering_sites(q):
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_evolve_at_every_step_class_edge(n, q):
-    # n = 1 steps straight into the returned table, n = 2 uses one buffer
-    # pair, n = 3 both and n = 4 wraps back to the first; q = 1..4 give every
-    # pair of step classes on the two parities.  Both coefficients are kept
+    # n = 1 steps from the caller's table straight into the one requested
+    # row, n = 2 goes through one spare row pair, n = 3 both and n = 4 wraps
+    # back to the first; q = 1..4 give every pair of step classes on the two
+    # parities.  Both coefficients are kept
     # non-negative: with a negative one the three kernels may differ in the
     # sign of an exact zero.
     rng = np.random.default_rng(n * 4 + q)
@@ -492,7 +495,7 @@ def test_evolve_allocates_nothing_per_step(q):
     mixed_parities = {1: 0, 2: 0, 3: 2, 4: 1}[q]
     allowed = (
         (2 * n + 1) * 2 * site  # the returned table
-        + 2 * 2 * n * site  # the two buffer pairs
+        + 3 * 2 * (n + 1) * site  # the requested row pair and its two spares
         + n * site  # the scratch row
         # (t, r) rows of each mixed parity, padded for the steps of a block
         + mixed_parities * 2 * (n + core._BLOCK_STEPS // 2) * site

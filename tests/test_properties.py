@@ -332,3 +332,18 @@ def test_distribution_keeps_the_bytes_of_the_strided_formula(k, zeros, seed, lay
     parts = np.copysign(parts, rng.choice([-1.0, 1.0], shape))
     state = WalkState(TABLE_LAYOUTS[layout](parts.view(np.complex128)))
     assert distribution(state).tobytes() == strided_distribution(state).tobytes()
+
+
+@pytest.mark.parametrize("layout", sorted(TABLE_LAYOUTS))
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("n", [1, _BLOCK_STEPS - 1, _BLOCK_STEPS + 1])
+def test_evolve_reads_every_table_layout_as_its_c_contiguous_copy(layout, q, n):
+    # The walk's first step reads the caller's live rows through stride-2
+    # views of the table, whatever its memory layout; a start of odd and of
+    # even steps_taken begins on the right row either way.
+    profile = PotentialProfile(q, 7 * math.pi / 6)
+    rng = np.random.default_rng(n * 4 + q)
+    for support in range(4):
+        table = TABLE_LAYOUTS[layout](random_walk_state(rng, support).amplitudes)
+        expected = evolve(WalkState(np.ascontiguousarray(table)), profile, n).amplitudes.tobytes()
+        assert evolve(WalkState(table), profile, n).amplitudes.tobytes() == expected, support
