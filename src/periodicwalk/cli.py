@@ -66,15 +66,16 @@ EXIT_INVARIANT = 3
 #: largest period any command accepts.  A walk of N steps does O(N^2) work;
 #: every grid angle or range value is a walk.  Through ``evolve``
 #: (sweep-theta, sweep-period, check-q1) it walks on three row pairs of
-#: N + 1 complex entries, 9.6 MB here, and returns a (2N + 1, 2) complex
-#: table, 6.4 MB, beside them (3.20 MB of traced memory in all at N =
-#: 20000, q = 1).  simulate and sweep-steps allocate no table.  Their ring
-#: holds row pairs of N/2 + 2 complex entries.  A simulate of this many
-#: steps holds three, 4.8 MB, and peaks at 14.0 MB of traced memory, its
-#: 2.95 MB CSV written a chunk at a time.  A sweep-steps over 1..N holds
-#: twelve, 19.2 MB, and as much again of squares, and peaks at 56.0 MB.
-#: Any period q >= N gives the same N-step walk, so the period cap loses
-#: none.
+#: N + 1 complex entries and a scratch row of N, 11.2 MB here, and keeps
+#: only the requested row pair, 3.2 MB, beside the (2N + 1, 2) complex
+#: table it returns, 6.4 MB, so the walk sets the peak (2.25 MB of traced
+#: memory at N = 20000, q = 1).  simulate and sweep-steps allocate no
+#: table.  Their ring holds row pairs of N/2 + 2 complex entries.  A
+#: simulate of this many steps holds three, 4.8 MB, and peaks at 14.0 MB of
+#: traced memory, its 2.95 MB CSV written a chunk at a time.  A sweep-steps
+#: over 1..N holds twelve, 19.2 MB, and as much again of squares, and peaks
+#: at 56.0 MB.  Any period q >= N gives the same N-step walk, so the period
+#: cap loses none.
 MAX_STEPS = 100_000
 
 #: Rows per chunk of ``_write_csv``: formatted, encoded, hashed and written

@@ -31,7 +31,12 @@ the start's width, then blocks of ``_BLOCK_STEPS`` steps, each on one set
 of views as wide as its widest step, so a step slices no state row and may
 run past its live sites; a mixed step's coefficient rows run on past the
 light cone to meet it.  The columns past the live sites hold only zeros,
-of either sign, but for the columns each walker fixes after a step.
+of either sign, but for the columns each walker fixes after a step.  On a
+walk whose row pairs hold at most ``_SPAN_COLUMNS`` columns, a Hadamard or
+all-scattering step after the first takes its products over one flat span
+of the row pair it reads, DOWN's columns and UP's together, in 3 or 4 ufunc
+calls where a wider walk takes 4 or 6, with the same bytes; mixed steps
+keep their 6.
 ``evolve`` is one request on the full light cone.  Its first step reads
 the caller's stride-2 columns.  After each step DOWN's first column past
 the live sites, which the next step reads as its last site, is reset to
@@ -373,6 +378,18 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
 #: holds one ring row and two spares.
 _RING_ROWS = 12
 
+#: Widest row pair, in columns, whose walk takes its Hadamard and
+#: all-scattering steps after the first over one flat span of the row pair
+#: it reads (see ``_walk``).  The span runs over DOWN's columns past the live
+#: sites too, so it pays only on narrow walks.  Against products on d and u
+#: (in-process, alternating calls, ratio of medians): q = 1 and 2, where
+#: every step is Hadamard or all scattering, 0.80-0.85 up to about 200
+#: columns and 0.83-0.91 at 250, a tie at about 400 and 1.08-1.10 at 500;
+#: q = 4, Hadamard steps between mixed ones, within 3% either way up to 300
+#: columns and up to 3% slower from about 320.  check-q1's walks have 201
+#: columns, sweep-steps' over 1..1000 502 and simulate's of 4000 steps 2002.
+_SPAN_COLUMNS = 256
+
 
 def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int, half: int):
     """Walk from the live sites ``d``, ``u`` to the last of ``ks``, sorted distinct steps >= 1.
@@ -382,18 +399,19 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
     2j.  ``half`` = 1 walks the sites x <= 0 from ``initial_state()``: w0 =
     1, and column j of step k's row holds x = -k + 2j.  ``coins`` are
     ``_step_classes``' for the walk's n = ks[-1] steps.  The ring is a
-    complex array of shape (min(_RING_ROWS, count) + 2 * (count < n), 2,
-    ``columns``), with count = len(ks).  Each requested k writes the next of
-    its first min(_RING_ROWS, count) row pairs, and every other step one of
-    the two spare row pairs after them, chosen by the parity of k; the
-    spares exist only when some step in 1..n is not requested.  Whenever the
-    ring rows fill, and after step n, it yields ``(steps, ring)``: the
-    requested steps of the batch, step steps[i] in ring row i.  The next
-    batch overwrites the ring.  A row holds zeros, of either sign, past its
-    live columns, but on the full cone DOWN's first column past them is +0,
-    and on the half cone UP's column k // 2 + 1 holds U(+1) for an odd k.
-    The start sits in no ring or spare row, so UP's column 0 is +0 in every
-    row.
+    complex array of shape (min(_RING_ROWS, count), 2, ``columns``), with
+    count = len(ks).  Each requested k writes the next of its row pairs,
+    and every other step one of two spare row pairs, allocated apart from
+    the ring and chosen by the parity of k; the spares exist only when some
+    step in 1..n is not requested.  Whenever the ring rows fill, and after
+    step n, it yields ``(steps, ring)``: the requested steps of the batch,
+    step steps[i] in ring row i.  The next batch overwrites the ring.  A
+    row holds zeros, of either sign, past its live columns, but on the full
+    cone DOWN's first column past them is +0, and on the half cone UP's
+    column k // 2 + 1 holds U(+1) for an odd k.  The start sits in no ring
+    or spare row, so UP's column 0 is +0 in every row.  Once the walk is
+    done only the ring is left: the spares, the scratch row and, for a walk
+    of at most ``_SPAN_COLUMNS`` columns, two product rows go with it.
 
     On the half cone, both coins are real and symmetric, x % q == 0
     exactly when -x % q == 0, and the start is (|DOWN> + i|UP>) / sqrt 2,
@@ -411,39 +429,73 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
     # The step into k never writes the row it reads, the row of k - 1: two
     # consecutive requested steps sit in two ring rows, since only a ring
     # of one row holds a single request, n, and spares alternate by parity.
-    ring = np.zeros((rows + 2 * (len(ks) < n), 2, columns), dtype=np.complex128)
-    # Each row pair, its DOWN row for the full cone's reset and its float64
-    # views, (re, im) pairs, for the half cone's origin and UP's reset.
-    pairs = [(down, up, down.view(np.float64), up.view(np.float64)) for down, up in ring]
+    # The spares and the products below are arrays of their own, so a
+    # caller that keeps the ring once the walk is done holds no more.
+    ring = np.zeros((rows, 2, columns), dtype=np.complex128)
+    spares = np.zeros((2 * (len(ks) < n), 2, columns), dtype=np.complex128)
     scratch = np.empty(w0 + ((n - 1) >> half), dtype=np.complex128)
-    # A step runs only its ufuncs, so they are bound once per call.
-    multiply, add, subtract = np.multiply, np.add, np.subtract
+    # A row pair is contiguous, so DOWN's columns 0..w - 1 and UP's lie in
+    # one flat span of columns + w entries, UP at the offset ``columns``.
+    # On a narrow walk, one of at most _SPAN_COLUMNS columns with a
+    # Hadamard or all-scattering parity, each such step after the first
+    # multiplies each coin entry into the span it reads once, into a product
+    # row, and sums the two halves: 3 and 4 ufunc calls in place of 4 and
+    # 6, each output the same operation on the same operands, so the same
+    # bytes.  The span also runs over DOWN's columns past w, which costs
+    # more than the calls save on a wide walk: that keeps the products on d
+    # and u, and holds no product rows and no spans.
+    narrow = n > 1 and columns <= _SPAN_COLUMNS and any(coin is None or not coin[0].ndim for coin in coins)
+    if narrow:
+        products = np.empty((2, columns + len(scratch)), dtype=np.complex128)
+    # Each row pair's DOWN and UP rows; for the full cone's reset, the pair
+    # flat on a narrow walk, where it also gives the spans, else its DOWN
+    # row; and its rows' float64 views, (re, im) pairs, for the half cone's
+    # origin and UP's reset.
+    pairs = [
+        (pair[0], pair[1], pair.reshape(-1) if narrow else pair[0], pair[0].view(np.float64), pair[1].view(np.float64))
+        for pair in (*ring, *spares)
+    ]
+    # A step runs only its ufuncs, so they are bound once per call, with
+    # the full cone's +0 as a numpy scalar, which numpy stores about 15 ns
+    # faster than a Python complex.
+    multiply, add, subtract, zero = np.multiply, np.add, np.subtract, np.complex128(0)
     requested, steps, full = iter(ks), [], False
     want = next(requested)
     # The steps run in blocks: the first step alone, at the start's width,
     # then blocks of _BLOCK_STEPS steps.  A block builds the views of every
     # row pair once, as wide as its widest step, w0 + ((stop - 1) >> half)
     # columns: DOWN, which a step writes and the next one reads, UP from
-    # column 1 to write and UP from column 0 to read.  It takes the read
-    # views of the row the last step wrote again at that width; its steps
-    # slice no state row: five slices were about a fifth of a step at N =
-    # 200.  A row's steps come in increasing order and the block widths
-    # never shrink, so each step writes every column an earlier step wrote
-    # in its row.  Step k reads m live sites in columns 0..m - 1, m = w0 + k
-    # on the full cone, and writes DOWN to columns 0..m - 1 and UP to 1..m;
-    # the wider view computes zeros of either sign from the zeros past them.
-    # A mixed step slices its coefficient rows at the block's width from
-    # column m0, the coefficients of its first live site, so a step reads
-    # them at most _BLOCK_STEPS - 1 sites past the walk's reach, which the
-    # rows cover.
-    stop = 0
+    # column 1 to write, UP from column 0 to read, and the span on a narrow
+    # walk, else the whole DOWN row.  It takes the read views of the row
+    # the last step wrote again at that width; its steps slice no state
+    # row: five slices were about a fifth of a step at N = 200.  A row's
+    # steps come in increasing order and the block widths never shrink, so
+    # each step writes every column an earlier step wrote in its row.  Step
+    # k reads m live sites in columns 0..m - 1, m = w0 + k on the full cone,
+    # and writes DOWN to columns 0..m - 1 and UP to 1..m; the wider view
+    # computes zeros of either sign from the zeros past them.  A mixed step
+    # slices its coefficient rows at the block's width from column m0, the
+    # coefficients of its first live site, so a step reads them at most
+    # _BLOCK_STEPS - 1 sites past the walk's reach, which the rows cover.
+    stop, on_span = 0, False
     while stop < n:
         first, stop = stop, min(stop + _BLOCK_STEPS, n) if stop else 1
         width = w0 + ((stop - 1) >> half)
         b = scratch[:width]
-        views = [(down[:width], up[1 : width + 1], up[:width], down, float_down, float_up) for down, up, float_down, float_up in pairs]
+        if first and narrow:
+            # The first step reads the caller's table or the start, not a row
+            # pair, so the span form starts with the second block.  Each
+            # product row's halves line up with the span's.
+            on_span, span = True, columns + width
+            t_span, r_span = products[:, :span]
+            t_down, r_down = t_span[:width], r_span[:width]
+            t_up, r_up = t_span[columns:], r_span[columns:]
+        views = [
+            (down[:width], up[1 : width + 1], up[:width], lead[:span] if on_span else lead, float_down, float_up)
+            for down, up, lead, float_down, float_up in pairs
+        ]
         if first:
-            d, _, u = views[row][:3]
+            d, _, u, s = views[row][:4]
         for k in range(first, stop):  # the step from k into k + 1
             if k + 1 == want:
                 row = len(steps)
@@ -453,34 +505,50 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
             else:
                 # The spares follow the ring rows, one for each parity of k + 1.
                 row = rows + (k & 1)
-            down, up, next_u, down_row, float_down, float_up = views[row]
+            down, up, next_u, lead, float_down, float_up = views[row]
             # The coin acts at the pre-shift position; then DOWN slides one
             # site toward -x and UP one site toward +x.
             coin = coins[k & 1]
             if coin is None:
-                # down = h d + h u and up = h d - h u with each product taken
-                # once: h d lands in down, and up is taken before down is summed.
-                multiply(_HADAMARD, d, down)
-                multiply(_HADAMARD, u, b)
-                subtract(down, b, up)
-                add(down, b, down)
+                if on_span:
+                    # down = h d + h u and up = h d - h u, from one product
+                    # row of h times the span.
+                    multiply(_HADAMARD, s, t_span)
+                    add(t_down, t_up, down)
+                    subtract(t_down, t_up, up)
+                else:
+                    # The same with each product taken once: h d lands in
+                    # down, and up is taken before down is summed.
+                    multiply(_HADAMARD, d, down)
+                    multiply(_HADAMARD, u, b)
+                    subtract(down, b, up)
+                    add(down, b, down)
             else:
                 tk, rk = coin
-                if tk.ndim:
-                    m0 = (n - 1 - k) >> 1
-                    tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
-                # down = tk * d + rk * u and up = rk * d - tk * u.
-                multiply(tk, d, down)
-                multiply(rk, u, b)
-                add(down, b, down)
-                multiply(rk, d, up)
-                multiply(tk, u, b)
-                subtract(up, b, up)
+                if on_span and not tk.ndim:
+                    # down = tk * d + rk * u and up = rk * d - tk * u, from
+                    # product rows of tk and rk times the span.
+                    multiply(tk, s, t_span)
+                    multiply(rk, s, r_span)
+                    add(t_down, r_up, down)
+                    subtract(r_down, t_up, up)
+                else:
+                    if tk.ndim:
+                        m0 = (n - 1 - k) >> 1
+                        tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
+                    # down = tk * d + rk * u and up = rk * d - tk * u.
+                    multiply(tk, d, down)
+                    multiply(rk, u, b)
+                    add(down, b, down)
+                    multiply(rk, d, up)
+                    multiply(tk, u, b)
+                    subtract(up, b, up)
             if not half:
                 # The zeros past the live sites reach a live one only through
                 # DOWN's column m, the next step's last site, where a negative
-                # coin entry leaves -0; a walk of exact widths leaves +0.
-                down_row[w0 + k] = 0j
+                # coin entry leaves -0; a walk of exact widths leaves +0.  The
+                # span and the DOWN row both start with DOWN's columns.
+                lead[w0 + k] = zero
             elif k & 1:
                 # Into an even k + 1, column (k + 1) // 2 is the origin: D(0)
                 # = -i U(0), that is (U.im, -U.re); the (re, im) pair of
@@ -492,7 +560,7 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
                 float_down[k + 1] = float_up[k + 2]
                 float_down[k + 2] = -float_up[k + 1]
                 float_up[k + 3] = float_up[k + 4] = 0.0
-            d, u = down, next_u
+            d, u, s = down, next_u, lead
             if full:
                 yield steps, ring
                 steps, full = [], False

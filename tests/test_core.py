@@ -1,5 +1,6 @@
 """Kernel-level behavior: coins, profiles, states, stepping, invariants."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -490,17 +491,23 @@ def test_evolve_across_its_step_blocks_equals_both_references(q, theta):
 def test_evolve_allocates_nothing_per_step(q):
     # A 1000-site temporary is 16 KiB, so one made per step, or kept per
     # step, would pass the 8 KiB left over for the coins and small objects.
+    # The walk frees its spare row pairs, scratch row and coefficient rows
+    # before the returned table is allocated, so the peak is the larger of
+    # the two phases, not their sum.  At N = 1000 the row pairs are wider
+    # than _SPAN_COLUMNS, so the walk holds no product rows.
     n, site = 1000, np.dtype(np.complex128).itemsize
+    assert n + 1 > core._SPAN_COLUMNS
     start, profile = initial_state(), PotentialProfile(q, math.pi / 6)
     mixed_parities = {1: 0, 2: 0, 3: 2, 4: 1}[q]
-    allowed = (
-        (2 * n + 1) * 2 * site  # the returned table
-        + 3 * 2 * (n + 1) * site  # the requested row pair and its two spares
+    pair = 2 * (n + 1) * site
+    walking = (
+        3 * pair  # the requested row pair and its two spares
         + n * site  # the scratch row
         # (t, r) rows of each mixed parity, padded for the steps of a block
         + mixed_parities * 2 * (n + core._BLOCK_STEPS // 2) * site
-        + 8 * 1024
     )
+    copying = pair + (2 * n + 1) * 2 * site  # the requested row pair and the returned table
+    allowed = max(walking, copying) + 8 * 1024
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -511,6 +518,66 @@ def test_evolve_allocates_nothing_per_step(q):
         tracemalloc.stop()
     assert walked.steps_taken == n
     assert peak <= allowed, (peak, allowed)
+
+
+def _walk_digests(q: int, theta: float, n: int) -> list[bytes]:
+    """The bytes of evolve from four starts, and digests of every P(x) and sigma of the half cone, over 1..n."""
+    rng = np.random.default_rng(n * 8 + q)
+    starts = [initial_state(), point_state(-1, UP), random_walk_state(rng, 1), random_walk_state(rng, 2)]
+    profile = PotentialProfile(q, theta)
+    tables = [evolve(start, profile, n).amplitudes.tobytes() for start in starts]
+    digest = hashlib.sha256()
+    for _, p in _distributions(profile, range(n + 1)):
+        digest.update(p.tobytes())
+    return tables + [digest.digest(), sweep_sigma_vs_steps(q, theta, range(1, n + 1)).tobytes()]
+
+
+@pytest.mark.parametrize("theta", [math.pi / 6, 7 * math.pi / 6, -2.5, 1e-300], ids=["pi/6", "7pi/6", "-2.5", "1e-300"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
+def test_both_step_forms_give_the_same_bytes_at_every_width(monkeypatch, q, theta):
+    # With _SPAN_COLUMNS at 0 every Hadamard and all-scattering step takes
+    # its products on d and u; above any walk's row pair, every one after
+    # the first takes them over the row pair's flat span.  7 pi/6 and -2.5
+    # make both coin entries negative, so the span form's products also run
+    # over -0 past the live sites; at 1e-300, t = sin theta is 1e-300 itself,
+    # so products of t fall through the subnormals to zero.
+    block = core._BLOCK_STEPS
+    for n in (block - 1, block, block + 1, 2 * block + 1, 1000):
+        monkeypatch.setattr(core, "_SPAN_COLUMNS", 0)
+        on_rows = _walk_digests(q, theta, n)
+        monkeypatch.setattr(core, "_SPAN_COLUMNS", 1 << 40)
+        assert _walk_digests(q, theta, n) == on_rows, n
+
+
+#: Column counts of a row pair on either side of the span form's limit.
+SPAN_EDGES = [core._SPAN_COLUMNS - 1, core._SPAN_COLUMNS, core._SPAN_COLUMNS + 1]
+
+
+@pytest.mark.parametrize("columns", SPAN_EDGES)
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_evolve_at_the_span_limit_equals_the_strided_kernel(q, columns):
+    # evolve's row pair holds the k0 + n + 1 live sites of its result, so
+    # the walks below end just under, on and just over _SPAN_COLUMNS.
+    rng = np.random.default_rng(columns * 4 + q)
+    starts = [initial_state(), point_state(-1, UP), random_walk_state(rng, 2)]
+    for theta in (math.pi / 6, 7 * math.pi / 6):
+        profile = PotentialProfile(q, theta)
+        for start in starts:
+            n = columns - 1 - start.steps_taken
+            walked = evolve(start, profile, n).amplitudes.tobytes()
+            assert walked == strided_parity_evolve(start, profile, n).amplitudes.tobytes(), (theta, start.steps_taken)
+
+
+@pytest.mark.parametrize("columns", SPAN_EDGES)
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_half_cone_at_the_span_limit_equals_evolve(q, columns):
+    # The half cone's row pairs hold n // 2 + 2 columns: both n with that
+    # many, the odd one past the even one.
+    profile = PotentialProfile(q, 7 * math.pi / 6)
+    for n in (2 * (columns - 2), 2 * (columns - 2) + 1):
+        ((k, p),) = _distributions(profile, [n])
+        assert k == n
+        assert p.tobytes() == distribution(evolve(initial_state(), profile, n)).tobytes(), n
 
 
 @pytest.mark.parametrize("theta_pi", [0.16666666666666666, 4.166666666666667])

@@ -1,10 +1,13 @@
 """Branch-expansion oracle: self-consistency and agreement with the kernel."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import periodicwalk.core as core
 from periodicwalk import (
     DOWN,
     UP,
@@ -118,3 +121,11 @@ def test_the_long_oracle_check_passes_at_300_steps(capsys):
     assert len(lines) == inputs + len(long_oracle_check.POINT_INPUTS)
     assert all(line.count("equal") == 6 and "DIFFERENT" not in line for line in lines[:inputs]), lines
     assert all(line.count("equal") == 1 and "DIFFERENT" not in line for line in lines[inputs:]), lines
+
+
+def test_ci_runs_the_long_oracle_check_on_the_widest_span_form_walk():
+    # A 4000-step walk's row pairs are wider than _SPAN_COLUMNS, so CI also
+    # runs the script at the widest full cone that takes the span form.
+    workflow = (Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml").read_text()
+    runs = {int(n) for n in re.findall(r"python3 tests/long_oracle_check\.py (\d+)", workflow)}
+    assert runs == {4000, core._SPAN_COLUMNS - 1}, runs

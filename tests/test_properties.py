@@ -22,7 +22,7 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
-from periodicwalk.core import _BLOCK_STEPS, _RING_ROWS, _distributions, _half_cone
+from periodicwalk.core import _BLOCK_STEPS, _RING_ROWS, _SPAN_COLUMNS, _distributions, _half_cone
 from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
     full_table_evolve,
@@ -146,6 +146,12 @@ symmetric_angles = st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50
 @example(1, 7 * math.pi / 6, _BLOCK_STEPS)
 @example(3, -2.5, _BLOCK_STEPS + 1)
 @example(2, math.pi / 3, 2 * _BLOCK_STEPS + 1)
+# Row pairs of n // 2 + 2 columns just under, on and just over the widest
+# whose Hadamard and all-scattering steps take the span form.
+@example(1, 7 * math.pi / 6, 2 * (_SPAN_COLUMNS - 3) + 1)
+@example(2, math.pi / 3, 2 * (_SPAN_COLUMNS - 2))
+@example(1, -2.5, 2 * (_SPAN_COLUMNS - 2) + 1)
+@example(4, math.pi / 6, 2 * (_SPAN_COLUMNS - 1))
 def test_distributions_equal_evolve_from_the_symmetric_start(q, theta, n):
     profile = PotentialProfile(q, theta)
     ((k, p),) = _distributions(profile, [n])
@@ -189,11 +195,18 @@ requests = st.one_of(
 @example(3, -2.5, list(range(_BLOCK_STEPS + 2)))
 @example(2, math.pi / 3, [2 * _BLOCK_STEPS + 1])
 @example(2, math.pi / 3, list(range(2 * _BLOCK_STEPS + 2)))
+# One request and every step to it, on either side of the span form's limit,
+# as in the distributions test above.
+@example(1, 7 * math.pi / 6, [2 * (_SPAN_COLUMNS - 3) + 1])
+@example(2, math.pi / 3, list(range(1, 2 * (_SPAN_COLUMNS - 2) + 1)))
+@example(1, -2.5, [2 * (_SPAN_COLUMNS - 2) + 1])
+@example(4, math.pi / 6, list(range(2 * (_SPAN_COLUMNS - 1) + 1)))
 def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, theta, ks):
     # Compared by value: the origin's D is set from U there, so an exact
     # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
-    # must be exactly zero in every ring and spare row: a start kept in a row
-    # would leave i/sqrt 2 there once the row is reused.
+    # must be exactly zero in every ring row: a start kept in a row would
+    # leave i/sqrt 2 there once the row is reused.  The spare rows are
+    # arrays of their own, which the walk never yields.
     profile = PotentialProfile(q, theta)
     n, count = ks[-1], len(ks) - (ks[0] == 0)
     state, walked = initial_state(), []
@@ -203,7 +216,7 @@ def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, 
         assert steps == [0] and start.tobytes() == state.amplitudes.tobytes() and start.shape == (1, 2, 1)
         walked.append(0)
     for steps, ring in batches:
-        assert ring.shape == (min(_RING_ROWS, count) + 2 * (count < n), 2, n // 2 + 2)
+        assert ring.shape == (min(_RING_ROWS, count), 2, n // 2 + 2)
         assert len(steps) == _RING_ROWS or steps[-1] == n, steps
         assert ring[:, UP, 0].tobytes() == bytes(16 * len(ring))
         for k, (down, up) in zip(steps, ring):
