@@ -66,11 +66,12 @@ EXIT_INVARIANT = 3
 #: largest period any command accepts.  A walk of N steps does O(N^2) work;
 #: every grid angle or range value is a walk.  Through ``evolve``
 #: (sweep-theta, sweep-period, check-q1) it walks on three row pairs of
-#: N + 1 complex entries and a scratch row of N, 11.2 MB here, and keeps
-#: only the requested row pair, 3.2 MB, beside the (2N + 1, 2) complex
-#: table it returns, 6.4 MB, so the walk sets the peak (2.25 MB of traced
-#: memory at N = 20000, q = 1).  simulate and sweep-steps allocate no
-#: table.  Their ring holds row pairs of N/2 + 2 complex entries.  A
+#: N + 1 complex entries and a scratch row one column shorter, 11.2 MB
+#: here, and keeps only the requested row pair, 3.2 MB, beside the
+#: (2N + 1, 2) complex table it returns, 6.4 MB, so the walk sets the peak
+#: (2.25 MB of traced memory at N = 20000, q = 1).  simulate and
+#: sweep-steps allocate no table.  Their ring holds row pairs of N/2 + 2
+#: complex entries, and their scratch row is one column shorter too.  A
 #: simulate of this many steps holds three, 4.8 MB, and peaks at 14.0 MB of
 #: traced memory, its 2.95 MB CSV written a chunk at a time.  A sweep-steps
 #: over 1..N holds twelve, 19.2 MB, and as much again of squares, and peaks

@@ -12,57 +12,20 @@ Amplitudes live in a dense complex table, one (DOWN, UP) row per site.
 A walk of k steps never leaves its light cone [-k, k], so the table is
 exactly that: 2k + 1 rows, row i holding position i - k, the origin in
 the middle row.  Amplitude sits only on the live sites x = -k, -k + 2,
-..., k, the even rows, and ``evolve`` touches nothing else.  Both coins
-are real matrices [[t, r], [r, -t]].  Each step reads the live sites of
-one parity of x, and ``evolve`` gives every parity one of three step
-classes, from which of its sites satisfy x % q == 0.  On a Hadamard
-parity none does (even q, odd x): t = r = 1/sqrt 2, so a step takes two
-products instead of four.  On an all-scattering parity every site does
-(q = 1, or q = 2 on even x): t and r are the scalars sin and cos theta.
-Only a mixed parity holds per-site coefficients, a row t(x) and a row
-r(x), built once per call.
-Both walkers run through one loop, ``_walk``.  It keeps the live sites
-packed, site j (x = -k + 2j after k steps from the origin) in column j of a
-contiguous DOWN row and UP row.  Each requested step goes into the next row
-of a ring of at most ``_RING_ROWS`` row pairs, and every other step into
-one of two spare row pairs, by its parity; it hands the ring over whenever
-its rows fill and after the last step.  It takes its first step alone, at
-the start's width, then blocks of ``_BLOCK_STEPS`` steps, each on one set
-of views as wide as its widest step, so a step slices no state row and may
-run past its live sites; a mixed step's coefficient rows run on past the
-light cone to meet it.  The columns past the live sites hold only zeros,
-of either sign, but for the columns each walker fixes after a step.  On a
-walk whose row pairs hold at most ``_SPAN_COLUMNS`` columns, a Hadamard or
-all-scattering step after the first takes its products over one flat span
-of the row pair it reads, DOWN's columns and UP's together, in 3 or 4 ufunc
-calls where a wider walk takes 4 or 6, with the same bytes; mixed steps
-keep their 6.
-``evolve`` is one request on the full light cone.  Its first step reads
-the caller's stride-2 columns.  After each step DOWN's first column past
-the live sites, which the next step reads as its last site, is reset to
-+0, so the bytes are those of a walk of exact widths.  The requested row
-pair is copied into the returned table.  ``step`` is ``evolve`` for one
-step; no sweep calls it.
+..., k, the even rows, and ``evolve`` touches nothing else.  ``evolve``
+returns a fresh table and never writes its input; ``step`` is ``evolve``
+for one step.
 
-From ``initial_state()`` the sites x > 0 mirror the sites x < 0, so
-``_half_cone`` has ``_walk`` step only the columns x <= 0, with
-``evolve``'s step classes and operation order, for about half the work.
-Into an even k it sets the origin's D from U there, and from an odd k it
-resets UP's column at x = 2 to +0.  A requested step 0 it hands over
-alone, as the start.
-``_distributions``, beside it, is its one reader: it squares and sums P
-over x <= 0 for a batch's rows at once and mirrors each requested P(x)
-from them, with the bytes of ``distribution``.  ``simulate`` and
-``sweep-steps`` both take P(x) from there; no amplitude table of the right
-half is ever written, and no other module reads the ring.  The half-cone
-values equal ``evolve``'s, but not byte for byte (the origin's D, set from
-U there, may carry the other sign of zero), so ``evolve`` keeps the full
-light cone and its byte contract with the oracle, and the other sweeps
-keep ``evolve``.
+Every walk runs through ``_walk``, whose docstring describes the walk:
+``evolve`` on the full light cone, with its byte contract with the
+oracle, and ``_distributions``, behind ``simulate`` and ``sweep-steps``,
+on the sites x <= 0 of a walk from ``initial_state()``, which the sites
+x > 0 mirror.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -206,7 +169,8 @@ class WalkState:
     A table of 2k + 1 rows holds a walk of k = ``steps_taken`` steps: row
     ``i`` holds the (DOWN, UP) amplitudes of position ``i - k``, so it
     spans |x| <= k, every site such a walk can reach.  ValueError unless
-    the table is a complex128 numpy array of shape (2k + 1, 2).
+    the table is a complex128 numpy array of shape (2k + 1, 2), and a plain
+    one: a subclass such as ``np.matrix`` or a masked array is refused.
 
     ``evolve`` and the oracle read only the even rows, the sites of the
     parity of k, so a hand-built state must keep its amplitude there:
@@ -218,7 +182,7 @@ class WalkState:
 
     def __post_init__(self) -> None:
         table = self.amplitudes
-        if not isinstance(table, np.ndarray):
+        if type(table) is not np.ndarray:
             raise ValueError(f"amplitudes must be a numpy array, got {type(table).__name__}")
         shape = table.shape
         if len(shape) != 2 or shape[1] != 2 or not shape[0] % 2:
@@ -351,14 +315,12 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     n = _whole(n_steps, "n_steps", 0)
     if n == 0:
         return state
-    amps = state.amplitudes
-    k0 = state.steps_taken
-    # One request, step n, on the full cone from the caller's stride-2
-    # columns: its row pair holds the k0 + n + 1 live sites of the result.
-    # The coins and the scratch row go with the walk, before the table.
-    ((_, ring),) = _walk(amps[::2, DOWN], amps[::2, UP], _step_classes(profile, k0 + n - 1, n), [n], k0 + n + 1, 0)
+    # One request, step n, on the full cone: its row pair holds the live
+    # sites of the result.  The coins and the scratch row go with the walk,
+    # before the table.
+    ((_, ring),) = _walk(state, profile, [n], 0)
     # np.zeros, not zeros_like: about 1.3 us less per call at 2001 rows.
-    out = np.zeros((2 * (k0 + n) + 1, 2), amps.dtype)
+    out = np.zeros((2 * ring.shape[2] - 1, 2), np.complex128)
     out[::2] = ring[0].T
     return WalkState(out)
 
@@ -391,40 +353,69 @@ _RING_ROWS = 12
 _SPAN_COLUMNS = 256
 
 
-def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int, half: int):
-    """Walk from the live sites ``d``, ``u`` to the last of ``ks``, sorted distinct steps >= 1.
+def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int):
+    """Walk ``state`` under ``profile`` to the last of ``ks``, sorted distinct steps >= 1.
 
-    ``half`` = 0 walks the full light cone: a start of k0 steps has w0 =
-    k0 + 1 live sites, and column j of step k's row holds x = -(k0 + k) +
-    2j.  ``half`` = 1 walks the sites x <= 0 from ``initial_state()``: w0 =
-    1, and column j of step k's row holds x = -k + 2j.  ``coins`` are
-    ``_step_classes``' for the walk's n = ks[-1] steps.  The ring is a
-    complex array of shape (min(_RING_ROWS, count), 2, ``columns``), with
-    count = len(ks).  Each requested k writes the next of its row pairs,
-    and every other step one of two spare row pairs, allocated apart from
-    the ring and chosen by the parity of k; the spares exist only when some
-    step in 1..n is not requested.  Whenever the ring rows fill, and after
-    step n, it yields ``(steps, ring)``: the requested steps of the batch,
-    step steps[i] in ring row i.  The next batch overwrites the ring.  A
-    row holds zeros, of either sign, past its live columns, but on the full
-    cone DOWN's first column past them is +0, and on the half cone UP's
+    The walk keeps its live sites packed: a start of k0 steps has w0 = k0 +
+    1 live sites, its even rows, and after step k column j of a DOWN row
+    and of an UP row holds x = -(k0 + k) + 2j.  ``half`` = 0 walks the full
+    light cone, in row pairs of w0 + n columns, with n = ks[-1].
+    ``half`` = 1 walks the sites x <= 0 of a start of ``initial_state()``
+    (w0 = 1), in row pairs of n // 2 + 2 columns.  Its coins are
+    ``_step_classes``' for n steps over |x| <= w0 + n - 2, the reach of the
+    last step's read.
+
+    The ring is a complex array of shape (min(_RING_ROWS, count), 2,
+    columns), with count = len(ks).  Each requested k writes the next of its
+    row pairs, and every other step one of two spare row pairs, allocated
+    apart from the ring and chosen by the parity of k; the spares exist only
+    when some step in 1..n is not requested.  Whenever the ring rows fill,
+    and after step n, it yields ``(steps, ring)``: the requested steps of the
+    batch, step steps[i] in ring row i.  The next batch overwrites the ring.
+    A row holds zeros, of either sign, past its live columns, but on the
+    full cone DOWN's first column past them is +0, and on the half cone UP's
     column k // 2 + 1 holds U(+1) for an odd k.  The start sits in no ring
     or spare row, so UP's column 0 is +0 in every row.  Once the walk is
-    done only the ring is left: the spares, the scratch row and, for a walk
-    of at most ``_SPAN_COLUMNS`` columns, two product rows go with it.
+    done only the ring is left: the spares, the coins, the scratch row and,
+    for a walk of at most ``_SPAN_COLUMNS`` columns, two product rows go
+    with it.
+
+    The first step reads the start's stride-2 columns alone, at its width;
+    then blocks of ``_BLOCK_STEPS`` steps each run on one set of views as
+    wide as the block's widest step, so a step slices no state row and may
+    run past its live sites, and a mixed step's coefficient rows run on past
+    the light cone to meet it.  On a walk of at most ``_SPAN_COLUMNS``
+    columns, a Hadamard or all-scattering step after the first takes its
+    products over one flat span of the row pair it reads, DOWN's columns
+    and UP's together, in 3 or 4 ufunc calls where a wider walk takes 4 or
+    6, with the same bytes; mixed steps keep their 6.  On the full cone,
+    DOWN's first column past the live sites, which the next step reads as
+    its last site, is reset to +0 after each step, so the bytes are those
+    of a walk of exact widths.
 
     On the half cone, both coins are real and symmetric, x % q == 0
     exactly when -x % q == 0, and the start is (|DOWN> + i|UP>) / sqrt 2,
     so after k steps D(-x) = c U(x) and U(x) = -c D(-x), with c = -i for
     even k and +i for odd k.  The sites x <= 0 therefore advance alone,
     with the full cone's step classes, products and sums in its order, and
-    get its values.  Into an even k the origin is live, and its D, which
-    would need x = 1, is set to -i U(0) instead.
+    get its values for about half the work.  Into an even k the origin is
+    live, and its D, which would need x = 1, is set to -i U(0) instead;
+    from an odd k UP's column at x = 2 is reset to +0.  The values equal
+    the full cone's, but not byte for byte: the origin's D, set from U, may
+    carry the other sign of zero.  So ``evolve`` keeps the full cone and
+    its byte contract with the oracle.
     """
+    # The first step reads the start's live sites, its even rows, in place.
+    d, u = state.amplitudes[::2, DOWN], state.amplitudes[::2, UP]
     n, w0 = ks[-1], len(d)
+    # Step n's live sites on the full cone; on the half cone its n // 2 + 1
+    # sites x <= 0 and the column past them, which holds U(+1) after an odd
+    # step.  No step reads more than columns - 1 of them.
+    columns = n // 2 + 2 if half else w0 + n
     rows = min(_RING_ROWS, len(ks))
     # Step k reads the sites of parity (n - 1 - k) % 2 of _step_classes, so
     # coins[k & 1] is its coin once the list is reversed for an even n.
+    coins = _step_classes(profile, w0 + n - 2, n)
     coins = coins if n & 1 else coins[::-1]
     # The step into k never writes the row it reads, the row of k - 1: two
     # consecutive requested steps sit in two ring rows, since only a ring
@@ -433,7 +424,7 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
     # caller that keeps the ring once the walk is done holds no more.
     ring = np.zeros((rows, 2, columns), dtype=np.complex128)
     spares = np.zeros((2 * (len(ks) < n), 2, columns), dtype=np.complex128)
-    scratch = np.empty(w0 + ((n - 1) >> half), dtype=np.complex128)
+    scratch = np.empty(columns - 1, dtype=np.complex128)
     # A row pair is contiguous, so DOWN's columns 0..w - 1 and UP's lie in
     # one flat span of columns + w entries, UP at the offset ``columns``.
     # On a narrow walk, one of at most _SPAN_COLUMNS columns with a
@@ -446,15 +437,11 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
     # and u, and holds no product rows and no spans.
     narrow = n > 1 and columns <= _SPAN_COLUMNS and any(coin is None or not coin[0].ndim for coin in coins)
     if narrow:
-        products = np.empty((2, columns + len(scratch)), dtype=np.complex128)
-    # Each row pair's DOWN and UP rows; for the full cone's reset, the pair
-    # flat on a narrow walk, where it also gives the spans, else its DOWN
-    # row; and its rows' float64 views, (re, im) pairs, for the half cone's
-    # origin and UP's reset.
-    pairs = [
-        (pair[0], pair[1], pair.reshape(-1) if narrow else pair[0], pair[0].view(np.float64), pair[1].view(np.float64))
-        for pair in (*ring, *spares)
-    ]
+        products = np.empty((2, 2 * columns - 1), dtype=np.complex128)
+    # Each row pair flat, DOWN's columns then UP's, from which every block
+    # cuts its views, and its rows' float64 views, fd and fu, (re, im)
+    # pairs, for the half cone's origin and UP's reset.
+    pairs = [(pair.reshape(-1), pair[0].view(np.float64), pair[1].view(np.float64)) for pair in (*ring, *spares)]
     # A step runs only its ufuncs, so they are bound once per call, with
     # the full cone's +0 as a numpy scalar, which numpy stores about 15 ns
     # faster than a Python complex.
@@ -462,37 +449,38 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
     requested, steps, full = iter(ks), [], False
     want = next(requested)
     # The steps run in blocks: the first step alone, at the start's width,
-    # then blocks of _BLOCK_STEPS steps.  A block builds the views of every
-    # row pair once, as wide as its widest step, w0 + ((stop - 1) >> half)
-    # columns: DOWN, which a step writes and the next one reads, UP from
-    # column 1 to write, UP from column 0 to read, and the span on a narrow
-    # walk, else the whole DOWN row.  It takes the read views of the row
-    # the last step wrote again at that width; its steps slice no state
-    # row: five slices were about a fifth of a step at N = 200.  A row's
-    # steps come in increasing order and the block widths never shrink, so
-    # each step writes every column an earlier step wrote in its row.  Step
-    # k reads m live sites in columns 0..m - 1, m = w0 + k on the full cone,
-    # and writes DOWN to columns 0..m - 1 and UP to 1..m; the wider view
-    # computes zeros of either sign from the zeros past them.  A mixed step
-    # slices its coefficient rows at the block's width from column m0, the
-    # coefficients of its first live site, so a step reads them at most
-    # _BLOCK_STEPS - 1 sites past the walk's reach, which the rows cover.
+    # then blocks of _BLOCK_STEPS steps.  A block cuts the views of every
+    # row pair once from its flat row, as wide as its widest step, w0 +
+    # ((stop - 1) >> half) columns: DOWN, which a step writes and the next
+    # one reads, UP from column 1 to write, UP from column 0 to read, and
+    # the span on a narrow walk, else the whole flat row.  It takes the read
+    # views of the row the last step wrote again at that width; its steps
+    # slice no state row: five slices were about a fifth of a step at N =
+    # 200.  A row's steps come in increasing order and the block widths
+    # never shrink, so each step writes every column an earlier step wrote
+    # in its row.  Step k reads m live sites in columns 0..m - 1, m = w0 + k
+    # on the full cone, and writes DOWN to columns 0..m - 1 and UP to 1..m;
+    # the wider view computes zeros of either sign from the zeros past
+    # them.  A mixed step slices its coefficient rows at the block's width
+    # from column m0, the coefficients of its first live site, so a step
+    # reads them at most _BLOCK_STEPS - 1 sites past the walk's reach, which
+    # the rows cover.
     stop, on_span = 0, False
     while stop < n:
         first, stop = stop, min(stop + _BLOCK_STEPS, n) if stop else 1
         width = w0 + ((stop - 1) >> half)
-        b = scratch[:width]
+        b, span = scratch[:width], columns + width
         if first and narrow:
             # The first step reads the caller's table or the start, not a row
             # pair, so the span form starts with the second block.  Each
             # product row's halves line up with the span's.
-            on_span, span = True, columns + width
+            on_span = True
             t_span, r_span = products[:, :span]
             t_down, r_down = t_span[:width], r_span[:width]
             t_up, r_up = t_span[columns:], r_span[columns:]
         views = [
-            (down[:width], up[1 : width + 1], up[:width], lead[:span] if on_span else lead, float_down, float_up)
-            for down, up, lead, float_down, float_up in pairs
+            (flat[:width], flat[columns + 1 : span + 1], flat[columns:span], flat[:span] if on_span else flat, fd, fu)
+            for flat, fd, fu in pairs
         ]
         if first:
             d, _, u, s = views[row][:4]
@@ -566,34 +554,19 @@ def _walk(d: np.ndarray, u: np.ndarray, coins: list, ks: list[int], columns: int
                 steps, full = [], False
 
 
-def _half_cone(profile: PotentialProfile, ks: list[int]):
-    """Walk from ``initial_state()`` over the sites x <= 0 to the last of ``ks``, sorted distinct steps >= 0.
-
-    A requested step 0 is yielded alone first, as ``([0], start)`` with
-    ``initial_state()``'s table as the one row pair of shape (1, 2, 1).
-    The requested steps k >= 1 come from ``_walk`` on the half cone, in
-    batches of ring rows n // 2 + 2 columns wide, with n = ``ks[-1]``.
-    """
-    n, start = ks[-1], initial_state().amplitudes.reshape(1, 2, 1)
-    if ks[0] == 0:
-        yield [0], start
-        ks = ks[1:]
-    if ks:
-        yield from _walk(*start[0], _step_classes(profile, n - 1, n), ks, n // 2 + 2, 1)
-
-
 def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     """Yield ``(k, p)`` for each step count k >= 0 in ``ns``, once each and in walk order.
 
     p is P(x) over x = -k..k after k steps from ``initial_state()``, with
     the bytes of ``distribution``, and its norm has passed ``_check_drift``.
-    One walk of max(ns) steps over the sites x <= 0 (``_half_cone``) serves
-    every k, 0 included: P over those sites is squared and summed a batch
-    at a time, over the batch's leading ring rows, which hold exactly its
-    requested steps.  The norm is read off each row's sum over the half
-    line, and each p is mirrored from its row into a plane kept per parity
-    of k, so it is a view that the next requested k of its parity
-    overwrites.
+    One walk of max(ns) steps over the sites x <= 0, ``_walk``'s half cone,
+    serves every k >= 1, and a requested k = 0 is the start itself, handed
+    over first as its (1, 2, 1) table.  P over those sites is squared and
+    summed a batch at a time, over the batch's leading ring rows, which hold
+    exactly its requested steps.  The norm is read off each row's sum over
+    the half line, and each p is mirrored from its row into a plane kept
+    per parity of k, so it is a view that the next requested k of its
+    parity overwrites.
     """
     ks = sorted(set(ns))
     last = ks[-1]
@@ -613,7 +586,12 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     squares = np.empty(rows * 2 * 2 * columns)
     left_buffer = np.empty(rows * columns)
     planes = np.zeros((2, 2 * last + 1))
-    for steps, ring in _half_cone(profile, ks):
+    # A requested step 0 is the start itself, handed over ahead of the walk
+    # as its (1, 2, 1) table; the walk takes the steps from 1.
+    start = initial_state()
+    head = [([0], start.amplitudes.reshape(1, 2, 1))] if ks[0] == 0 else []
+    walked = ks[len(head) :]
+    for steps, ring in itertools.chain(head, _walk(start, profile, walked, 1) if walked else ()):
         # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
         # over the batch's rows and one column past the last one's live
         # sites, which for an odd k holds |U(+1)|² (its D there is zero).

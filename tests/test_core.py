@@ -29,7 +29,7 @@ from periodicwalk import (
     q2_law,
     step,
 )
-from periodicwalk.core import _RING_ROWS, _distributions, _half_cone
+from periodicwalk.core import _RING_ROWS, _distributions
 from periodicwalk.experiments import (
     check_q1_closed_form,
     sweep_sigma_vs_inverse_period,
@@ -321,6 +321,21 @@ def test_walk_state_rejects_a_table_that_is_not_a_numpy_array():
     # Rejected, not converted: the table a state holds is the one it was given.
     with pytest.raises(ValueError, match="numpy array"):
         WalkState([[1 + 0j, 0j]])
+
+
+@pytest.mark.parametrize("subclass", ["matrix", "MaskedArray"])
+def test_walk_state_rejects_a_table_of_an_ndarray_subclass(subclass):
+    # A matrix stops evolve and step with a broadcast error and norm with a
+    # TypeError; evolve would ignore a masked array's mask.
+    table = evolve(initial_state(), PotentialProfile(2, 0.3), 3).amplitudes
+    if subclass == "matrix":
+        with pytest.warns(PendingDeprecationWarning):
+            table = np.asmatrix(table)
+    else:
+        table = np.ma.masked_array(table)
+    assert type(table).__name__ == subclass
+    with pytest.raises(ValueError, match=f"numpy array, got {subclass}"):
+        WalkState(table)
 
 
 def test_evolve_zero_steps_is_identity():
@@ -623,8 +638,8 @@ def test_distributions_of_one_request_allocates_one_block_row():
     n, site, real = 4000, np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
     columns = n // 2 + 2
     allowed = (
-        (1 + 2) * 2 * columns * site  # _half_cone's ring row and its two spare row pairs
-        + (n // 2 + 1) * site  # its scratch row
+        (1 + 2) * 2 * columns * site  # the half-cone walk's ring row and its two spare row pairs
+        + (columns - 1) * site  # its scratch row
         + 2 * n * site  # (t, r) rows of the one mixed parity at q = 4
         + 2 * 2 * columns * real  # the squares of one row, as long as a ring row pair
         + columns * real  # one row of P over x <= 0
@@ -649,8 +664,8 @@ def _dense_distributions_arrays(n: int) -> int:
     site, real = np.dtype(np.complex128).itemsize, np.dtype(np.float64).itemsize
     rows, columns = _RING_ROWS, n // 2 + 2
     return (
-        rows * 2 * columns * site  # _half_cone's ring, with no spares as every step is requested
-        + (n // 2 + 1) * site  # its scratch row
+        rows * 2 * columns * site  # the half-cone walk's ring, with no spares as every step is requested
+        + (columns - 1) * site  # its scratch row
         + rows * 2 * 2 * columns * real  # the squares, as long as the ring's rows
         + rows * columns * real  # P over x <= 0
         + 2 * (2 * n + 1) * real  # the two planes
@@ -725,10 +740,9 @@ def test_dense_sweep_bound_refuses_a_ring_of_the_whole_walk(monkeypatch):
 
 
 def test_distributions_of_zero_steps_is_the_initial_distribution():
+    # Step 0 is no step of the walk: the start itself, whose P is squared
+    # and summed as a ring row's.
     profile = PotentialProfile(4, 0.5)
-    ((steps, start),) = _half_cone(profile, [0])
-    assert steps == [0]
-    assert start.tobytes() == initial_state().amplitudes.tobytes() and start.shape == (1, 2, 1)
     ((k, p),) = _distributions(profile, [0])
     assert k == 0
     assert p.tobytes() == distribution(evolve(initial_state(), profile, 0)).tobytes()

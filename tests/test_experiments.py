@@ -179,15 +179,15 @@ def test_sweep_steps_norm_gate_sees_a_corrupted_row(monkeypatch, q, ns, k):
     # three batches of a dense sweep, the last of which ends the walk, and in
     # sparse ones where an odd or an even k follows a run of spare steps, or
     # ends the walk alone in a batch after a full one and a run of spares.
-    walk = core._half_cone
+    walk = core._walk
 
-    def corrupted(profile, ks):
-        for steps, ring in walk(profile, ks):
+    def corrupted(state, profile, ks, half):
+        for steps, ring in walk(state, profile, ks, half):
             if k in steps:
                 ring[steps.index(k), :, k // 2] *= 1.01
             yield steps, ring
 
-    monkeypatch.setattr(core, "_half_cone", corrupted)
+    monkeypatch.setattr(core, "_walk", corrupted)
     with pytest.raises(NormDriftError, match=f"after {k} steps"):
         sweep_sigma_vs_steps(q, math.pi / 3, ns)
 

@@ -22,7 +22,7 @@ from periodicwalk import (
     step,
     symmetry_residual,
 )
-from periodicwalk.core import _BLOCK_STEPS, _RING_ROWS, _SPAN_COLUMNS, _distributions, _half_cone
+from periodicwalk.core import _BLOCK_STEPS, _RING_ROWS, _SPAN_COLUMNS, _distributions, _walk
 from periodicwalk.experiments import sweep_sigma_vs_steps, sweep_sigma_vs_theta
 from walkref import (
     full_table_evolve,
@@ -206,18 +206,15 @@ def test_half_cone_yields_the_live_sites_of_evolve_at_and_left_of_the_origin(q, 
     # zero may carry the other sign than evolve's.  UP's column 0 (x = -k)
     # must be exactly zero in every ring row: a start kept in a row would
     # leave i/sqrt 2 there once the row is reused.  The spare rows are
-    # arrays of their own, which the walk never yields.
+    # arrays of their own, which the walk never yields.  A requested step 0
+    # is the start, which _distributions hands over itself; the walk takes
+    # the steps from 1.
     profile = PotentialProfile(q, theta)
-    n, count = ks[-1], len(ks) - (ks[0] == 0)
+    ks = [k for k in ks if k]
     state, walked = initial_state(), []
-    batches = _half_cone(profile, ks)
-    if ks[0] == 0:
-        steps, start = next(batches)
-        assert steps == [0] and start.tobytes() == state.amplitudes.tobytes() and start.shape == (1, 2, 1)
-        walked.append(0)
-    for steps, ring in batches:
-        assert ring.shape == (min(_RING_ROWS, count), 2, n // 2 + 2)
-        assert len(steps) == _RING_ROWS or steps[-1] == n, steps
+    for steps, ring in _walk(state, profile, ks, 1) if ks else ():
+        assert ring.shape == (min(_RING_ROWS, len(ks)), 2, ks[-1] // 2 + 2)
+        assert len(steps) == _RING_ROWS or steps[-1] == ks[-1], steps
         assert ring[:, UP, 0].tobytes() == bytes(16 * len(ring))
         for k, (down, up) in zip(steps, ring):
             state = evolve(state, profile, k - state.steps_taken)
