@@ -216,11 +216,12 @@ class _Command:
 def _simulate(config: RunConfig) -> Iterable[tuple]:
     n = config.steps
     ((_, p),) = _distributions(PotentialProfile(config.q, config.theta), [n])
-    # Each probability is formatted once: _distributions writes P(x) for x > 0
-    # from the same ``live`` values as P(-x), and a site of the other parity
-    # is a zero in both halves, so the right half is the left half's strings
-    # in reverse, less the origin's.
-    left = list(map("%.17g".__mod__, p[: n + 1].tolist()))
+    # Each live probability is formatted once: _distributions writes P(x) for
+    # x > 0 from the same ``live`` values as P(-x), so the right half is the
+    # left half's strings in reverse, less the origin's.  A site of the other
+    # parity is never written, so it holds +0, whose string is "0".
+    left = ["0"] * (n + 1)
+    left[::2] = map("%.17g".__mod__, p[: n + 1 : 2].tolist())
     return zip(range(-n, n + 1), chain(left, islice(reversed(left), 1, None)))
 
 

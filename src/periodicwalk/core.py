@@ -263,13 +263,18 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
     None for a Hadamard step, (t, r) as 0-d arrays for an all-scattering
     one, and (t, r) as rows over x = p - reach + 2m for a mixed one, up to
     x = reach + ``_BLOCK_STEPS``, for the steps of a block that run past
-    their live sites.  The class is read off the sites |x| <= reach alone.
+    their live sites.  The class is read off the sites |x| <= reach alone,
+    by integer arithmetic on q and a = reach - p, the parity's largest |x|:
+    its sites are x = -a, -a + 2, ..., a, all of a's parity.  All of them
+    scatter when a = 0 (the origin alone), when q = 1, or when q = 2 and a
+    is even.  None does when a < 0 (no site), or when a is odd and q is
+    even (every site odd) or above a (no site is 0 or reaches +-q).  Any
+    other parity holds a scattering site, x = 0 for an even a and x = q
+    for an odd one, and a site that does not scatter, x = 2 or x = 1, so it
+    is mixed, and only a mixed parity builds its x % q == 0 rows.
     """
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta where x % q == 0,
-    # 1/sqrt 2 elsewhere.  Each parity takes one of three step classes from
-    # how many of its sites scatter: Hadamard for none, all scattering for
-    # all (q = 1, or q = 2 on even x), and mixed otherwise, the only class
-    # that needs per-site coefficients.  The other two multiply by 0-d
+    # 1/sqrt 2 elsewhere.  Hadamard and all-scattering steps multiply by 0-d
     # arrays, since numpy would convert a Python complex on every multiply,
     # about 0.2 us each: the Hadamard entry, built at import, and (sin, cos)
     # theta, built once per call for both parities.  Every class forms the
@@ -278,18 +283,17 @@ def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
     # casts them to the amplitudes' type; the values, and so the products,
     # are the same.  Any period above the rows' last site marks only x = 0,
     # so capping it there loses nothing and keeps x % q within int64.
-    last = reach + _BLOCK_STEPS
-    q = min(profile.period_q, last + 1)
+    q, last = profile.period_q, reach + _BLOCK_STEPS
     coin = _coin_scalar(profile.transmission), _coin_scalar(profile.reflection)
     coins = []
     for p in range(min(n, 2)):
-        scatters = np.arange(p - reach, last + 1, 2) % q == 0
-        count = np.count_nonzero(scatters[: reach + 1 - p])
-        if count == 0:
+        a = reach - p
+        if a < 0 or a & 1 and (q % 2 == 0 or q > a):
             coins.append(None)
-        elif count == reach + 1 - p:
+        elif a == 0 or q <= 2:
             coins.append(coin)
         else:
+            scatters = np.arange(-a, last + 1, 2) % min(q, last + 1) == 0
             coins.append(tuple(np.where(scatters, c, _HADAMARD) for c in coin))
     return coins
 
@@ -388,10 +392,22 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     columns, a Hadamard or all-scattering step after the first takes its
     products over one flat span of the row pair it reads, DOWN's columns
     and UP's together, in 3 or 4 ufunc calls where a wider walk takes 4 or
-    6, with the same bytes; mixed steps keep their 6.  On the full cone,
-    DOWN's first column past the live sites, which the next step reads as
-    its last site, is reset to +0 after each step, so the bytes are those
-    of a walk of exact widths.
+    6, with the same bytes; mixed steps keep their 6.  Each parity's form,
+    Hadamard or all scattering on the span or on the rows, or mixed, is
+    picked before the loop, so a step tests one code.
+
+    On the full cone, DOWN's first column past the live sites is the next
+    step's last site, which a walk of exact widths leaves +0.  Past the
+    live sites the rows start as +0, and every coefficient is a coin entry,
+    t = sin theta, r = cos theta or the positive Hadamard entry, as a
+    complex with imaginary part +0.  When t's sign bit is clear, t times a
+    (+0, +0) DOWN zero is (+0, +0), and adding r times UP's zero, of either
+    sign, leaves +0, so DOWN past the live sites holds +0 after every step.
+    When t's sign bit is set and r's is clear, a step maps columns of (+0,
+    +0) to (+0, +0): DOWN is (-0, +0) + (+0, +0) and UP (+0, +0) - (-0, +0).
+    Only a coin with both sign bits set leaves -0 there, as -0 + -0, so
+    only its walk resets that column to +0 after each step, and every walk
+    has the bytes of one of exact widths.
 
     On the half cone, both coins are real and symmetric, x % q == 0
     exactly when -x % q == 0, and the start is (|DOWN> + i|UP>) / sqrt 2,
@@ -425,6 +441,9 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     ring = np.zeros((rows, 2, columns), dtype=np.complex128)
     spares = np.zeros((2 * (len(ks) < n), 2, columns), dtype=np.complex128)
     scratch = np.empty(columns - 1, dtype=np.complex128)
+    # Each parity's step form, with its coin entries, so that a step tests
+    # one code: 2 for Hadamard, 3 for all scattering and 4 for mixed.
+    forms = [(2, None, None) if coin is None else (3 + coin[0].ndim, *coin) for coin in coins]
     # A row pair is contiguous, so DOWN's columns 0..w - 1 and UP's lie in
     # one flat span of columns + w entries, UP at the offset ``columns``.
     # On a narrow walk, one of at most _SPAN_COLUMNS columns with a
@@ -432,20 +451,25 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     # multiplies each coin entry into the span it reads once, into a product
     # row, and sums the two halves: 3 and 4 ufunc calls in place of 4 and
     # 6, each output the same operation on the same operands, so the same
-    # bytes.  The span also runs over DOWN's columns past w, which costs
-    # more than the calls save on a wide walk: that keeps the products on d
-    # and u, and holds no product rows and no spans.
-    narrow = n > 1 and columns <= _SPAN_COLUMNS and any(coin is None or not coin[0].ndim for coin in coins)
+    # bytes.  Those steps take forms 0 and 1 in place of 2 and 3.  The span
+    # also runs over DOWN's columns past w, which costs more than the calls
+    # save on a wide walk: that keeps the products on d and u, and holds no
+    # product rows and no spans.
+    narrow = n > 1 and columns <= _SPAN_COLUMNS and any(form < 4 for form, _, _ in forms)
     if narrow:
         products = np.empty((2, 2 * columns - 1), dtype=np.complex128)
+        span_forms = [(form - 2 if form < 4 else form, t, r) for form, t, r in forms]
     # Each row pair flat, DOWN's columns then UP's, from which every block
     # cuts its views, and its rows' float64 views, fd and fu, (re, im)
     # pairs, for the half cone's origin and UP's reset.
     pairs = [(pair.reshape(-1), pair[0].view(np.float64), pair[1].view(np.float64)) for pair in (*ring, *spares)]
     # A step runs only its ufuncs, so they are bound once per call, with
     # the full cone's +0 as a numpy scalar, which numpy stores about 15 ns
-    # faster than a Python complex.
+    # faster than a Python complex.  Only a full-cone walk whose sin theta
+    # and cos theta both have their sign bit set resets DOWN's column past
+    # the live sites, as the docstring argues.
     multiply, add, subtract, zero = np.multiply, np.add, np.subtract, np.complex128(0)
+    reset = not half and math.copysign(1, profile.transmission) < 0 and math.copysign(1, profile.reflection) < 0
     requested, steps, full = iter(ks), [], False
     want = next(requested)
     # The steps run in blocks: the first step alone, at the start's width,
@@ -474,7 +498,7 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
             # The first step reads the caller's table or the start, not a row
             # pair, so the span form starts with the second block.  Each
             # product row's halves line up with the span's.
-            on_span = True
+            on_span, forms = True, span_forms
             t_span, r_span = products[:, :span]
             t_down, r_down = t_span[:width], r_span[:width]
             t_up, r_up = t_span[columns:], r_span[columns:]
@@ -496,24 +520,9 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
             down, up, next_u, lead, float_down, float_up = views[row]
             # The coin acts at the pre-shift position; then DOWN slides one
             # site toward -x and UP one site toward +x.
-            coin = coins[k & 1]
-            if coin is None:
-                if on_span:
-                    # down = h d + h u and up = h d - h u, from one product
-                    # row of h times the span.
-                    multiply(_HADAMARD, s, t_span)
-                    add(t_down, t_up, down)
-                    subtract(t_down, t_up, up)
-                else:
-                    # The same with each product taken once: h d lands in
-                    # down, and up is taken before down is summed.
-                    multiply(_HADAMARD, d, down)
-                    multiply(_HADAMARD, u, b)
-                    subtract(down, b, up)
-                    add(down, b, down)
-            else:
-                tk, rk = coin
-                if on_span and not tk.ndim:
+            form, tk, rk = forms[k & 1]
+            if form < 2:
+                if form:
                     # down = tk * d + rk * u and up = rk * d - tk * u, from
                     # product rows of tk and rk times the span.
                     multiply(tk, s, t_span)
@@ -521,30 +530,40 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
                     add(t_down, r_up, down)
                     subtract(r_down, t_up, up)
                 else:
-                    if tk.ndim:
-                        m0 = (n - 1 - k) >> 1
-                        tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
-                    # down = tk * d + rk * u and up = rk * d - tk * u.
-                    multiply(tk, d, down)
-                    multiply(rk, u, b)
-                    add(down, b, down)
-                    multiply(rk, d, up)
-                    multiply(tk, u, b)
-                    subtract(up, b, up)
-            if not half:
-                # The zeros past the live sites reach a live one only through
-                # DOWN's column m, the next step's last site, where a negative
-                # coin entry leaves -0; a walk of exact widths leaves +0.  The
-                # span and the DOWN row both start with DOWN's columns.
+                    # down = h d + h u and up = h d - h u, from one product
+                    # row of h times the span.
+                    multiply(_HADAMARD, s, t_span)
+                    add(t_down, t_up, down)
+                    subtract(t_down, t_up, up)
+            elif form == 2:
+                # The same with each product taken once: h d lands in
+                # down, and up is taken before down is summed.
+                multiply(_HADAMARD, d, down)
+                multiply(_HADAMARD, u, b)
+                subtract(down, b, up)
+                add(down, b, down)
+            else:
+                if form == 4:
+                    m0 = (n - 1 - k) >> 1
+                    tk, rk = tk[m0 : m0 + width], rk[m0 : m0 + width]
+                # down = tk * d + rk * u and up = rk * d - tk * u.
+                multiply(tk, d, down)
+                multiply(rk, u, b)
+                add(down, b, down)
+                multiply(rk, d, up)
+                multiply(tk, u, b)
+                subtract(up, b, up)
+            if reset:
+                # The span and the DOWN row both start with DOWN's columns.
                 lead[w0 + k] = zero
-            elif k & 1:
-                # Into an even k + 1, column (k + 1) // 2 is the origin: D(0)
-                # = -i U(0), that is (U.im, -U.re); the (re, im) pair of
-                # column c starts at 2c.  From an odd k, the column past the
-                # origin holds U(+1) with D(+1) = 0, so a wide step writes r
-                # U(+1) into DOWN's column at the origin, which D(0) then
-                # overwrites, and -t U(+1) into UP's next column, x = 2,
-                # which is reset to +0.
+            elif k & half:
+                # The half cone, from an odd k.  Into an even k + 1, column
+                # (k + 1) // 2 is the origin: D(0) = -i U(0), that is
+                # (U.im, -U.re); the (re, im) pair of column c starts at 2c.
+                # From an odd k, the column past the origin holds U(+1) with
+                # D(+1) = 0, so a wide step writes r U(+1) into DOWN's
+                # column at the origin, which D(0) then overwrites, and -t
+                # U(+1) into UP's next column, x = 2, which is reset to +0.
                 float_down[k + 1] = float_up[k + 2]
                 float_down[k + 2] = -float_up[k + 1]
                 float_up[k + 3] = float_up[k + 4] = 0.0
@@ -570,21 +589,22 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     """
     ks = sorted(set(ns))
     last = ks[-1]
-    # Flat buffers for the most requested steps a batch can hold, one row
-    # for a single request or the start: the squares of both coin states'
-    # (re, im) pairs, then P over x <= 0 per row.  Each batch views a
-    # prefix of them as a compact block exactly as wide as its columns and
-    # copies its live columns in, which allocates nothing.  numpy runs a
-    # ufunc on an operand it cannot flatten to one stride, such as a window
-    # narrower than the row it sits in, through its buffered iterator, a
-    # 64 KiB temporary per operand; on the compact block the square and the
-    # pair sums flatten, and DOWN + UP is a reduce over the coin axis, so
-    # none of them buffers.  P(x) over x = -last..last is kept as one plane
-    # per parity of k; a plane's sites of the other parity are never
-    # written, so they stay the zeros distribution keeps.
-    rows, columns = min(_RING_ROWS, len(ks)), last // 2 + 2
-    squares = np.empty(rows * 2 * 2 * columns)
-    left_buffer = np.empty(rows * columns)
+    # Flat buffers as long as the rows of the ring a batch comes in: the
+    # squares of both coin states' (re, im) pairs, two floats per ring
+    # entry, then P over x <= 0, one float per column of a row.  The walk's
+    # first batch sizes them from its ring, and no later one resizes them;
+    # a step-0 head before it, the start's (1, 2, 1) table, takes buffers
+    # of its own size.  Each batch views a prefix of them as a compact
+    # block exactly as wide as its columns and copies its live columns in,
+    # which allocates nothing.  numpy runs a ufunc on an operand it cannot
+    # flatten to one stride, such as a window narrower than the row it sits
+    # in, through its buffered iterator, a 64 KiB temporary per operand; on
+    # the compact block the square and the pair sums flatten, and DOWN + UP
+    # is a reduce over the coin axis, so none of them buffers.  P(x) over x
+    # = -last..last is kept as one plane per parity of k; a plane's sites of
+    # the other parity are never written, so they stay the zeros
+    # distribution keeps.
+    squares = left_buffer = np.empty(0)
     planes = np.zeros((2, 2 * last + 1))
     # A requested step 0 is the start itself, handed over ahead of the walk
     # as its (1, 2, 1) table; the walk takes the steps from 1.
@@ -592,6 +612,8 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     head = [([0], start.amplitudes.reshape(1, 2, 1))] if ks[0] == 0 else []
     walked = ks[len(head) :]
     for steps, ring in itertools.chain(head, _walk(start, profile, walked, 1) if walked else ()):
+        if squares.size < 2 * ring.size:
+            squares, left_buffer = np.empty(2 * ring.size), np.empty(ring.size // 2)
         # P summed as distribution sums it, (D.re² + D.im²) + (U.re² + U.im²),
         # over the batch's rows and one column past the last one's live
         # sites, which for an odd k holds |U(+1)|² (its D there is zero).

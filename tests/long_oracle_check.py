@@ -41,14 +41,18 @@ of the one its next step reads.  On each:
 
 From ``initial_state()`` no live site holds an exact zero, so a missing
 reset does not show there: the -0 it leaves is added to a non-zero live
-value.  So ``evolve`` also walks n steps from ``point_state(-1, UP)``,
-whose start has exact zeros on live sites, at the negative-coin angle with
-q = 1 (all scattering) and q = 3 (mixed on both parities, wide steps like
-the rest since the coefficient rows reach past the light cone), and its
-table must equal ``walkref.strided_parity_evolve``'s byte for byte (a
-fraction of a second at 4000 steps).  The oracle is no reference there: it
-expands only non-zero cells, so it may differ from both kernels in the
-sign of a zero.
+value.  ``evolve`` resets that column only when sin theta and cos theta
+both have their sign bit set, and leaves it alone in the other three sign
+quadrants, where no -0 reaches it.  So ``evolve`` also walks n steps from
+``point_state(-1, UP)``, whose start has exact zeros on live sites, at one
+angle per sign quadrant of (sin theta, cos theta), theta/pi =
+0.16666666666666666 (+, +), 0.8333333333333334 (+, -), 1.1666666666666667
+(-, -) and 1.8333333333333333 (-, +), each with q = 1 (all scattering)
+and q = 3 (mixed on both parities, wide steps like the rest since the
+coefficient rows reach past the light cone), and its table must equal
+``walkref.strided_parity_evolve``'s byte for byte (a fraction of a second
+each at 4000 steps).  The oracle is no reference there: it expands only
+non-zero cells, so it may differ from both kernels in the sign of a zero.
 """
 
 from __future__ import annotations
@@ -73,8 +77,13 @@ INPUTS = (
     (1, 1.1666666666666667),
 )
 
-#: (q, theta / pi) of the walks from point_state(-1, UP), held to the strided kernel.
-POINT_INPUTS = ((1, 1.1666666666666667), (3, 1.1666666666666667))
+#: (q, theta / pi) of the walks from point_state(-1, UP), held to the strided
+#: kernel: one angle per sign quadrant of (sin theta, cos theta).
+POINT_INPUTS = tuple(
+    (q, theta_pi)
+    for q in (1, 3)
+    for theta_pi in (0.16666666666666666, 0.8333333333333334, 1.1666666666666667, 1.8333333333333333)
+)
 
 
 def _verdict(equal: bool) -> str:

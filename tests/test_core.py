@@ -424,7 +424,7 @@ def test_coefficient_fill_for_every_period(n):
                     assert split.amplitudes.tobytes() == expected, (theta, q, start.steps_taken, a)
 
 
-@pytest.mark.parametrize("q", [*range(1, 10), 2**62, 10**30])
+@pytest.mark.parametrize("q", [*range(1, 21), 50, 10**6, 2**62, 10**30])
 def test_step_classes_follow_the_scattering_sites(q):
     # Every class gives the same amplitudes, so no byte test sees a parity
     # that takes the wrong class; only its speed would show it.  Parity p
@@ -432,13 +432,15 @@ def test_step_classes_follow_the_scattering_sites(q):
     # none of them scatters, all scattering when every one does, and mixed
     # otherwise; a mixed parity's rows run on to x = reach + _BLOCK_STEPS,
     # for the steps of a block that run past their live sites, whatever
-    # class those sites would give.
+    # class those sites would give.  _step_classes works the class out by
+    # arithmetic on q and reach - p, so every reach up to 140 is held to
+    # the count of scattering sites, for periods past it and below it.
     theta = 1.0
     coin = math.sin(theta), math.cos(theta)
     profile = PotentialProfile(q, theta)
     past = core._BLOCK_STEPS
-    for reach in (0, 1, 2, 5, 6, 199):
-        for n in (1, 2, 3):
+    for reach in (*range(141), 199):
+        for n in (1, 2, 3, 70):
             classes = core._step_classes(profile, reach, n)
             assert len(classes) == min(n, 2), (reach, n)
             for p, entry in enumerate(classes):
@@ -500,6 +502,55 @@ def test_evolve_across_its_step_blocks_equals_both_references(q, theta):
             assert walked == strided_parity_evolve(start, profile, n).amplitudes.tobytes(), (n, start.steps_taken)
             if to_oracle:
                 assert walked == path_sum_evolve(start, profile, n).amplitudes.tobytes(), (n, start.steps_taken)
+
+
+#: Angles in each sign quadrant of (sin theta, cos theta), and at +-0.0.
+SIGN_QUADRANTS = [
+    pytest.param(math.pi / 6, id="++"),
+    pytest.param(5 * math.pi / 6, id="+-"),
+    pytest.param(11 * math.pi / 6, id="-+"),
+    pytest.param(7 * math.pi / 6, id="--"),
+    pytest.param(0.0, id="+0"),
+    pytest.param(-0.0, id="-0"),
+]
+
+
+@pytest.mark.parametrize("theta", SIGN_QUADRANTS)
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_evolve_in_every_sign_quadrant_equals_the_strided_kernel(q, theta):
+    # evolve resets DOWN's column past the live sites to +0 only when sin
+    # theta and cos theta both have their sign bit set.  The point states
+    # have exact zeros on live sites, so a -0 left in that column, which a
+    # live site then reads, would show in the sign of a zero.  The lengths
+    # end on either side of a block's edge and of the span form's limit.
+    profile = PotentialProfile(q, theta)
+    for n in (63, 64, 65, 129, 255, 256, 257):
+        for start in (point_state(-1, UP), point_state(-2, UP)):
+            walked = evolve(start, profile, n).amplitudes.tobytes()
+            assert walked == strided_parity_evolve(start, profile, n).amplitudes.tobytes(), (n, start.steps_taken)
+
+
+@pytest.mark.parametrize("theta", [param for param in SIGN_QUADRANTS if param.id != "--"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_walk_leaves_plus_zero_past_the_live_sites_where_it_skips_the_reset(q, theta):
+    # Unless sin theta and cos theta both have their sign bit set, the full
+    # cone never resets DOWN's column past the live sites: every DOWN column
+    # past them holds +0 in both parts on its own, in every ring row, over
+    # steps on both sides of a block's edge and of the span form's limit.
+    profile = PotentialProfile(q, theta)
+    ks = [1, 2, 3, 63, 64, 65, 129, 200, 254, 255]
+    starts = (initial_state(), point_state(-1, UP), random_walk_state(np.random.default_rng(q), 2))
+    for start in starts:
+        w0 = start.steps_taken + 1
+        seen = []
+        for steps, ring in core._walk(start, profile, ks, 0):
+            for row, k in zip(ring, steps):
+                # The last step's row holds no column past its live sites.
+                past = row[DOWN, w0 + k :].view(np.float64)
+                assert past.size == 2 * (ks[-1] - k), (k, start.steps_taken)
+                assert not past.any() and not np.signbit(past).any(), (k, start.steps_taken)
+            seen += steps
+        assert seen == ks
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
