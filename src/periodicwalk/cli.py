@@ -88,6 +88,9 @@ _CSV_CHUNK_ROWS = 1024
 #: Default walk length, long enough for asymptotic trends.
 DEFAULT_STEPS = 200
 
+#: A float's CSV format: 17 significant digits reproduce a double exactly.
+_FLOAT = "%.17g"
+
 
 class UsageError(Exception):
     """Bad command line; maps to exit status 1."""
@@ -203,14 +206,14 @@ class _IntFlag:
 
 @dataclass(frozen=True)
 class _Command:
-    """One command: its flags, the runner that makes its rows, its CSV header."""
+    """One command: its flags, the runner that makes its rows, its CSV columns as (name, %-format) pairs."""
 
     help: str
     q: _IntFlag | None  # None: no --q, the period is 1
     steps: _IntFlag
     theta_grid: tuple[float, ...] | None  # None: one required angle; else the default sweep
     runner: Callable[[RunConfig], Iterable[tuple]]
-    header: tuple[str, ...]
+    columns: tuple[tuple[str, str], ...]
 
 
 def _simulate(config: RunConfig) -> Iterable[tuple]:
@@ -221,7 +224,7 @@ def _simulate(config: RunConfig) -> Iterable[tuple]:
     # left half's strings in reverse, less the origin's.  A site of the other
     # parity is never written, so it holds +0, whose string is "0".
     left = ["0"] * (n + 1)
-    left[::2] = map("%.17g".__mod__, p[: n + 1 : 2].tolist())
+    left[::2] = map(_FLOAT.__mod__, p[: n + 1 : 2].tolist())
     return zip(range(-n, n + 1), chain(left, islice(reversed(left), 1, None)))
 
 
@@ -258,7 +261,7 @@ _COMMANDS = {
         steps=replace(_STEPS, minimum=0),
         theta_grid=None,
         runner=_simulate,
-        header=("position", "probability"),
+        columns=(("position", "%d"), ("probability", "%s")),
     ),
     "sweep-steps": _Command(
         help="sigma vs step count; write n,sigma",
@@ -266,7 +269,7 @@ _COMMANDS = {
         steps=_IntFlag("SPEC", "step counts to record: N, N1,N2,... or LO:HI", minimum=1, many=True),
         theta_grid=None,
         runner=_sweep_steps,
-        header=("n", "sigma"),
+        columns=(("n", "%d"), ("sigma", _FLOAT)),
     ),
     "sweep-theta": _Command(
         help="sigma vs coin angle; write theta,sigma",
@@ -275,7 +278,7 @@ _COMMANDS = {
         # 0 .. 2*pi inclusive at pi/24 spacing.
         theta_grid=tuple(float(t) for t in np.linspace(0.0, 2.0 * math.pi, 49)),
         runner=_sweep_theta,
-        header=("theta", "sigma"),
+        columns=(("theta", _FLOAT), ("sigma", _FLOAT)),
     ),
     "sweep-period": _Command(
         help="sigma vs period; write q,inv_q,sigma",
@@ -283,7 +286,7 @@ _COMMANDS = {
         steps=_STEPS,
         theta_grid=None,
         runner=_sweep_period,
-        header=("q", "inv_q", "sigma"),
+        columns=(("q", "%d"), ("inv_q", _FLOAT), ("sigma", _FLOAT)),
     ),
     "check-q1": _Command(
         help="compare sigma^2/N^2 against 1 - |cos theta| for period 1",
@@ -293,7 +296,7 @@ _COMMANDS = {
         # (theta = 0 and 2*pi) excluded, as the closed form degenerates there.
         theta_grid=tuple(float(t) for t in np.linspace(math.pi / 24, 47 * math.pi / 24, 47)),
         runner=_check_q1,
-        header=("theta", "sigma2_over_N2", "law", "residual"),
+        columns=(("theta", _FLOAT), ("sigma2_over_N2", _FLOAT), ("law", _FLOAT), ("residual", _FLOAT)),
     ),
 }
 
@@ -332,13 +335,13 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     return RunConfig(command=ns.command, q=ns.q, theta=ns.theta, steps=ns.steps, out=out)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> tuple[str, int]:
+def _write_csv(path: Path, columns: Sequence[tuple[str, str]], rows: Iterable[tuple]) -> tuple[str, int]:
     """Write the table as CSV; return the sha256 hex digest of the bytes written and the row count.
 
-    The rows are formatted, encoded, hashed and written ``_CSV_CHUNK_ROWS``
-    at a time.  One %-format serves every row.  It is built from the first
-    row's types: integers print whole, a ``str`` cell as it is given, and any
-    other value with 17 significant digits, which reproduce a double exactly.
+    ``columns`` holds each column's (name, %-format): the header is the
+    names, and every row is written through one line format joined from the
+    formats.  The rows are formatted, encoded, hashed and written
+    ``_CSV_CHUNK_ROWS`` at a time.
     """
     # Imported here: hashlib's OpenSSL binding takes about 4 ms to load, and
     # a plain ``import periodicwalk`` has no use for it.  Its libcrypto adds
@@ -357,21 +360,14 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> tupl
             digest.update(data)
             file.write(data)
 
-        write(",".join(header) + "\n")
+        write(",".join(name for name, _ in columns) + "\n")
+        line = ",".join(form for _, form in columns) + "\n"
         chunk = list(islice(rows, _CSV_CHUNK_ROWS))
-        if chunk:
-            line = ",".join(_cell_format(v) for v in chunk[0]) + "\n"
         while chunk:
             write("".join(map(line.__mod__, chunk)))
             count += len(chunk)
             chunk = list(islice(rows, _CSV_CHUNK_ROWS))
     return digest.hexdigest(), count
-
-
-def _cell_format(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    return "%s" if isinstance(value, str) else "%.17g"
 
 
 def _write_manifest(path: Path, config: RunConfig, elapsed: float, n_rows: int, csv_sha256: str) -> None:
@@ -422,7 +418,7 @@ def run(config: RunConfig) -> int:
     temporaries = {target: Path(f"{target}.{os.getpid()}.tmp") for target in (manifest, config.out)}
     moved = []
     try:
-        csv_sha256, n_rows = _write_csv(temporaries[config.out], entry.header, rows)
+        csv_sha256, n_rows = _write_csv(temporaries[config.out], entry.columns, rows)
         _write_manifest(temporaries[manifest], config, elapsed, n_rows=n_rows, csv_sha256=csv_sha256)
         for target, temporary in temporaries.items():
             os.replace(temporary, target)

@@ -256,46 +256,56 @@ def step(state: WalkState, profile: PotentialProfile) -> WalkState:
 _BLOCK_STEPS = 64
 
 
-def _step_classes(profile: PotentialProfile, reach: int, n: int) -> list:
-    """The coins of a walk of ``n`` steps whose live sites lie in |x| <= ``reach``.
+def _step_forms(profile: PotentialProfile, reach: int, n: int, columns: int) -> tuple[list, list | None]:
+    """Each parity's step form for a walk of ``n`` steps whose live sites lie in |x| <= ``reach``.
 
-    Step i reads the sites of parity p = (n - 1 - i) % 2 and takes entry p:
-    None for a Hadamard step, (t, r) as 0-d arrays for an all-scattering
-    one, and (t, r) as rows over x = p - reach + 2m for a mixed one, up to
-    x = reach + ``_BLOCK_STEPS``, for the steps of a block that run past
-    their live sites.  The class is read off the sites |x| <= reach alone,
-    by integer arithmetic on q and a = reach - p, the parity's largest |x|:
-    its sites are x = -a, -a + 2, ..., a, all of a's parity.  All of them
-    scatter when a = 0 (the origin alone), when q = 1, or when q = 2 and a
-    is even.  None does when a < 0 (no site), or when a is odd and q is
-    even (every site odd) or above a (no site is 0 or reaches +-q).  Any
-    other parity holds a scattering site, x = 0 for an even a and x = q
-    for an odd one, and a site that does not scatter, x = 2 or x = 1, so it
-    is mixed, and only a mixed parity builds its x % q == 0 rows.
+    Returns ``(forms, span_forms)``.  ``forms[k & 1]`` is the form of the
+    step from k into k + 1 on DOWN and UP: ``(2, None, None)`` for Hadamard,
+    ``(3, t, r)`` for all scattering, with (t, r) as 0-d arrays, and ``(4,
+    t, r)`` for mixed, with (t, r) as rows over x = -a + 2m, up to x = reach
+    + ``_BLOCK_STEPS``, for the steps of a block that run past their live
+    sites.  ``span_forms`` is the same list with 0 and 1 in place of 2 and 3
+    when the walk takes its Hadamard and all-scattering steps after the first
+    over one flat span of the row pair it reads (see ``_walk``): when n > 1,
+    its row pairs hold at most ``_SPAN_COLUMNS`` columns and some parity is
+    Hadamard or all scattering.  Otherwise it is None.
+
+    Step k reads the sites of parity p = (n - 1 - k) % 2, and its form is
+    read off the sites |x| <= reach alone, by integer arithmetic on q and a
+    = reach - p, the parity's largest |x|: its sites are x = -a, -a + 2,
+    ..., a, all of a's parity.  All of them scatter when a = 0 (the origin
+    alone), when q = 1, or when q = 2 and a is even.  None does when a < 0
+    (no site), or when a is odd and q is even (every site odd) or above a
+    (no site is 0 or reaches +-q).  Any other parity holds a scattering
+    site, x = 0 for an even a and x = q for an odd one, and a site that does
+    not scatter, x = 2 or x = 1, so it is mixed, and only a mixed parity
+    builds its x % q == 0 rows.
     """
     # Row x's coin is [[t, r], [r, -t]]: (sin, cos) theta where x % q == 0,
     # 1/sqrt 2 elsewhere.  Hadamard and all-scattering steps multiply by 0-d
     # arrays, since numpy would convert a Python complex on every multiply,
     # about 0.2 us each: the Hadamard entry, built at import, and (sin, cos)
-    # theta, built once per call for both parities.  Every class forms the
+    # theta, built once per call for both parities.  Every form takes the
     # same products and sums in the same order, so the amplitudes do not
-    # depend on the class.  Coefficients are complex so that no multiply
+    # depend on the form.  Coefficients are complex so that no multiply
     # casts them to the amplitudes' type; the values, and so the products,
     # are the same.  Any period above the rows' last site marks only x = 0,
     # so capping it there loses nothing and keeps x % q within int64.
     q, last = profile.period_q, reach + _BLOCK_STEPS
     coin = _coin_scalar(profile.transmission), _coin_scalar(profile.reflection)
-    coins = []
-    for p in range(min(n, 2)):
-        a = reach - p
+    forms = []
+    for k in range(min(n, 2)):
+        a = reach - ((n - 1 - k) & 1)
         if a < 0 or a & 1 and (q % 2 == 0 or q > a):
-            coins.append(None)
+            forms.append((2, None, None))
         elif a == 0 or q <= 2:
-            coins.append(coin)
+            forms.append((3, *coin))
         else:
             scatters = np.arange(-a, last + 1, 2) % min(q, last + 1) == 0
-            coins.append(tuple(np.where(scatters, c, _HADAMARD) for c in coin))
-    return coins
+            forms.append((4, *(np.where(scatters, c, _HADAMARD) for c in coin)))
+    if n > 1 and columns <= _SPAN_COLUMNS and any(form < 4 for form, _, _ in forms):
+        return forms, [(form - 2 if form < 4 else form, t, r) for form, t, r in forms]
+    return forms, None
 
 
 def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkState:
@@ -365,8 +375,8 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     and of an UP row holds x = -(k0 + k) + 2j.  ``half`` = 0 walks the full
     light cone, in row pairs of w0 + n columns, with n = ks[-1].
     ``half`` = 1 walks the sites x <= 0 of a start of ``initial_state()``
-    (w0 = 1), in row pairs of n // 2 + 2 columns.  Its coins are
-    ``_step_classes``' for n steps over |x| <= w0 + n - 2, the reach of the
+    (w0 = 1), in row pairs of n // 2 + 2 columns.  Its step forms are
+    ``_step_forms``' for n steps over |x| <= w0 + n - 2, the reach of the
     last step's read.
 
     The ring is a complex array of shape (min(_RING_ROWS, count), 2,
@@ -392,9 +402,9 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     columns, a Hadamard or all-scattering step after the first takes its
     products over one flat span of the row pair it reads, DOWN's columns
     and UP's together, in 3 or 4 ufunc calls where a wider walk takes 4 or
-    6, with the same bytes; mixed steps keep their 6.  Each parity's form,
-    Hadamard or all scattering on the span or on the rows, or mixed, is
-    picked before the loop, so a step tests one code.
+    6, with the same bytes; mixed steps keep their 6.  ``_step_forms`` picks
+    each parity's form, Hadamard or all scattering on the span or on the
+    rows, or mixed, before the loop, so a step tests one code.
 
     On the full cone, DOWN's first column past the live sites is the next
     step's last site, which a walk of exact widths leaves +0.  Past the
@@ -429,10 +439,7 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     # step.  No step reads more than columns - 1 of them.
     columns = n // 2 + 2 if half else w0 + n
     rows = min(_RING_ROWS, len(ks))
-    # Step k reads the sites of parity (n - 1 - k) % 2 of _step_classes, so
-    # coins[k & 1] is its coin once the list is reversed for an even n.
-    coins = _step_classes(profile, w0 + n - 2, n)
-    coins = coins if n & 1 else coins[::-1]
+    forms, span_forms = _step_forms(profile, w0 + n - 2, n, columns)
     # The step into k never writes the row it reads, the row of k - 1: two
     # consecutive requested steps sit in two ring rows, since only a ring
     # of one row holds a single request, n, and spares alternate by parity.
@@ -441,24 +448,18 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     ring = np.zeros((rows, 2, columns), dtype=np.complex128)
     spares = np.zeros((2 * (len(ks) < n), 2, columns), dtype=np.complex128)
     scratch = np.empty(columns - 1, dtype=np.complex128)
-    # Each parity's step form, with its coin entries, so that a step tests
-    # one code: 2 for Hadamard, 3 for all scattering and 4 for mixed.
-    forms = [(2, None, None) if coin is None else (3 + coin[0].ndim, *coin) for coin in coins]
     # A row pair is contiguous, so DOWN's columns 0..w - 1 and UP's lie in
     # one flat span of columns + w entries, UP at the offset ``columns``.
-    # On a narrow walk, one of at most _SPAN_COLUMNS columns with a
-    # Hadamard or all-scattering parity, each such step after the first
-    # multiplies each coin entry into the span it reads once, into a product
-    # row, and sums the two halves: 3 and 4 ufunc calls in place of 4 and
-    # 6, each output the same operation on the same operands, so the same
-    # bytes.  Those steps take forms 0 and 1 in place of 2 and 3.  The span
-    # also runs over DOWN's columns past w, which costs more than the calls
-    # save on a wide walk: that keeps the products on d and u, and holds no
+    # On a walk with span_forms, each Hadamard or all-scattering step after
+    # the first multiplies each coin entry into the span it reads once, into
+    # a product row, and sums the two halves: 3 and 4 ufunc calls in place
+    # of 4 and 6, each output the same operation on the same operands, so
+    # the same bytes.  The span also runs over DOWN's columns past w, which
+    # costs more than the calls save on a wide walk, so only a narrow one
+    # has span_forms; any other keeps the products on d and u, and holds no
     # product rows and no spans.
-    narrow = n > 1 and columns <= _SPAN_COLUMNS and any(form < 4 for form, _, _ in forms)
-    if narrow:
+    if span_forms:
         products = np.empty((2, 2 * columns - 1), dtype=np.complex128)
-        span_forms = [(form - 2 if form < 4 else form, t, r) for form, t, r in forms]
     # Each row pair flat, DOWN's columns then UP's, from which every block
     # cuts its views, and its rows' float64 views, fd and fu, (re, im)
     # pairs, for the half cone's origin and UP's reset.
@@ -477,10 +478,10 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     # row pair once from its flat row, as wide as its widest step, w0 +
     # ((stop - 1) >> half) columns: DOWN, which a step writes and the next
     # one reads, UP from column 1 to write, UP from column 0 to read, and
-    # the span on a narrow walk, else the whole flat row.  It takes the read
-    # views of the row the last step wrote again at that width; its steps
-    # slice no state row: five slices were about a fifth of a step at N =
-    # 200.  A row's steps come in increasing order and the block widths
+    # the span on a walk with span_forms, else the whole flat row.  It takes
+    # the read views of the row the last step wrote again at that width; its
+    # steps slice no state row: five slices were about a fifth of a step at
+    # N = 200.  A row's steps come in increasing order and the block widths
     # never shrink, so each step writes every column an earlier step wrote
     # in its row.  Step k reads m live sites in columns 0..m - 1, m = w0 + k
     # on the full cone, and writes DOWN to columns 0..m - 1 and UP to 1..m;
@@ -489,21 +490,21 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     # from column m0, the coefficients of its first live site, so a step
     # reads them at most _BLOCK_STEPS - 1 sites past the walk's reach, which
     # the rows cover.
-    stop, on_span = 0, False
+    stop = 0
     while stop < n:
         first, stop = stop, min(stop + _BLOCK_STEPS, n) if stop else 1
         width = w0 + ((stop - 1) >> half)
         b, span = scratch[:width], columns + width
-        if first and narrow:
+        if first and span_forms:
             # The first step reads the caller's table or the start, not a row
             # pair, so the span form starts with the second block.  Each
             # product row's halves line up with the span's.
-            on_span, forms = True, span_forms
+            forms = span_forms
             t_span, r_span = products[:, :span]
             t_down, r_down = t_span[:width], r_span[:width]
             t_up, r_up = t_span[columns:], r_span[columns:]
         views = [
-            (flat[:width], flat[columns + 1 : span + 1], flat[columns:span], flat[:span] if on_span else flat, fd, fu)
+            (flat[:width], flat[columns + 1 : span + 1], flat[columns:span], flat[:span] if span_forms else flat, fd, fu)
             for flat, fd, fu in pairs
         ]
         if first:

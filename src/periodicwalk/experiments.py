@@ -104,24 +104,34 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     ------
     ValueError
         If the inputs are not equal-length 1-D samples of finite real values,
-        or the x values are all identical, which leaves the slope undefined.
+        the x values are all identical, which leaves the slope undefined, or
+        the fit's sums overflow or its sums of squares fall below the normal
+        float range, which would leave a wrong fit.
     """
     x = _reals(xs, "xs")
     y = _reals(ys, "ys")
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("xs and ys must be 1-D sequences of equal length")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("xs and ys must be finite")
     if np.unique(x).size < 2:
         raise ValueError("need at least two distinct x values to fit a line")
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    dx = x - x_mean
-    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
-    intercept = y_mean - slope * x_mean
-    residuals = y - (intercept + slope * x)
-    ss_res = float(np.dot(residuals, residuals))
-    ss_tot = float(np.dot(y - y_mean, y - y_mean))
+    # A sample that is not finite, and a sum that overflows or underflows,
+    # are caught below from the values they leave.
+    with np.errstate(all="ignore"):
+        x_mean = float(x.mean())
+        y_mean = float(y.mean())
+        dx, dy = x - x_mean, y - y_mean
+        ss_x = float(np.dot(dx, dx))
+        slope = float(np.dot(dx, dy) / ss_x)
+        intercept = y_mean - slope * x_mean
+        residuals = y - (intercept + slope * x)
+        ss_res = float(np.dot(residuals, residuals))
+        ss_tot = float(np.dot(dy, dy))
+    # A slope or intercept that is not finite leaves ss_res so too.  Distinct
+    # xs make ss_x > 0, and ss_tot is 0 only where every y equals their mean;
+    # a sum of squares below the normal range has lost digits.
+    tiny = np.finfo(np.float64).tiny
+    if not all(map(math.isfinite, (ss_x, ss_res, ss_tot))) or ss_x < tiny or ss_tot < tiny and dy.any():
+        raise ValueError("xs and ys must be finite, with the fit's sums within the normal float range")
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return LinearFit(slope=slope, intercept=intercept, r_squared=min(1.0, max(0.0, r_squared)))
 
@@ -210,10 +220,16 @@ def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawChec
 
 
 def relative_spread(sigma: Sequence[float]) -> float:
-    """(max - min) / mean of a finite positive sample; the laziness figure of merit."""
+    """(max - min) / mean of a finite positive sample; the laziness figure of merit.
+
+    ValueError unless the sample is a non-empty 1-D sequence of finite real
+    values > 0 whose mean does not overflow.
+    """
     s = _reals(sigma, "sigma")
     if s.ndim != 1 or s.size == 0:
         raise ValueError("sigma must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(s) & (s > 0)):
-        raise ValueError("every entry of sigma must be finite and > 0")
-    return float((s.max() - s.min()) / s.mean())
+    with np.errstate(all="ignore"):
+        mean = s.mean()
+    if not (np.all(np.isfinite(s) & (s > 0)) and math.isfinite(mean)):
+        raise ValueError("every entry of sigma must be finite and > 0, and their mean must not overflow")
+    return float((s.max() - s.min()) / mean)

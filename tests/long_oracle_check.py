@@ -4,7 +4,8 @@ Tier-1 compares ``evolve`` with the oracle up to 1000 steps and runs this
 script at 300; CI runs it at its default of 4000 steps, about 25-30 s of
 oracle per input, and at 255 steps, the widest full cone whose Hadamard and
 all-scattering steps take their products over one flat span of each row
-pair (256 columns, ``core._SPAN_COLUMNS``; 129 on the half cone):
+pair, as ``core._step_forms`` decides (256 columns, ``core._SPAN_COLUMNS``;
+129 on the half cone):
 
     python tests/long_oracle_check.py [n]
 

@@ -350,22 +350,23 @@ def _csv_text(header, rows) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "formats, rows",
     [
-        [(0, -0.0), (1, 5e-324), (-2, 2.2250738585072014e-308), (3, 0.1), (4, 1 / 3), (5, 1e300)],
-        [(np.int64(-7), np.float64(1 / 3)), (np.int64(8), np.float64(-0.0))],
-        [(12345678901234567890, 0.5)],
-        [(2, 0.5, 0.25), (3, 1 / 3, 1e-300)],
-        [(0.25, 1e300, -0.0, 5e-324)],
-        [(-1, "0.33333333333333331", 0.5), (0, "1e-300", -0.0)],
+        (("%d", "%.17g"), [(0, -0.0), (1, 5e-324), (-2, 2.2250738585072014e-308), (3, 0.1), (4, 1 / 3), (5, 1e300)]),
+        (("%d", "%.17g"), [(np.int64(-7), np.float64(1 / 3)), (np.int64(8), np.float64(-0.0))]),
+        (("%d", "%.17g"), [(12345678901234567890, 0.5)]),
+        (("%d", "%.17g", "%.17g"), [(2, 0.5, 0.25), (3, 1 / 3, 1e-300)]),
+        (("%.17g",) * 4, [(0.25, 1e300, -0.0, 5e-324)]),
+        (("%d", "%s", "%.17g"), [(-1, "0.33333333333333331", 0.5), (0, "1e-300", -0.0)]),
     ],
 )
-def test_csv_text_matches_per_cell_formatting(rows, tmp_path):
-    # one %-format per row writes what str(int(v)) and format(v, ".17g")
-    # write per cell, and a str cell as it is given
-    header = [f"c{i}" for i in range(len(rows[0]))]
+def test_csv_text_matches_per_cell_formatting(formats, rows, tmp_path):
+    # one line format joined from the columns' formats writes what
+    # str(int(v)) and format(v, ".17g") write per cell, and a str cell as it
+    # is given
+    header = [f"c{i}" for i in range(len(formats))]
     path = tmp_path / "t.csv"
-    digest, count = _write_csv(path, header, rows)
+    digest, count = _write_csv(path, list(zip(header, formats)), rows)
     expected = _csv_text(header, rows)
     assert path.read_bytes() == expected
     assert (digest, count) == (hashlib.sha256(expected).hexdigest(), len(rows))
@@ -380,7 +381,7 @@ def test_csv_chunks_write_the_text_of_one_format_per_row(n, tmp_path):
     # digest and count of the text written in one piece
     rows = [(i - n // 2, math.sqrt(i) / 7) for i in range(n)]
     path = tmp_path / "t.csv"
-    digest, count = _write_csv(path, ("k", "v"), (row for row in rows))
+    digest, count = _write_csv(path, (("k", "%d"), ("v", "%.17g")), (row for row in rows))
     expected = _csv_text(("k", "v"), rows)
     assert path.read_bytes() == expected
     assert (digest, count) == (hashlib.sha256(expected).hexdigest(), n)
@@ -388,7 +389,7 @@ def test_csv_chunks_write_the_text_of_one_format_per_row(n, tmp_path):
 
 def test_csv_without_rows_is_the_header_alone(tmp_path):
     path = tmp_path / "t.csv"
-    assert _write_csv(path, ["a", "b"], []) == (hashlib.sha256(b"a,b\n").hexdigest(), 0)
+    assert _write_csv(path, [("a", "%d"), ("b", "%.17g")], []) == (hashlib.sha256(b"a,b\n").hexdigest(), 0)
     assert path.read_bytes() == b"a,b\n"
 
 
@@ -559,6 +560,16 @@ def test_run_accepts_handmade_config(tmp_path):
     )
     assert run(config) == EXIT_OK
     assert (tmp_path / "hand.csv").exists()
+    # numpy scalars in a hand-made config print as the CLI's ints and floats
+    steps = RunConfig("sweep-steps", np.int64(2), np.float64(1.0), (np.int64(5), np.int64(7)), tmp_path / "steps.csv")
+    period = RunConfig("sweep-period", (np.int64(1), np.int64(3)), np.float64(1.0), np.int64(20), tmp_path / "period.csv")
+    for config, argv in (
+        (steps, ["sweep-steps", "--q", "2", "--theta", "1.0", "--steps", "5,7"]),
+        (period, ["sweep-period", "--theta", "1.0", "--q", "1,3", "--steps", "20"]),
+    ):
+        assert run(config) == EXIT_OK
+        assert main([*argv, "--out", str(tmp_path / "cli.csv")]) == EXIT_OK
+        assert config.out.read_bytes() == (tmp_path / "cli.csv").read_bytes()
 
 
 def test_module_entry_point(tmp_path):

@@ -426,35 +426,49 @@ def test_coefficient_fill_for_every_period(n):
 
 @pytest.mark.parametrize("q", [*range(1, 21), 50, 10**6, 2**62, 10**30])
 def test_step_classes_follow_the_scattering_sites(q):
-    # Every class gives the same amplitudes, so no byte test sees a parity
-    # that takes the wrong class; only its speed would show it.  Parity p
-    # reads x = p - reach, p - reach + 2, ..., reach, and is Hadamard when
-    # none of them scatters, all scattering when every one does, and mixed
-    # otherwise; a mixed parity's rows run on to x = reach + _BLOCK_STEPS,
-    # for the steps of a block that run past their live sites, whatever
-    # class those sites would give.  _step_classes works the class out by
-    # arithmetic on q and reach - p, so every reach up to 140 is held to
-    # the count of scattering sites, for periods past it and below it.
+    # Every form gives the same amplitudes, so no byte test sees a parity
+    # that takes the wrong form; only its speed would show it.  The step
+    # from k into k + 1 reads parity p = (n - 1 - k) % 2, the sites x = p -
+    # reach, p - reach + 2, ..., reach, and takes form 2 (Hadamard) when
+    # none of them scatters, 3 (all scattering) when every one does, and 4
+    # (mixed) otherwise; a mixed parity's rows run on to x = reach +
+    # _BLOCK_STEPS, for the steps of a block that run past their live
+    # sites, whatever class those sites would give.  _step_forms works the
+    # form out by arithmetic on q and reach - p, so every reach up to 140 is
+    # held to the count of scattering sites, for periods past it and below
+    # it.  A walk of more than one step whose row pairs hold at most
+    # _SPAN_COLUMNS columns, with a parity of form 2 or 3, also gets the
+    # span forms: 0 and 1 in place of 2 and 3, with the same coin entries.
     theta = 1.0
     coin = math.sin(theta), math.cos(theta)
     profile = PotentialProfile(q, theta)
     past = core._BLOCK_STEPS
     for reach in (*range(141), 199):
         for n in (1, 2, 3, 70):
-            classes = core._step_classes(profile, reach, n)
-            assert len(classes) == min(n, 2), (reach, n)
-            for p, entry in enumerate(classes):
+            forms, span_forms = core._step_forms(profile, reach, n, core._SPAN_COLUMNS + 1)
+            assert len(forms) == min(n, 2) and span_forms is None, (reach, n)
+            for k, (form, t, r) in enumerate(forms):
+                p = (n - 1 - k) % 2
                 live = [x % q == 0 for x in range(p - reach, reach + 1, 2)]
                 scatters = [x % q == 0 for x in range(p - reach, reach + past + 1, 2)]
-                where = (reach, n, p)
+                where = (reach, n, k)
                 if not any(live):
-                    assert entry is None, where
+                    assert (form, t, r) == (2, None, None), where
                 elif all(live):
                     expected = [np.array(complex(c)) for c in coin]
-                    assert [(c.shape, c.tobytes()) for c in entry] == [((), e.tobytes()) for e in expected], where
+                    assert form == 3, where
+                    assert [(c.shape, c.tobytes()) for c in (t, r)] == [((), e.tobytes()) for e in expected], where
                 else:
                     expected = [np.array([c if s else SQRT_HALF for s in scatters], dtype=np.complex128) for c in coin]
-                    assert [(c.ndim, c.dtype, c.tobytes()) for c in entry] == [(1, e.dtype, e.tobytes()) for e in expected], where
+                    assert form == 4, where
+                    assert [(c.ndim, c.dtype, c.tobytes()) for c in (t, r)] == [(1, e.dtype, e.tobytes()) for e in expected], where
+            narrow_forms, span_forms = core._step_forms(profile, reach, n, core._SPAN_COLUMNS)
+            assert [f[0] for f in narrow_forms] == [f[0] for f in forms], (reach, n)
+            if n == 1 or all(f[0] == 4 for f in forms):
+                assert span_forms is None, (reach, n)
+            else:
+                assert [f[0] for f in span_forms] == [{2: 0, 3: 1}.get(f[0], f[0]) for f in forms], (reach, n)
+                assert all(s[1] is f[1] and s[2] is f[2] for s, f in zip(span_forms, narrow_forms)), (reach, n)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

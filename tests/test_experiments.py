@@ -104,6 +104,32 @@ def test_fit_samples_refuse_an_int_beyond_the_float_range():
         relative_spread([1, 2**1024])
 
 
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([0, 1e200, 2e200], [0, 1e200, 3e200]),
+        ([0, 1, 2], [0, 1e200, 3e200]),
+        ([0, 1e-200, 2e-200], [0, 1, 3]),
+        ([0, 1, 2], [0, 1e-200, 3e-200]),
+        ([0, 1e-160, 2e-160], [0, 1, 3]),
+    ],
+    ids=["sums-of-x-and-y-overflow", "sum-of-y-overflows", "sum-of-x-underflows", "sum-of-y-underflows", "subnormal"],
+)
+def test_linear_fit_refuses_finite_samples_whose_sums_leave_the_float_range(xs, ys):
+    # each is the fit of (0, 1, 2) against (0, 1, 3), r^2 = 27/28, with x or
+    # y scaled by 1e200, 1e-160 or 1e-200, so its sums of squares overflow to
+    # inf, underflow to 0 or fall to a subnormal sum of lost digits in
+    # float64, which gave NaN, an infinite slope, or a wrong slope or r^2
+    with pytest.raises(ValueError, match="within the normal float range"):
+        linear_fit(xs, ys)
+
+
+def test_relative_spread_refuses_a_sample_whose_mean_overflows():
+    # (1.7 - 1) / 1.35 = 0.519, but the mean overflows to inf, which gave 0
+    with pytest.raises(ValueError, match="their mean must not overflow"):
+        relative_spread([1e308, 1.7e308])
+
+
 def test_linear_fit_r_squared_within_bounds():
     fit = linear_fit([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0])
     assert 0.0 <= fit.r_squared < 1.0

@@ -123,9 +123,23 @@ def test_the_long_oracle_check_passes_at_300_steps(capsys):
     assert all(line.count("equal") == 1 and "DIFFERENT" not in line for line in lines[inputs:]), lines
 
 
-def test_ci_runs_the_long_oracle_check_on_the_widest_span_form_walk():
-    # A 4000-step walk's row pairs are wider than _SPAN_COLUMNS, so CI also
-    # runs the script at the widest full cone that takes the span form.
+def test_ci_runs_the_long_oracle_check_on_the_widest_span_form_walk(monkeypatch):
+    # A 4000-step walk's row pairs are too wide for the span form, so CI also
+    # runs the script at the widest full cone that takes it, as _step_forms
+    # decides: a walk of that many steps from initial_state() takes the span,
+    # and one of a step more does not.
     workflow = (Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml").read_text()
     runs = {int(n) for n in re.findall(r"python3 tests/long_oracle_check\.py (\d+)", workflow)}
-    assert runs == {4000, core._SPAN_COLUMNS - 1}, runs
+    assert len(runs) == 2 and 4000 in runs, runs
+    (edge,) = runs - {4000}
+    step_forms, spans = core._step_forms, []
+
+    def record(*args):
+        forms, span_forms = step_forms(*args)
+        spans.append(span_forms is not None)
+        return forms, span_forms
+
+    monkeypatch.setattr(core, "_step_forms", record)
+    for n in (edge, edge + 1, 4000):
+        evolve(initial_state(), PotentialProfile(1, math.pi / 6), n)
+    assert spans == [True, False, False]
