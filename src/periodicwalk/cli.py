@@ -72,7 +72,7 @@ EXIT_INVARIANT = 3
 #: (2.25 MB of traced memory at N = 20000, q = 1).  simulate and
 #: sweep-steps allocate no table.  Their ring holds row pairs of N/2 + 2
 #: complex entries, and their scratch row is one column shorter too.  A
-#: simulate of this many steps holds three, 4.8 MB, and peaks at 14.0 MB of
+#: simulate of this many steps holds three, 4.8 MB, and peaks at 10.8 MB of
 #: traced memory, its 2.95 MB CSV written a chunk at a time.  A sweep-steps
 #: over 1..N holds twelve, 19.2 MB, and as much again of squares, and peaks
 #: at 56.0 MB.  Any period q >= N gives the same N-step walk, so the period
@@ -218,13 +218,13 @@ class _Command:
 
 def _simulate(config: RunConfig) -> Iterable[tuple]:
     n = config.steps
-    ((_, p),) = _distributions(PotentialProfile(config.q, config.theta), [n])
-    # Each live probability is formatted once: _distributions writes P(x) for
-    # x > 0 from the same ``live`` values as P(-x), so the right half is the
-    # left half's strings in reverse, less the origin's.  A site of the other
-    # parity is never written, so it holds +0, whose string is "0".
+    ((_, live),) = _distributions(PotentialProfile(config.q, config.theta), [n])
+    # Each live probability is formatted once: _distributions hands over P(x)
+    # on the live sites x <= 0, and P(-x) = P(x) bit for bit, so the right
+    # half is the left half's strings in reverse, less the origin's.  A site
+    # of the other parity holds the +0 distribution keeps, whose string is "0".
     left = ["0"] * (n + 1)
-    left[::2] = map(_FLOAT.__mod__, p[: n + 1 : 2].tolist())
+    left[::2] = map(_FLOAT.__mod__, live.tolist())
     return zip(range(-n, n + 1), chain(left, islice(reversed(left), 1, None)))
 
 

@@ -575,21 +575,20 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
 
 
 def _distributions(profile: PotentialProfile, ns: Iterable[int]):
-    """Yield ``(k, p)`` for each step count k >= 0 in ``ns``, once each and in walk order.
+    """Yield ``(k, live)`` for each step count k >= 0 in ``ns``, once each and in walk order.
 
-    p is P(x) over x = -k..k after k steps from ``initial_state()``, with
-    the bytes of ``distribution``, and its norm has passed ``_check_drift``.
-    One walk of max(ns) steps over the sites x <= 0, ``_walk``'s half cone,
-    serves every k >= 1, and a requested k = 0 is the start itself, handed
-    over first as its (1, 2, 1) table.  P over those sites is squared and
-    summed a batch at a time, over the batch's leading ring rows, which hold
-    exactly its requested steps.  The norm is read off each row's sum over
-    the half line, and each p is mirrored from its row into a plane kept
-    per parity of k, so it is a view that the next requested k of its
-    parity overwrites.
+    live is P(x) at x = -k, -k + 2, ..., <= 0, the live sites x <= 0, after
+    k steps from ``initial_state()``, with the bytes of those entries of
+    ``distribution``; the sites x > 0 mirror them.  The norm over the whole
+    line has passed ``_check_drift``.  One walk of max(ns) steps over the
+    sites x <= 0, ``_walk``'s half cone, serves every k >= 1, and a
+    requested k = 0 is the start itself, handed over first as its (1, 2, 1)
+    table.  P over those sites is squared and summed a batch at a time, over
+    the batch's leading ring rows, which hold exactly its requested steps.
+    live is a view of its row of the batch's P, which the next batch
+    overwrites, and the norm is read off that row's sum.
     """
     ks = sorted(set(ns))
-    last = ks[-1]
     # Flat buffers as long as the rows of the ring a batch comes in: the
     # squares of both coin states' (re, im) pairs, two floats per ring
     # entry, then P over x <= 0, one float per column of a row.  The walk's
@@ -601,12 +600,8 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
     # flatten to one stride, such as a window narrower than the row it sits
     # in, through its buffered iterator, a 64 KiB temporary per operand; on
     # the compact block the square and the pair sums flatten, and DOWN + UP
-    # is a reduce over the coin axis, so none of them buffers.  P(x) over x
-    # = -last..last is kept as one plane per parity of k; a plane's sites of
-    # the other parity are never written, so they stay the zeros
-    # distribution keeps.
+    # is a reduce over the coin axis, so none of them buffers.
     squares = left_buffer = np.empty(0)
-    planes = np.zeros((2, 2 * last + 1))
     # A requested step 0 is the start itself, handed over ahead of the walk
     # as its (1, 2, 1) table; the walk takes the steps from 1.
     start = initial_state()
@@ -635,15 +630,9 @@ def _distributions(profile: PotentialProfile, ns: Iterable[int]):
         for i, k in enumerate(steps):
             j = k // 2
             row = left[i]
-            live = row[: j + 1]
-            p = planes[k % 2, last - k : last + k + 1]
-            # The stop -k - 2 is index k - 1 of p, counted from its end, and
-            # at k = 0 it lies past index 0, where a stop of k - 1 would wrap
-            # to the end and leave the slice empty.
-            p[: k + 1 : 2], p[2 * k : -k - 2 : -2] = live, live
             norm2 = 2.0 * (sums[i] - row[j + 1]) if k % 2 else 2.0 * sums[i] - row[j]
             _check_drift(math.sqrt(norm2), k)
-            yield k, p
+            yield k, row[: j + 1]
 
 
 def _check_drift(norm: float, steps: int) -> None:

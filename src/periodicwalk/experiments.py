@@ -97,8 +97,9 @@ def _reals(values: Sequence[float], name: str) -> np.ndarray:
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Ordinary least squares fit of a straight line.
 
-    r^2 is 1 - SS_res / SS_tot, clamped into [0, 1].  A perfectly flat
-    perfect fit (SS_tot = SS_res = 0) reports r^2 = 1 by convention.
+    r^2 is 1 - SS_res / SS_tot, clamped into [0, 1].  ys that are all
+    equal fit the flat line through them, slope 0, and report r^2 = 1 by
+    convention.
 
     Raises
     ------
@@ -132,8 +133,10 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     tiny = np.finfo(np.float64).tiny
     if not all(map(math.isfinite, (ss_x, ss_res, ss_tot))) or ss_x < tiny or ss_tot < tiny and dy.any():
         raise ValueError("xs and ys must be finite, with the fit's sums within the normal float range")
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return LinearFit(slope=slope, intercept=intercept, r_squared=min(1.0, max(0.0, r_squared)))
+    if (y == y[0]).all():
+        # The flat line through them, which their mean may round off.
+        return LinearFit(slope=0.0, intercept=float(y[0]), r_squared=1.0)
+    return LinearFit(slope=slope, intercept=intercept, r_squared=min(1.0, max(0.0, 1.0 - ss_res / ss_tot)))
 
 
 def _grid(values: Sequence, name: str) -> list:
@@ -162,15 +165,20 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     """sigma after each requested step count, all snapshots of one evolution.
 
     Reusing a single trajectory keeps the rows mutually consistent and
-    costs one walk of max(n_values) steps over the sites x <= 0; each
-    requested snapshot then costs its P(x), read off that walk, and one dot
-    with a slice of one grid of squared positions, with no table of its own.
+    costs one walk of max(n_values) steps over the sites x <= 0.  Each
+    snapshot's P(x) there, which the walk's next batch overwrites, is
+    mirrored into its parity's plane of the full line, which the next
+    snapshot of that parity overwrites, and takes one dot with a slice of
+    one grid of squared positions.
     """
     ns = [_whole(n, "n_values", 1) for n in _grid(n_values, "n_values")]
     profile = PotentialProfile(q, theta)
     last = max(ns)
-    x = np.arange(-last, last + 1, dtype=np.float64)
-    xx = x * x
+    xx = np.square(np.arange(-last, last + 1, dtype=np.float64))
+    # P(x) over x = -last..last, one plane per parity of k; the other
+    # parity's sites stay the zeros distribution keeps.  Every k is >= 1,
+    # so the mirror's stop k - 1 never wraps to the end of p.
+    planes = np.zeros((2, 2 * last + 1))
     sigma = np.empty(last + 1)
     # sigma is sqrt(second moment), with the bytes of moments(p).sigma,
     # sqrt(max(second - mean * mean, 0)).  p is mirrored bit for bit, so
@@ -183,7 +191,9 @@ def sweep_sigma_vs_steps(q: int, theta: float, n_values: Sequence[int]) -> np.nd
     # sum P x², so the computed mean² < 2^-54 second for every n < 2^25,
     # far past 2 cli.MAX_STEPS + 1.  That is under half the spacing of
     # floats below second, so second - mean * mean rounds to second.
-    for k, p in _distributions(profile, ns):
+    for k, live in _distributions(profile, ns):
+        p = planes[k % 2, last - k : last + k + 1]
+        p[: k + 1 : 2], p[2 * k : k - 1 : -2] = live, live
         sigma[k] = math.sqrt(np.dot(p, xx[last - k : last + k + 1]))
     return sigma[ns]
 

@@ -21,8 +21,10 @@ theta/pi = 1.1666666666666667).  There each of ``evolve``'s steps leaves
 of the one its next step reads.  On each:
 
 - ``evolve``'s table after n steps equals the oracle's byte for byte;
-- simulate's P(x), read off the half-cone walk by ``core._distributions``,
-  equals the distribution of the oracle's table byte for byte;
+- simulate's P(x) on x <= 0, read off the half-cone walk by
+  ``core._distributions``, equals the distribution of the oracle's table
+  there byte for byte, and that distribution is its own mirror image bit
+  for bit, so simulate's P(x > 0), the same values mirrored, equals it too;
 - the last entry of sweep-steps over 1..n, the snapshot at n steps, gives
   the oracle's sigma byte for byte.  At n = 4000 the sweep walks four times
   the 1000 steps of the benchmark's step-sweep, on the same ring of twelve
@@ -36,9 +38,11 @@ of the one its next step reads.  On each:
   byte for byte.  The two steps between requested ones go to the walk's
   spare rows, one per parity, and never to a ring row;
 - ``core._distributions`` over the steps 0, n // 2 + 1 and n equals the
-  distributions of fresh ``evolve`` walks to those steps byte for byte: the
-  start, yielded alone, then one batch of two ring rows, each after a long
-  run of spare steps, the first at an odd step when n is a multiple of 4.
+  distributions of fresh ``evolve`` walks to those steps on x <= 0 byte for
+  byte, each read as it is yielded, and each of those is its own mirror
+  image bit for bit: the start, yielded alone, then one batch of two ring
+  rows, each after a long run of spare steps, the first at an odd step when
+  n is a multiple of 4.
 
 From ``initial_state()`` no live site holds an exact zero, so a missing
 reset does not show there: the -0 it leaves is added to a non-zero live
@@ -100,17 +104,20 @@ def main(n: int = 4000) -> bool:
         expanded = path_sum_evolve(initial_state(), profile, n)
         walked = evolve(initial_state(), profile, n)
         equal = walked.amplitudes.tobytes() == expanded.amplitudes.tobytes()
-        ((_, p),) = _distributions(profile, [n])
-        half_cone_equal = p.tobytes() == distribution(expanded).tobytes()
+        ((_, live),) = _distributions(profile, [n])
+        p = distribution(expanded)
+        half_cone_equal = live.tobytes() == p[: n + 1 : 2].tobytes() and p.tobytes() == p[::-1].tobytes()
         swept = sweep_sigma_vs_steps(q, profile.theta, range(1, n + 1))
         sweep_equal = swept[-1:].tobytes() == np.array([moments(distribution(expanded)).sigma]).tobytes()
         fresh = [moments(distribution(evolve(initial_state(), profile, k))).sigma for k in range(every, n + 1, every)]
         every_equal = swept[every - 1 :: every].tobytes() == np.array(fresh).tobytes()
         sparse_equal = sweep_sigma_vs_steps(q, profile.theta, range(3, n + 1, 3)).tobytes() == swept[2::3].tobytes()
         ks = [0, n // 2 + 1, n]
-        fresh_p = [distribution(evolve(initial_state(), profile, k)).tobytes() for k in ks[:-1]]
-        fresh_p.append(distribution(walked).tobytes())
-        spare_equal = [p.tobytes() for _, p in _distributions(profile, ks)] == fresh_p
+        fresh_p = [distribution(evolve(initial_state(), profile, k)) for k in ks[:-1]]
+        fresh_p.append(distribution(walked))
+        spare_equal = [live.tobytes() for _, live in _distributions(profile, ks)] == [
+            p[: k + 1 : 2].tobytes() for k, p in zip(ks, fresh_p)
+        ] and all(p.tobytes() == p[::-1].tobytes() for p in fresh_p)
         print(
             f"q={q} theta/pi={theta_pi}: evolve {_verdict(equal)}, "
             f"half-cone P(x) {_verdict(half_cone_equal)}, "

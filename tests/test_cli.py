@@ -415,19 +415,18 @@ def test_simulate_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
     # lines and text peaks near 1.7 MB, over the text's bound.
     n, site, real = 4000, 16, 8
     columns = n // 2 + 2
-    planes = 2 * (2 * n + 1) * real  # the two parity planes of P, which the text reads
+    live = columns * real  # the row of P over x <= 0 that the text reads
     walk = (
         (1 + 2) * 2 * columns * site  # one ring row and two spare row pairs
         + (n // 2 + 1) * site  # its scratch row
         + 2 * n * site  # (t, r) rows of the one mixed parity at q = 4
         + 2 * 2 * columns * real  # one row of squares
-        + columns * real  # one row of P over x <= 0
-        + planes
+        + live
         + 16 * 1024
     )
     half_line = (n + 1) * (80 + 8)  # a 24-character str and its list slot
     chunk = _C * (64 + 32 + 8 + 96 + 8 + 2 * 32)  # row tuple, position, slot, line, its slot, text and bytes
-    text = planes + half_line + chunk + 64 * 1024
+    text = live + half_line + chunk + 64 * 1024
     walk_peaks = []
 
     def distributions(profile, ns):

@@ -607,8 +607,8 @@ def _walk_digests(q: int, theta: float, n: int) -> list[bytes]:
     profile = PotentialProfile(q, theta)
     tables = [evolve(start, profile, n).amplitudes.tobytes() for start in starts]
     digest = hashlib.sha256()
-    for _, p in _distributions(profile, range(n + 1)):
-        digest.update(p.tobytes())
+    for _, live in _distributions(profile, range(n + 1)):
+        digest.update(live.tobytes())
     return tables + [digest.digest(), sweep_sigma_vs_steps(q, theta, range(1, n + 1)).tobytes()]
 
 
@@ -655,9 +655,11 @@ def test_half_cone_at_the_span_limit_equals_evolve(q, columns):
     # many, the odd one past the even one.
     profile = PotentialProfile(q, 7 * math.pi / 6)
     for n in (2 * (columns - 2), 2 * (columns - 2) + 1):
-        ((k, p),) = _distributions(profile, [n])
+        ((k, live),) = _distributions(profile, [n])
+        p = distribution(evolve(initial_state(), profile, n))
         assert k == n
-        assert p.tobytes() == distribution(evolve(initial_state(), profile, n)).tobytes(), n
+        assert live.tobytes() == p[: n + 1 : 2].tobytes(), n
+        assert p.tobytes() == p[::-1].tobytes(), n
 
 
 @pytest.mark.parametrize("theta_pi", [0.16666666666666666, 4.166666666666667])
@@ -686,9 +688,10 @@ def test_4000_step_walk_equals_strided_parity_kernel(theta_pi):
 )
 def test_4000_step_distributions_equal_evolve(q, theta_pi):
     profile = PotentialProfile(q, theta_pi * math.pi)
-    ((k, p),) = _distributions(profile, [4000])
+    ((k, live),) = _distributions(profile, [4000])
+    p = distribution(evolve(initial_state(), profile, 4000))
     assert k == 4000
-    assert p.tobytes() == distribution(evolve(initial_state(), profile, 4000)).tobytes()
+    assert live.tobytes() == p[:4001:2].tobytes()
     assert p.tobytes() == p[::-1].tobytes()
 
 
@@ -708,7 +711,6 @@ def test_distributions_of_one_request_allocates_one_block_row():
         + 2 * n * site  # (t, r) rows of the one mixed parity at q = 4
         + 2 * 2 * columns * real  # the squares of one row, as long as a ring row pair
         + columns * real  # one row of P over x <= 0
-        + 2 * (2 * n + 1) * real  # the two planes
         + 12 * 1024
     )
     profile = PotentialProfile(4, math.pi / 6)
@@ -716,11 +718,11 @@ def test_distributions_of_one_request_allocates_one_block_row():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ((k, p),) = list(_distributions(profile, [n]))
+        ((k, live),) = list(_distributions(profile, [n]))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert k == n and p.shape == (2 * n + 1,)
+    assert k == n and live.shape == (n // 2 + 1,)
     assert peak <= allowed, (peak, allowed)
 
 
@@ -733,7 +735,6 @@ def _dense_distributions_arrays(n: int) -> int:
         + (columns - 1) * site  # its scratch row
         + rows * 2 * 2 * columns * real  # the squares, as long as the ring's rows
         + rows * columns * real  # P over x <= 0
-        + 2 * (2 * n + 1) * real  # the two planes
     )
 
 
@@ -756,12 +757,12 @@ def test_distributions_of_a_dense_sweep_allocates_no_iterator_buffer(n):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        for k, p in _distributions(profile, range(1, n + 1)):
+        for k, live in _distributions(profile, range(1, n + 1)):
             pass
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert k == n and p.shape == (2 * n + 1,)
+    assert k == n and live.shape == (n // 2 + 1,)
     assert peak <= allowed, (peak, allowed)
 
 
@@ -770,7 +771,8 @@ def _dense_sweep_bound(n: int) -> int:
     real = np.dtype(np.float64).itemsize
     return (
         _dense_distributions_arrays(n)
-        + 2 * (2 * n + 1) * real  # the positions and their squares
+        + 2 * (2 * n + 1) * real  # its two parity planes of P over the full line
+        + (2 * n + 1) * real  # the squared positions
         + n * 256  # per step: the grid's ints, its lists and set, and sigma's array, index and result
         + 16 * 1024
     )
@@ -808,10 +810,9 @@ def test_distributions_of_zero_steps_is_the_initial_distribution():
     # Step 0 is no step of the walk: the start itself, whose P is squared
     # and summed as a ring row's.
     profile = PotentialProfile(4, 0.5)
-    ((k, p),) = _distributions(profile, [0])
+    ((k, live),) = _distributions(profile, [0])
     assert k == 0
-    assert p.tobytes() == distribution(evolve(initial_state(), profile, 0)).tobytes()
-    assert p.tobytes() == p[::-1].tobytes()
+    assert live.tobytes() == distribution(evolve(initial_state(), profile, 0)).tobytes()
 
 
 @pytest.mark.parametrize("q", [1, 2, 4], ids=["q1", "q2", "q4"])
@@ -826,10 +827,13 @@ def test_distributions_yields_each_requested_step_once_in_walk_order(q):
     odd = list(range(1, 6 * rows, 2))
     profile = PotentialProfile(q, 0.5)
     for ns, walked in (([13, 0, 6, n, 13, 1], [0, 1, 6, 13, n]), (dense[::-1], dense), ([n, *odd[::-1]], [*odd, n])):
-        yielded = [(k, p.tobytes()) for k, p in _distributions(profile, ns)]
-        assert [k for k, _ in yielded] == walked
-        for k, p in yielded:
-            assert p == distribution(evolve(initial_state(), profile, k)).tobytes(), (q, k)
+        yielded = []
+        for k, live in _distributions(profile, ns):
+            p = distribution(evolve(initial_state(), profile, k))
+            assert live.tobytes() == p[: k + 1 : 2].tobytes(), (q, k)
+            assert p.tobytes() == p[::-1].tobytes(), (q, k)
+            yielded.append(k)
+        assert yielded == walked
 
 
 @pytest.mark.parametrize("q,theta", [(1, 0.3), (2, math.pi / 4), (5, 2.1), (3, 0.0)])

@@ -13,6 +13,7 @@ from periodicwalk.experiments import (
     Q2_LAW_RESIDUAL_CEILING,
     Q2_LAZY_SPREAD_CEILING,
     R_SQUARED_INVERSE_PERIOD_MIN,
+    LinearFit,
     check_q1_closed_form,
     linear_fit,
     relative_spread,
@@ -54,6 +55,15 @@ def test_linear_fit_flat_perfect_fit_convention():
     fit = linear_fit([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
     assert fit.slope == 0.0
     assert fit.r_squared == 1.0
+
+
+@pytest.mark.parametrize("ys", [[0.1] * 3, [0.7] * 3, [0.5] * 3, [1 / 3] * 4], ids=["0.1", "0.7", "0.5", "1/3"])
+def test_linear_fit_of_equal_ys_is_the_flat_line_through_them(ys):
+    # The mean of three 0.1s or three 0.7s rounds off them, which leaves the
+    # slope, the intercept and SS_tot a few ulps off 0, the y and 0; the
+    # means of three 0.5s and four 1/3s are exact.
+    fit = linear_fit(range(1, len(ys) + 1), ys)
+    assert fit == LinearFit(slope=0.0, intercept=ys[0], r_squared=1.0)
 
 
 def test_linear_fit_rejects_degenerate_x():
