@@ -330,7 +330,7 @@ def evolve(state: WalkState, profile: PotentialProfile, n_steps: int) -> WalkSta
     if n == 0:
         return state
     # One request, step n, on the full cone: its row pair holds the live
-    # sites of the result.  The coins and the scratch row go with the walk,
+    # sites of the result.  The coins and the work buffer go with the walk,
     # before the table.
     ((_, ring),) = _walk(state, profile, [n], 0)
     # np.zeros, not zeros_like: about 1.3 us less per call at 2001 rows.
@@ -390,9 +390,9 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     full cone DOWN's first column past them is +0, and on the half cone UP's
     column k // 2 + 1 holds U(+1) for an odd k.  The start sits in no ring
     or spare row, so UP's column 0 is +0 in every row.  Once the walk is
-    done only the ring is left: the spares, the coins, the scratch row and,
-    for a walk of at most ``_SPAN_COLUMNS`` columns, two product rows go
-    with it.
+    done only the ring is left: the spares, the coins and the one work
+    buffer, two span rows on a walk of at most ``_SPAN_COLUMNS`` columns
+    and one row otherwise, go with it.
 
     The first step reads the start's stride-2 columns alone, at its width;
     then blocks of ``_BLOCK_STEPS`` steps each run on one set of views as
@@ -425,11 +425,13 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     even k and +i for odd k.  The sites x <= 0 therefore advance alone,
     with the full cone's step classes, products and sums in its order, and
     get its values for about half the work.  Into an even k the origin is
-    live, and its D, which would need x = 1, is set to -i U(0) instead;
-    from an odd k UP's column at x = 2 is reset to +0.  The values equal
-    the full cone's, but not byte for byte: the origin's D, set from U, may
-    carry the other sign of zero.  So ``evolve`` keeps the full cone and
-    its byte contract with the oracle.
+    live, and its D, which would need x = 1, is set to -i U(0) instead, one
+    complex product on the row pair's flat row; from an odd k UP's column
+    at x = 2 is reset to +0.  The values equal the full cone's, but not byte
+    for byte: the origin's D, set from U, may carry the other sign of zero
+    where a part of U(0) is zero.  A zero's sign moves no nonzero sum or
+    product, and zeros square to +0, so P keeps its bytes.  ``evolve``
+    keeps the full cone and its byte contract with the oracle.
     """
     # The first step reads the start's live sites, its even rows, in place.
     d, u = state.amplitudes[::2, DOWN], state.amplitudes[::2, UP]
@@ -443,27 +445,26 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     # The step into k never writes the row it reads, the row of k - 1: two
     # consecutive requested steps sit in two ring rows, since only a ring
     # of one row holds a single request, n, and spares alternate by parity.
-    # The spares and the products below are arrays of their own, so a
+    # The spares and the work buffer below are arrays of their own, so a
     # caller that keeps the ring once the walk is done holds no more.
     ring = np.zeros((rows, 2, columns), dtype=np.complex128)
     spares = np.zeros((2 * (len(ks) < n), 2, columns), dtype=np.complex128)
-    scratch = np.empty(columns - 1, dtype=np.complex128)
     # A row pair is contiguous, so DOWN's columns 0..w - 1 and UP's lie in
     # one flat span of columns + w entries, UP at the offset ``columns``.
     # On a walk with span_forms, each Hadamard or all-scattering step after
     # the first multiplies each coin entry into the span it reads once, into
-    # a product row, and sums the two halves: 3 and 4 ufunc calls in place
-    # of 4 and 6, each output the same operation on the same operands, so
-    # the same bytes.  The span also runs over DOWN's columns past w, which
-    # costs more than the calls save on a wide walk, so only a narrow one
-    # has span_forms; any other keeps the products on d and u, and holds no
-    # product rows and no spans.
-    if span_forms:
-        products = np.empty((2, 2 * columns - 1), dtype=np.complex128)
+    # a row of the work buffer, and sums the two halves: 3 and 4 ufunc
+    # calls in place of 4 and 6, each output the same operation on the same
+    # operands, so the same bytes.  The span also runs over DOWN's columns
+    # past w, which costs more than the calls save on a wide walk, so only a
+    # narrow one has span_forms.  The first step and the products on d and
+    # u take one row b from the work buffer's flat prefix instead; no step
+    # takes both, so one buffer serves, two span rows on a walk with
+    # span_forms and one row of columns - 1 on any other.
+    work = np.empty((2, 2 * columns - 1) if span_forms else columns - 1, dtype=np.complex128)
     # Each row pair flat, DOWN's columns then UP's, from which every block
-    # cuts its views, and its rows' float64 views, fd and fu, (re, im)
-    # pairs, for the half cone's origin and UP's reset.
-    pairs = [(pair.reshape(-1), pair[0].view(np.float64), pair[1].view(np.float64)) for pair in (*ring, *spares)]
+    # cuts its views and the half cone sets its origin.
+    pairs = [pair.reshape(-1) for pair in (*ring, *spares)]
     # A step runs only its ufuncs, so they are bound once per call, with
     # the full cone's +0 as a numpy scalar, which numpy stores about 15 ns
     # faster than a Python complex.  Only a full-cone walk whose sin theta
@@ -478,7 +479,10 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     # row pair once from its flat row, as wide as its widest step, w0 +
     # ((stop - 1) >> half) columns: DOWN, which a step writes and the next
     # one reads, UP from column 1 to write, UP from column 0 to read, and
-    # the span on a walk with span_forms, else the whole flat row.  It takes
+    # the read span, DOWN's columns and UP's together, on every walk, which
+    # the full cone's +0 reset writes through.  The half cone sets its
+    # origin through the whole flat row, since UP's column past the origin
+    # may lie one past the span.  It takes
     # the read views of the row the last step wrote again at that width; its
     # steps slice no state row: five slices were about a fifth of a step at
     # N = 200.  A row's steps come in increasing order and the block widths
@@ -494,19 +498,16 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
     while stop < n:
         first, stop = stop, min(stop + _BLOCK_STEPS, n) if stop else 1
         width = w0 + ((stop - 1) >> half)
-        b, span = scratch[:width], columns + width
+        b, span = work.reshape(-1)[:width], columns + width
         if first and span_forms:
             # The first step reads the caller's table or the start, not a row
             # pair, so the span form starts with the second block.  Each
-            # product row's halves line up with the span's.
+            # work row's halves line up with the span's.
             forms = span_forms
-            t_span, r_span = products[:, :span]
+            t_span, r_span = work[:, :span]
             t_down, r_down = t_span[:width], r_span[:width]
             t_up, r_up = t_span[columns:], r_span[columns:]
-        views = [
-            (flat[:width], flat[columns + 1 : span + 1], flat[columns:span], flat[:span] if span_forms else flat, fd, fu)
-            for flat, fd, fu in pairs
-        ]
+        views = [(flat[:width], flat[columns + 1 : span + 1], flat[columns:span], flat[:span], flat) for flat in pairs]
         if first:
             d, _, u, s = views[row][:4]
         for k in range(first, stop):  # the step from k into k + 1
@@ -518,7 +519,7 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
             else:
                 # The spares follow the ring rows, one for each parity of k + 1.
                 row = rows + (k & 1)
-            down, up, next_u, lead, float_down, float_up = views[row]
+            down, up, next_u, lead, flat = views[row]
             # The coin acts at the pre-shift position; then DOWN slides one
             # site toward -x and UP one site toward +x.
             form, tk, rk = forms[k & 1]
@@ -559,15 +560,14 @@ def _walk(state: WalkState, profile: PotentialProfile, ks: list[int], half: int)
                 lead[w0 + k] = zero
             elif k & half:
                 # The half cone, from an odd k.  Into an even k + 1, column
-                # (k + 1) // 2 is the origin: D(0) = -i U(0), that is
-                # (U.im, -U.re); the (re, im) pair of column c starts at 2c.
-                # From an odd k, the column past the origin holds U(+1) with
-                # D(+1) = 0, so a wide step writes r U(+1) into DOWN's
-                # column at the origin, which D(0) then overwrites, and -t
-                # U(+1) into UP's next column, x = 2, which is reset to +0.
-                float_down[k + 1] = float_up[k + 2]
-                float_down[k + 2] = -float_up[k + 1]
-                float_up[k + 3] = float_up[k + 4] = 0.0
+                # c = (k + 1) // 2 is the origin: D(0) = -i U(0).  From an
+                # odd k, the column past the origin holds U(+1) with D(+1) =
+                # 0, so a wide step writes r U(+1) into DOWN's column at the
+                # origin, which D(0) then overwrites, and -t U(+1) into UP's
+                # next column, x = 2, which is reset to +0.
+                c = (k + 1) >> 1
+                flat[c] = flat[columns + c] * -1j
+                flat[columns + c + 1] = zero
             d, u, s = down, next_u, lead
             if full:
                 yield steps, ring

@@ -105,9 +105,10 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     ------
     ValueError
         If the inputs are not equal-length 1-D samples of finite real values,
-        the x values are all identical, which leaves the slope undefined, or
-        the fit's sums overflow or its sums of squares fall below the normal
-        float range, which would leave a wrong fit.
+        the x values are all identical, which leaves the slope undefined, or,
+        for ys that are not all equal, the fit's sums overflow or its sums of
+        squares fall below the normal float range, which would leave a wrong
+        fit.
     """
     x = _reals(xs, "xs")
     y = _reals(ys, "ys")
@@ -115,8 +116,11 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         raise ValueError("xs and ys must be 1-D sequences of equal length")
     if np.unique(x).size < 2:
         raise ValueError("need at least two distinct x values to fit a line")
-    # A sample that is not finite, and a sum that overflows or underflows,
-    # are caught below from the values they leave.
+    if np.isfinite(x).all() and np.isfinite(y).all() and (y == y[0]).all():
+        # The flat line through them, which their mean may round off or
+        # overflow.  A sample that is not finite, and a sum that overflows or
+        # underflows, are caught below from the values they leave.
+        return LinearFit(slope=0.0, intercept=float(y[0]), r_squared=1.0)
     with np.errstate(all="ignore"):
         x_mean = float(x.mean())
         y_mean = float(y.mean())
@@ -128,14 +132,11 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         ss_res = float(np.dot(residuals, residuals))
         ss_tot = float(np.dot(dy, dy))
     # A slope or intercept that is not finite leaves ss_res so too.  Distinct
-    # xs make ss_x > 0, and ss_tot is 0 only where every y equals their mean;
-    # a sum of squares below the normal range has lost digits.
+    # xs make ss_x > 0, and ys that are not all equal make ss_tot > 0; a sum
+    # of squares below the normal range has lost digits.
     tiny = np.finfo(np.float64).tiny
-    if not all(map(math.isfinite, (ss_x, ss_res, ss_tot))) or ss_x < tiny or ss_tot < tiny and dy.any():
+    if not all(map(math.isfinite, (ss_x, ss_res, ss_tot))) or ss_x < tiny or ss_tot < tiny:
         raise ValueError("xs and ys must be finite, with the fit's sums within the normal float range")
-    if (y == y[0]).all():
-        # The flat line through them, which their mean may round off.
-        return LinearFit(slope=0.0, intercept=float(y[0]), r_squared=1.0)
     return LinearFit(slope=slope, intercept=intercept, r_squared=min(1.0, max(0.0, 1.0 - ss_res / ss_tot)))
 
 

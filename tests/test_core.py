@@ -567,24 +567,37 @@ def test_walk_leaves_plus_zero_past_the_live_sites_where_it_skips_the_reset(q, t
         assert seen == ks
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4])
-def test_evolve_allocates_nothing_per_step(q):
+@pytest.mark.parametrize(
+    "q, n, codes, span_codes",
+    [
+        pytest.param(1, 1000, (3, 3), None, id="1"),
+        pytest.param(2, 1000, (3, 2), None, id="2"),
+        pytest.param(3, 1000, (4, 4), None, id="3"),
+        pytest.param(4, 1000, (4, 2), None, id="4"),
+        pytest.param(1, 255, (3, 3), (1, 1), id="1-span"),
+        pytest.param(2, 255, (3, 2), (1, 0), id="2-span"),
+    ],
+)
+def test_evolve_allocates_nothing_per_step(q, n, codes, span_codes):
     # A 1000-site temporary is 16 KiB, so one made per step, or kept per
     # step, would pass the 8 KiB left over for the coins and small objects.
-    # The walk frees its spare row pairs, scratch row and coefficient rows
+    # The walk frees its spare row pairs, work buffer and coefficient rows
     # before the returned table is allocated, so the peak is the larger of
-    # the two phases, not their sum.  At N = 1000 the row pairs are wider
-    # than _SPAN_COLUMNS, so the walk holds no product rows.
-    n, site = 1000, np.dtype(np.complex128).itemsize
-    assert n + 1 > core._SPAN_COLUMNS
+    # the two phases, not their sum.  The walk's forms, as _step_forms gives
+    # them for its n + 1 columns, set its one work buffer: two span rows of
+    # 2 * columns - 1 sites on a walk with span forms, and one row of
+    # columns - 1 on any other.
+    site = np.dtype(np.complex128).itemsize
     start, profile = initial_state(), PotentialProfile(q, math.pi / 6)
-    mixed_parities = {1: 0, 2: 0, 3: 2, 4: 1}[q]
+    forms, span_forms = core._step_forms(profile, n - 1, n, n + 1)
+    assert tuple(form for form, _, _ in forms) == codes
+    assert (span_forms and tuple(form for form, _, _ in span_forms)) == span_codes
     pair = 2 * (n + 1) * site
     walking = (
         3 * pair  # the requested row pair and its two spares
-        + n * site  # the scratch row
+        + (2 * (2 * n + 1) if span_forms else n) * site  # the work buffer
         # (t, r) rows of each mixed parity, padded for the steps of a block
-        + mixed_parities * 2 * (n + core._BLOCK_STEPS // 2) * site
+        + codes.count(4) * 2 * (n + core._BLOCK_STEPS // 2) * site
     )
     copying = pair + (2 * n + 1) * 2 * site  # the requested row pair and the returned table
     allowed = max(walking, copying) + 8 * 1024

@@ -57,11 +57,17 @@ def test_linear_fit_flat_perfect_fit_convention():
     assert fit.r_squared == 1.0
 
 
-@pytest.mark.parametrize("ys", [[0.1] * 3, [0.7] * 3, [0.5] * 3, [1 / 3] * 4], ids=["0.1", "0.7", "0.5", "1/3"])
+@pytest.mark.parametrize(
+    "ys",
+    [[0.1] * 3, [0.7] * 3, [0.5] * 3, [1 / 3] * 4, [1e308] * 3, [-1e308] * 3, [1.7e308] * 2],
+    ids=["0.1", "0.7", "0.5", "1/3", "1e308", "-1e308", "1.7e308"],
+)
 def test_linear_fit_of_equal_ys_is_the_flat_line_through_them(ys):
     # The mean of three 0.1s or three 0.7s rounds off them, which leaves the
     # slope, the intercept and SS_tot a few ulps off 0, the y and 0; the
-    # means of three 0.5s and four 1/3s are exact.
+    # means of three 0.5s and four 1/3s are exact.  The sums behind the means
+    # of the last three overflow to inf, which would refuse them as samples
+    # that are not finite.
     fit = linear_fit(range(1, len(ys) + 1), ys)
     assert fit == LinearFit(slope=0.0, intercept=ys[0], r_squared=1.0)
 
@@ -76,7 +82,14 @@ def test_linear_fit_rejects_bad_shapes():
         linear_fit([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         linear_fit(np.zeros((2, 2)), np.zeros((2, 2)))
-    for xs, ys in (([0.0, 1.0, math.nan], [1.0, 2.0, 3.0]), ([0.0, 1.0, 2.0], [1.0, math.inf, 3.0])):
+    # Equal ys are the flat line only when every sample is finite.
+    for xs, ys in (
+        ([0.0, 1.0, math.nan], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, math.inf, 3.0]),
+        ([0.0, 1.0, 2.0], [math.inf] * 3),
+        ([0.0, 1.0, 2.0], [math.nan] * 3),
+        ([0.0, math.inf, 2.0], [1.0] * 3),
+    ):
         with pytest.raises(ValueError, match="finite"):
             linear_fit(xs, ys)
 

@@ -152,6 +152,14 @@ symmetric_angles = st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50
 @example(2, math.pi / 3, 2 * (_SPAN_COLUMNS - 2))
 @example(1, -2.5, 2 * (_SPAN_COLUMNS - 2) + 1)
 @example(4, math.pi / 6, 2 * (_SPAN_COLUMNS - 1))
+# At theta = 0, U(0) has a zero real or imaginary part after most even
+# steps, so the origin's D, set as -i U(0), holds zeros of either sign, which
+# P must square to +0.  Row pairs of 256 and 257 columns, on and just over
+# the span form's limit.
+@example(2, 0.0, 2 * (_SPAN_COLUMNS - 2))
+@example(1, 0.0, 2 * (_SPAN_COLUMNS - 2) + 1)
+@example(2, 0.0, 2 * (_SPAN_COLUMNS - 1))
+@example(3, 0.0, 2 * (_SPAN_COLUMNS - 1) + 1)
 def test_distributions_equal_evolve_from_the_symmetric_start(q, theta, n):
     profile = PotentialProfile(q, theta)
     ((k, live),) = _distributions(profile, [n])
