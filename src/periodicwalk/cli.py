@@ -9,8 +9,9 @@ written a chunk of rows at a time and its sha256 taken as it is written;
 simulate formats each probability once, over x <= 0, and writes x > 0
 from the same strings.
 
-Exit status: 0 success, 1 usage error, 2 i/o failure, 3 numerical
-invariant violation.
+Exit status: 0 success, 1 usage error (a bad flag, or a run of more than
+MAX_STEPS ** 2 live row-steps), 2 i/o failure, 3 numerical invariant
+violation.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ EXIT_INVARIANT = 3
 
 #: Largest step count, longest LO:HI range, largest theta-grid COUNT and
 #: largest period any command accepts.  A walk of N steps does O(N^2) work;
-#: every grid angle or range value is a walk.  Through ``evolve``
+#: every grid angle or range value is a walk.  ``parse_args`` also refuses a
+#: run of more than MAX_STEPS ** 2 live row-steps, N^2 per walk of N steps
+#: (``sweep-steps`` is one walk of its largest N): one walk of MAX_STEPS
+#: steps is the most a run may do, about a minute at 5 ns a row-step, where
+#: a grid of MAX_STEPS such walks would take two months.  Through ``evolve``
 #: (sweep-theta, sweep-period, check-q1) it walks on three row pairs of
 #: N + 1 complex entries and a scratch row one column shorter, 11.2 MB
 #: here, and keeps only the requested row pair, 3.2 MB, beside the
@@ -329,10 +334,20 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
-    """Turn raw arguments into a RunConfig.  Raises UsageError on bad input."""
+    """Turn raw arguments into a RunConfig.
+
+    Raises UsageError on bad input, and on a run of more than MAX_STEPS ** 2
+    live row-steps, once every flag has passed its own check.
+    """
     ns = _build_parser().parse_args(list(argv))
     out = Path(ns.out or f"{ns.command}.csv")
-    return RunConfig(command=ns.command, q=ns.q, theta=ns.theta, steps=ns.steps, out=out)
+    config = RunConfig(command=ns.command, q=ns.q, theta=ns.theta, steps=ns.steps, out=out)
+    # One walk per swept period or angle; sweep-steps takes snapshots of one walk.
+    walks = math.prod(len(axis) for axis in (config.q, config.theta) if isinstance(axis, tuple))
+    n = max(config.steps) if isinstance(config.steps, tuple) else config.steps
+    if walks * n * n > MAX_STEPS**2:
+        raise UsageError(f"{walks} walks of {n} steps are {walks * n * n} live row-steps, more than {MAX_STEPS**2}")
+    return config
 
 
 def _write_csv(path: Path, columns: Sequence[tuple[str, str]], rows: Iterable[tuple]) -> tuple[str, int]:

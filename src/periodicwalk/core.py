@@ -94,14 +94,14 @@ def _finite(value, name: str) -> float:
     return number
 
 
-def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a numpy array, with an object array of real numbers as float64.
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; ValueError unless they are real numbers.
 
     numpy holds an int beyond the int64 and uint64 ranges as an object, so
     an array with one has dtype object.  When every entry is a real number,
-    as ``_REAL_TYPES`` counts them, it converts to float64, and ValueError if
-    an int lies beyond the float range.  Any other array is returned as it
-    is, for the caller to check its dtype's kind against ``_REAL_KINDS``.
+    as ``_REAL_TYPES`` counts them, it converts too, and ValueError if an int
+    lies beyond the float range.  Any other array must have a dtype kind in
+    ``_REAL_KINDS``; a longdouble is rounded to float64 with the rest.
     """
     array = np.asarray(values)
     if array.dtype.kind == "O" and all(isinstance(value, _REAL_TYPES) for value in array.flat):
@@ -109,7 +109,9 @@ def _real_array(values, name: str) -> np.ndarray:
             return array.astype(np.float64)
         except OverflowError:
             raise ValueError(f"{name} must be real numbers within the float range") from None
-    return array
+    if array.dtype.kind not in _REAL_KINDS:
+        raise ValueError(f"{name} must be real numbers, got {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 class NormDriftError(RuntimeError):

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _REAL_KINDS, PotentialProfile, WalkState, _distributions, _real_array, _whole
+from .core import PotentialProfile, WalkState, _distributions, _reals, _whole
 from .core import check_norm, evolve, initial_state
 from .core import step  # not called here; bench/test_bench.py pins this binding until the bench change
 from .observables import distribution, moments
@@ -84,14 +84,6 @@ class Q1LawCheck:
     sigma2_over_n2: np.ndarray
     law: np.ndarray
     residual: np.ndarray
-
-
-def _reals(values: Sequence[float], name: str) -> np.ndarray:
-    """``values`` as a float64 array; ValueError unless they are real numbers."""
-    array = _real_array(values, name)
-    if array.dtype.kind not in _REAL_KINDS:
-        raise ValueError(f"{name} must be real numbers, got {array.dtype}")
-    return array.astype(np.float64)
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
@@ -233,14 +225,18 @@ def check_q1_closed_form(theta_grid: Sequence[float], n_steps: int) -> Q1LawChec
 def relative_spread(sigma: Sequence[float]) -> float:
     """(max - min) / mean of a finite positive sample; the laziness figure of merit.
 
+    Equal entries have spread 0, even where their mean would overflow.
     ValueError unless the sample is a non-empty 1-D sequence of finite real
-    values > 0 whose mean does not overflow.
+    values > 0 whose entries are equal or whose mean does not overflow.
     """
     s = _reals(sigma, "sigma")
     if s.ndim != 1 or s.size == 0:
         raise ValueError("sigma must be a non-empty 1-D sequence")
+    valid = np.all(np.isfinite(s) & (s > 0))
+    if valid and (s == s[0]).all():
+        return 0.0  # before the mean, which may overflow
     with np.errstate(all="ignore"):
         mean = s.mean()
-    if not (np.all(np.isfinite(s) & (s > 0)) and math.isfinite(mean)):
+    if not (valid and math.isfinite(mean)):
         raise ValueError("every entry of sigma must be finite and > 0, and their mean must not overflow")
     return float((s.max() - s.min()) / mean)

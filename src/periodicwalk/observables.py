@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _REAL_KINDS, _SQRT_HALF, WalkState, _finite, _real_array, _whole
+from .core import _SQRT_HALF, WalkState, _finite, _reals, _whole
 
 __all__ = [
     "Moments",
@@ -29,11 +29,11 @@ class Moments:
 
 
 def _window(p) -> tuple[np.ndarray, int]:
-    """``p`` as an array and N for its 2N + 1 entries; ValueError unless it is 1-D of odd length and real."""
-    p = _real_array(p, "p")
+    """``p`` as a float64 array and N for its 2N + 1 entries; ValueError unless it is real, 1-D and of odd length."""
+    p = _reals(p, "p")
     shape = p.shape
-    if len(shape) != 1 or not shape[0] % 2 or p.dtype.kind not in _REAL_KINDS:
-        raise ValueError(f"p must be a 1-D window of 2N + 1 real entries, got shape {shape} and dtype {p.dtype}")
+    if len(shape) != 1 or not shape[0] % 2:
+        raise ValueError(f"p must be a 1-D window of 2N + 1 entries, got shape {shape}")
     return p, shape[0] // 2
 
 
@@ -96,5 +96,4 @@ def symmetry_residual(p) -> float:
     Takes ``p`` as ``moments`` does; ValueError unless it is 1-D of odd length and real.
     """
     p, _ = _window(p)
-    # Subtracted as float64: numpy has no boolean subtract, and unsigned ones wrap.
-    return float(np.max(np.abs(np.subtract(p, p[::-1], dtype=np.float64))))
+    return float(np.max(np.abs(p - p[::-1])))

@@ -195,11 +195,60 @@ def test_oversized_inputs_are_usage_errors(argv, tmp_path, capsys):
         # A repeated flag is checked every time it appears, even where a
         # later value would replace it.
         (["simulate", "--q", "0", "--q", "3", "--theta", "1"], "--q: must be >= 1, got 0"),
+        # A run above the work cap is refused only once every flag has passed.
+        (
+            ["check-q1", "--steps", str(MAX_STEPS)],
+            f"47 walks of {MAX_STEPS} steps are {47 * MAX_STEPS**2} live row-steps, more than {MAX_STEPS**2}",
+        ),
+        (
+            ["check-q1", "--theta-pi", f"0.1:0.9:{MAX_STEPS + 1}", "--steps", str(MAX_STEPS)],
+            f"--theta-pi: must be <= {MAX_STEPS}, got {MAX_STEPS + 1}",
+        ),
+        (
+            ["sweep-period", "--q", f"1:{MAX_STEPS}", "--steps", str(MAX_STEPS)],
+            "one of the arguments --theta --theta-pi is required",
+        ),
     ],
 )
 def test_usage_error_messages(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == f"periodicwalk: usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "walks"),
+    [
+        (["sweep-theta", "--q", "3", "--theta-pi", f"0:2:{MAX_STEPS}", "--steps", str(MAX_STEPS)], MAX_STEPS),
+        # the period sweep as it would run, with the angle it requires
+        (["sweep-period", "--q", f"1:{MAX_STEPS}", "--steps", str(MAX_STEPS), "--theta", "1"], MAX_STEPS),
+        (["check-q1", "--theta-pi", f"0.1:0.9:{MAX_STEPS}", "--steps", str(MAX_STEPS)], MAX_STEPS),
+        (["sweep-theta", "--q", "3", "--theta", "0:1:3", "--steps", "57736"], 3),
+    ],
+)
+def test_runs_above_the_work_cap_are_usage_errors(argv, walks):
+    # Each flag is within its own bound, but their product is not; parse_args
+    # refuses it, so no walk starts.  3 * 57736^2 is just above MAX_STEPS^2.
+    n = int(argv[argv.index("--steps") + 1])
+    with pytest.raises(UsageError, match=f"^{walks} walks of {n} steps are {walks * n * n} live row-steps, "):
+        parse_args(argv)
+
+
+def test_runs_within_the_work_cap_parse(monkeypatch):
+    from test_golden import CASES, ROOT
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import CANONICAL_SEED, WORKLOADS
+
+    runs = [
+        ["simulate", "--q", "3", "--theta", "1", "--steps", str(MAX_STEPS)],
+        ["sweep-steps", "--q", "3", "--theta", "1", "--steps", f"1:{MAX_STEPS}"],
+        ["sweep-theta", "--q", "3", "--theta", "0:1:3", "--steps", "57735"],  # 3 * 57735^2 < MAX_STEPS^2
+        ["sweep-period", "--q", f"1:{MAX_STEPS}", "--steps", "1", "--theta", "1"],
+        *CASES.values(),
+        *(workload.cli_args(CANONICAL_SEED) for workload in WORKLOADS.values()),
+    ]
+    for argv in runs:
+        parse_args(argv)
 
 
 def _parses(argv) -> bool:

@@ -118,6 +118,13 @@ def test_fit_samples_take_ints_beyond_int64_as_floats():
     assert linear_fit([2**70, 1, True], [1, 2, 3]) == linear_fit([2.0**70, 1.0, 1.0], [1.0, 2.0, 3.0])
     assert relative_spread([2**70, 2**70]) == 0.0
     assert relative_spread([2**70, np.int8(1)]) == relative_spread([2.0**70, 1.0])
+    # A sample of any real dtype gives exactly what its float64 conversion gives.
+    rng = np.random.default_rng(7)
+    xs, ys = rng.random(300) * 1000, rng.random(300) * 1000 + 1
+    for dtype in (np.uint64, np.float16, np.float32):
+        x, y = xs.astype(dtype), ys.astype(dtype)
+        assert linear_fit(x, y) == linear_fit(x.astype(np.float64), y.astype(np.float64)), dtype
+        assert relative_spread(y) == relative_spread(y.astype(np.float64)), dtype
 
 
 def test_fit_samples_refuse_an_int_beyond_the_float_range():
@@ -145,6 +152,12 @@ def test_linear_fit_refuses_finite_samples_whose_sums_leave_the_float_range(xs, 
     # float64, which gave NaN, an infinite slope, or a wrong slope or r^2
     with pytest.raises(ValueError, match="within the normal float range"):
         linear_fit(xs, ys)
+
+
+def test_relative_spread_of_equal_entries_is_zero_where_their_mean_overflows():
+    # the spread of an equal sample is exactly 0; its mean, 2e308, overflowed to inf, which refused it
+    assert relative_spread([1e308, 1e308]) == 0.0
+    assert relative_spread([1.7e308] * 3) == 0.0
 
 
 def test_relative_spread_refuses_a_sample_whose_mean_overflows():
